@@ -54,7 +54,7 @@ from .harness import (
     emit_fig1_data,
     run_experiment,
 )
-from .linalg import LeastSquaresSolution, apply_gram_inverse, solve_ls, thin_svd
+from .linalg import LeastSquaresSolution, apply_gram_inverse, solve_ls
 from .srht import SketchOperator, apply_sketch, build_sketch, fwht_inplace, next_pow2
 
 __version__ = "0.1.0"
@@ -108,5 +108,4 @@ __all__ = [
     "next_pow2",
     "run_experiment",
     "solve_ls",
-    "thin_svd",
 ]

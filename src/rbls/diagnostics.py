@@ -2,11 +2,12 @@
 sketched approximations.
 
 Exact leverage is the hat-matrix diagonal l_i = z_i (Z'Z)^{-1} z_i',
-computed through triangular solves with the stored QR factor.  Influence is
-the leave-one-out change in fit d_i = e_i^2 l_i / (1 - l_i)^2, equal to
-(b - b_{-i})' Z'Z (b - b_{-i}).  The randomized approximation replaces the
-orthogonal basis with Z R^{-1} Pi2 where R^{-1} comes from the SVD of a
-row-sketched copy of Z and Pi2 is a narrow sign projection.
+read off as squared row norms of Z R^{-1} with R the stored QR factor.
+Influence is the leave-one-out change in fit d_i = e_i^2 l_i / (1 - l_i)^2,
+equal to (b - b_{-i})' Z'Z (b - b_{-i}).  The randomized approximation
+replaces R with the triangular factor of a row-sketched copy of Z and
+right-multiplies Z R^{-1} by a narrow sign projection Pi2 (Drineas,
+Magdon-Ismail, Mahoney and Woodruff, JMLR 2012).
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .errors import (
     LeverageOneError,
     SketchRankDeficientError,
 )
-from .linalg import as_matrix, as_vector, solve_ls
+from .linalg import RANK_TOL, as_matrix, as_vector, solve_ls
 from .seeding import ROLE_PROJECTION, ROLE_SKETCH, spawn_rng, spawn_seed
 from .srht import build_sketch, apply_sketch
 
@@ -52,12 +53,12 @@ class DiagnosticsReport:
 def exact_leverage(Z, sol):
     """Hat-matrix diagonal for the design Z, given its QR solution.
 
-    Solves R' W = Z' once and reads l_i as squared column norms of W,
-    O(n p^2) total.  For a full-rank design 0 <= l_i <= 1 and sum(l) = p.
+    Forms W = Z R^{-1} and reads l_i as squared row norms of W, O(n p^2)
+    total.  For a full-rank design 0 <= l_i <= 1 and sum(l) = p.
     """
     Z = as_matrix(Z, "Z")
-    W = solve_triangular(sol.r_factor, Z.T, trans="T")
-    return np.einsum("ij,ij->j", W, W)
+    W = Z @ np.linalg.inv(sol.r_factor)
+    return np.einsum("ij,ij->i", W, W)
 
 
 def influence(e, l):
@@ -122,22 +123,25 @@ def approx_leverage(
     projection_cols,
     seed,
     *,
-    sketched=None,
+    r_factor=None,
     right_projection=None,
 ):
     """Randomized leverage scores via two projections.
 
-    A row sketch of Z (``sketch_rows`` rows, >= p) is factored with the thin
-    SVD to get R^{-1} = V Sigma^{-1}; leverage is then read off as squared
-    row norms of Z @ R^{-1} @ Pi2 where Pi2 is a p x ``projection_cols``
-    matrix of i.i.d. +-1/sqrt(projection_cols) signs.  Cost after the sketch
-    is O(n p projection_cols).
+    R is the triangular factor of a row sketch of Z (``sketch_rows`` rows,
+    >= p); leverage is read off as squared row norms of Z @ R^{-1} @ Pi2
+    where Pi2 is a p x ``projection_cols`` matrix of i.i.d.
+    +-1/sqrt(projection_cols) signs.  Z R^{-1} equals Z V Sigma^{-1} from
+    the sketch's SVD times an orthogonal p x p matrix, so the two bases
+    have the same row norms.  Cost after the sketch is
+    O(n p projection_cols).
 
     Parameters
     ----------
-    sketched : ndarray, optional
-        Precomputed row sketch of Z.  Passing Z itself makes the basis step
-        exact; callers that already hold a sketch reuse it here.
+    r_factor : ndarray, shape (p, p), optional
+        Upper-triangular factor of a row sketch of Z.  Callers that already
+        factored a sketch pass its R here and no factorization runs; the
+        R of Z itself makes the basis step exact.
     right_projection : ndarray, optional
         Explicit Pi2, overriding the sign draw (identity recovers plain
         squared row norms of Z R^{-1}).
@@ -145,11 +149,8 @@ def approx_leverage(
     Raises
     ------
     SketchRankDeficientError
-        If the sketched matrix has a singular value below 1e-12 of the
-        largest; increase sketch_rows.
+        If min |r_jj| < 1e-12 max |r_jj|; increase sketch_rows.
     """
-    from .linalg import thin_svd  # local import keeps module load cheap
-
     Z = as_matrix(Z, "Z")
     n, p = Z.shape
     sketch_rows = int(sketch_rows)
@@ -158,21 +159,23 @@ def approx_leverage(
         raise InvalidInputError(f"need sketch_rows >= p, got {sketch_rows} < {p}")
     if right_projection is None and not 1 <= projection_cols <= p:
         raise InvalidInputError(f"need 1 <= projection_cols <= {p}, got {projection_cols}")
-    if sketched is None:
+    if r_factor is None:
         op = build_sketch(n, sketch_rows, spawn_seed(seed, ROLE_SKETCH))
-        sketched = apply_sketch(op, Z)
-    _, sigma, V = thin_svd(np.asarray(sketched, dtype=np.float64))
-    if sigma[0] == 0.0 or sigma[-1] < 1e-12 * sigma[0]:
+        r_factor = np.linalg.qr(apply_sketch(op, Z), mode="r")
+    R = np.asarray(r_factor, dtype=np.float64)
+    if R.shape != (p, p):
+        raise InvalidInputError(f"r_factor has shape {R.shape}, expected {(p, p)}")
+    d = np.abs(np.diag(R))
+    if d.max() == 0.0 or d.min() < RANK_TOL * d.max():
         raise SketchRankDeficientError(
             "row sketch of Z is rank deficient; increase sketch_rows"
         )
-    r_inv = V / sigma
     if right_projection is None:
         rng = spawn_rng(seed, ROLE_PROJECTION)
         pi2 = (rng.integers(0, 2, (p, projection_cols)) * 2 - 1) / np.sqrt(projection_cols)
     else:
         pi2 = np.asarray(right_projection, dtype=np.float64)
-    basis = Z @ (r_inv @ pi2)
+    basis = Z @ np.linalg.solve(R, pi2)
     return np.einsum("ij,ij->i", basis, basis)
 
 

@@ -13,10 +13,6 @@ class RankDeficientError(RblsError):
     """Design matrix (or a subsample of it) is numerically rank deficient."""
 
 
-class NoConvergenceError(RblsError):
-    """Iterative factorization exceeded its sweep cap."""
-
-
 class NotPowerOfTwoError(RblsError, ValueError):
     """Vector length is not a power of two."""
 

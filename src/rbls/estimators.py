@@ -163,7 +163,7 @@ def _sketched_solve(Z, y, rows, seed, op=None):
         raise RankDeficientError(
             f"sketch with {rows} rows lost rank ({err}); increase n_subs"
         ) from err
-    return sol, Zs, ys
+    return sol
 
 
 def fit_ols(Z, y):
@@ -181,7 +181,7 @@ def fit_srht_ls(Z, y, cfg, *, sketch_op=None):
     Z = as_matrix(Z, "Z")
     y = as_vector(y, "y")
     n_subs = _require_n_subs(cfg, Z.shape[0], Z.shape[1], bounded_by_n=False)
-    sol, _, _ = _sketched_solve(Z, y, n_subs, cfg.seed, op=sketch_op)
+    sol = _sketched_solve(Z, y, n_subs, cfg.seed, op=sketch_op)
     return FitResult(SRHT_LS, sol.coefficients)
 
 
@@ -231,7 +231,7 @@ def fit_uluru(Z, y, cfg):
     Z = as_matrix(Z, "Z")
     y = as_vector(y, "y")
     n_subs = _require_n_subs(cfg, Z.shape[0], Z.shape[1], bounded_by_n=False)
-    sol1, _, _ = _sketched_solve(Z, y, n_subs, cfg.seed)
+    sol1 = _sketched_solve(Z, y, n_subs, cfg.seed)
     residual = y - Z @ sol1.coefficients
     correction = apply_gram_inverse(sol1, Z.T @ residual)
     return FitResult(ULURU, sol1.coefficients + correction)
@@ -268,10 +268,10 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     Residuals: the sketched solution starts a CGLS solve of the full problem,
     right-preconditioned by R (``linalg.refine_ls``), which runs until the
     residuals are exact to ``linalg.REFINE_TOL`` at O(n p) per iteration.
-    Leverages: the sketch's SVD gives the basis for randomized leverage
-    scores, which stay approximate.  Sampling then mirrors IWS_LS with the
-    approximate influence.  ``residuals`` / ``leverages`` override the
-    sketched estimates (test hooks).
+    Leverages: Z R^{-1} is the basis for randomized leverage scores
+    (``diagnostics.approx_leverage``), which stay approximate.  Sampling
+    then mirrors IWS_LS with the approximate influence.  ``residuals`` /
+    ``leverages`` override the sketched estimates (test hooks).
     """
     Z = as_matrix(Z, "Z")
     y = as_vector(y, "y")
@@ -279,10 +279,9 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     n_subs = _require_n_subs(cfg, n, p)
     rows = _resolve_sketch_rows(cfg, n, p)
     proj_cols = _resolve_projection_cols(cfg, p)
-    Zs = None
     anchor_iterations = 0
     if residuals is None or leverages is None:
-        sol1, Zs, _ = _sketched_solve(Z, y, rows, cfg.seed)
+        sol1 = _sketched_solve(Z, y, rows, cfg.seed)
     if residuals is None:
         anchor = refine_ls(Z, y, sol1)
         e_approx, anchor_iterations = anchor.residuals, anchor.iterations
@@ -290,7 +289,7 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
         e_approx = as_vector(residuals, "residuals")
     if leverages is None:
         l_approx = approx_leverage(
-            Z, rows, proj_cols, cfg.seed, sketched=Zs
+            Z, rows, proj_cols, cfg.seed, r_factor=sol1.r_factor
         )
     else:
         l_approx = as_vector(leverages, "leverages")
@@ -315,7 +314,7 @@ def fit_arws_ls(Z, y, cfg):
     y = as_vector(y, "y")
     n, p = Z.shape
     n_subs = _require_n_subs(cfg, n, p)
-    sol1, _, _ = _sketched_solve(Z, y, n_subs, cfg.seed)
+    sol1 = _sketched_solve(Z, y, n_subs, cfg.seed)
     e_approx = y - Z @ sol1.coefficients
     probs, fallback = _inverse_score_probs(e_approx**2, cfg.weight_floor_ratio)
     sub, idx = _subsample_solve(

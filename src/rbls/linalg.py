@@ -1,9 +1,14 @@
 """Dense least-squares kernels: QR solve, preconditioned CGLS refinement,
-one-sided Jacobi SVD, Gram inverse.
+Gram inverse.
 
 All matrices are plain row-major ``numpy.ndarray`` of float64.  The QR-based
-solver never forms (Z'Z) explicitly; downstream diagnostics reuse its
+solver never forms (Z'Z) or Q explicitly; downstream diagnostics reuse its
 triangular factor through :func:`apply_gram_inverse`.
+
+Dense level-3 work (QR, products, inverses of R) runs in numpy.  scipy ships
+a second OpenBLAS with its own thread pool, so scipy is only handed 1-d
+right-hand sides (level-2 triangular solves): a 2-d one wakes that pool,
+whose spinning threads then slow numpy's BLAS on a small host.
 """
 
 from dataclasses import dataclass
@@ -12,11 +17,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrsv
 
-from .errors import (
-    InvalidInputError,
-    NoConvergenceError,
-    RankDeficientError,
-)
+from .errors import InvalidInputError, RankDeficientError
 
 RANK_TOL = 1e-12
 # Stop test of refine_ls: ||A'r|| <= REFINE_TOL ||A|| ||r|| with A = Z R^{-1}
@@ -27,8 +28,6 @@ REFINE_TOL = 1e-10
 # With a sketch of 2p or more rows cond(A) is below ~10 and CGLS meets
 # REFINE_TOL in 15-20 iterations; the cap bounds the cost when it is not.
 REFINE_MAX_ITER = 100
-JACOBI_MAX_SWEEPS = 30
-JACOBI_OFF_TOL = 1e-12
 
 
 def as_matrix(A, name="matrix"):
@@ -86,7 +85,10 @@ def _check_r_factor(R):
 
 
 def solve_ls(Z, y):
-    """Solve min_b ||y - Z b||_2 via Householder QR.
+    """Solve min_b ||y - Z b||_2 via Householder QR of [Z | y].
+
+    Only the triangular factor of the augmented matrix is formed: its
+    leading p x p block is Z's R and its last column above row p is Q'y.
 
     Parameters
     ----------
@@ -111,9 +113,10 @@ def solve_ls(Z, y):
         raise InvalidInputError(f"need n >= p, got n={n}, p={p}")
     if y.shape[0] != n:
         raise InvalidInputError(f"y has length {y.shape[0]}, expected {n}")
-    Q, R = np.linalg.qr(Z)
+    r_aug = np.linalg.qr(np.column_stack([Z, y]), mode="r")
+    R = r_aug[:p, :p]
     _check_r_factor(R)
-    coef = solve_triangular(R, Q.T @ y)
+    coef = solve_triangular(R, r_aug[:p, p])
     return LeastSquaresSolution(coef, y - Z @ coef, R)
 
 
@@ -141,9 +144,9 @@ def refine_ls(Z, y, sol):
     R = sol.r_factor
     _check_r_factor(R)
     # level-2 triangular solves (dtrsv: no wrapper checks, no threads).
-    # Forming R^{-1} once instead (a p x p right-hand side, level-3 BLAS)
-    # made whole AIWS_LS fits 1.2-1.7x slower on a 2-core host with two
-    # OpenBLAS threads, although the solve itself takes microseconds
+    # Forming R^{-1} with scipy instead (a p x p right-hand side) made whole
+    # AIWS_LS fits 1.2-1.7x slower on a 2-core host: the 2-d solve wakes
+    # scipy's own OpenBLAS threads, which keep spinning beside numpy's
     r_fortran = np.asfortranarray(R)
     coef = np.array(sol.coefficients, dtype=np.float64)
     r = y - Z @ coef
@@ -181,79 +184,3 @@ def apply_gram_inverse(sol, v):
     _check_r_factor(R)
     w = solve_triangular(R, v, trans="T")
     return solve_triangular(R, w)
-
-
-def thin_svd(A):
-    """Thin SVD of a tall (or square) matrix via one-sided Jacobi rotations.
-
-    Orthogonalizes the columns of A by plane rotations until every
-    off-diagonal Gram entry |a_i . a_j| falls below
-    ``JACOBI_OFF_TOL * ||A||_F^2``, then reads off singular values as
-    column norms.
-
-    Parameters
-    ----------
-    A : ndarray, shape (m, n) with m >= n
-
-    Returns
-    -------
-    (U, singular_values, V)
-        U is m x n with orthonormal columns, singular_values is length n
-        sorted descending, V is n x n orthogonal, and
-        A = U @ diag(singular_values) @ V.T.
-
-    Raises
-    ------
-    NoConvergenceError
-        If more than ``JACOBI_MAX_SWEEPS`` sweeps are needed.
-    """
-    A = as_matrix(A, "A")
-    m, n = A.shape
-    if m < n:
-        raise InvalidInputError(f"thin_svd expects m >= n, got {m} x {n}; transpose first")
-    G = A.copy()
-    V = np.eye(n)
-    fro2 = float(np.sum(G * G))
-    if fro2 == 0.0:
-        return np.zeros((m, n)), np.zeros(n), V
-    off_tol = JACOBI_OFF_TOL * fro2
-    for _ in range(JACOBI_MAX_SWEEPS):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                gi = G[:, i]
-                gj = G[:, j]
-                c_off = float(gi @ gj)
-                if abs(c_off) <= off_tol:
-                    continue
-                rotated = True
-                a = float(gi @ gi)
-                b = float(gj @ gj)
-                # Jacobi rotation zeroing the (i, j) Gram entry; equal column
-                # norms (zeta = 0) take the 45-degree branch
-                zeta = (b - a) / (2.0 * c_off)
-                sign = 1.0 if zeta >= 0 else -1.0
-                t = sign / (abs(zeta) + np.hypot(1.0, zeta))
-                cs = 1.0 / np.hypot(1.0, t)
-                sn = cs * t
-                gi_new = cs * gi - sn * gj
-                G[:, j] = sn * gi + cs * gj
-                G[:, i] = gi_new
-                vi = V[:, i].copy()
-                V[:, i] = cs * vi - sn * V[:, j]
-                V[:, j] = sn * vi + cs * V[:, j]
-        if not rotated:
-            break
-    else:
-        raise NoConvergenceError(
-            f"one-sided Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    sigma = np.sqrt(np.einsum("ij,ij->j", G, G))
-    order = np.argsort(sigma)[::-1]
-    sigma = sigma[order]
-    G = G[:, order]
-    V = V[:, order]
-    U = np.zeros_like(G)
-    nonzero = sigma > 0
-    U[:, nonzero] = G[:, nonzero] / sigma[nonzero]
-    return U, sigma, V

@@ -220,10 +220,11 @@ def test_criterion_6_uluru_tracks_ols_at_4p(gaussian_grid_results):
 def test_criterion_7_fast_path_beats_exact_path():
     prob = gen_corrupted(2**17, 64, pi=0.3, sigma_x=1.0, sigma_w=0.4,
                          sigma_eps=0.1, seed=77)
-    warm = gen_corrupted(1024, 16, 0.3, 1.0, 0.4, 0.1, seed=1)
-    for method in (ARWS_LS, IWS_LS):
-        fit(warm, EstimatorConfig(method=method, n_subs=128, seed=0))
     n_subs = 16 * 64
+    # one untimed fit of each at full size: the first 2^17-row transform
+    # pays a one-off cost (~0.15 s) that only ARWS_LS would otherwise carry
+    for method in (ARWS_LS, IWS_LS):
+        fit(prob, EstimatorConfig(method=method, n_subs=n_subs, seed=0))
     fast = fit(prob, EstimatorConfig(method=ARWS_LS, n_subs=n_subs, seed=5))
     exact = fit(prob, EstimatorConfig(method=IWS_LS, n_subs=n_subs, seed=5))
     ratio = fast.wall_time_s / exact.wall_time_s

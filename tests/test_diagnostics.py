@@ -20,6 +20,8 @@ from rbls.errors import (
     SketchRankDeficientError,
 )
 from rbls.linalg import solve_ls
+from rbls.seeding import ROLE_SKETCH, spawn_seed
+from rbls.srht import apply_sketch, build_sketch
 
 
 def hat_diagonal_oracle(Z):
@@ -66,6 +68,15 @@ class TestExactLeverage:
         lev = exact_leverage(Z, solve_ls(Z, y))
         lev_b = exact_leverage(Z @ B, solve_ls(Z @ B, y))
         np.testing.assert_allclose(lev, lev_b, atol=1e-10)
+
+    def test_badly_scaled_columns(self):
+        # Z R^{-1} through an explicit inverse of R stays exact when the
+        # column scales span six decades
+        rng = np.random.default_rng(12)
+        Z = rng.standard_normal((60, 5)) * np.logspace(0, 6, 5)
+        lev = exact_leverage(Z, solve_ls(Z, rng.standard_normal(60)))
+        np.testing.assert_allclose(lev, hat_diagonal_oracle(Z), atol=1e-10)
+        assert lev.sum() == pytest.approx(5.0, abs=1e-10)
 
 
 class TestInfluence:
@@ -151,11 +162,26 @@ class TestApproxLeverage:
     def test_exact_when_both_projections_hooked(self):
         rng = np.random.default_rng(5)
         Q, _ = np.linalg.qr(rng.standard_normal((24, 4)))
-        lev = exact_leverage(Q, solve_ls(Q, rng.standard_normal(24)))
+        sol = solve_ls(Q, rng.standard_normal(24))
+        lev = exact_leverage(Q, sol)
         approx = approx_leverage(
-            Q, 24, 4, seed=0, sketched=Q, right_projection=np.eye(4)
+            Q, 24, 4, seed=0, r_factor=sol.r_factor, right_projection=np.eye(4)
         )
         np.testing.assert_allclose(approx, lev, atol=1e-10)
+
+    def test_r_basis_matches_sketched_svd_basis(self):
+        # Z R^{-1} equals Z V Sigma^{-1} up to a p x p rotation, so the row
+        # norms agree; the sketch is rebuilt here from the same seed role
+        rng = np.random.default_rng(9)
+        n, p, rows, seed = 512, 6, 64, 4
+        Z = rng.standard_normal((n, p)) * np.array([1.0, 10.0, 0.1, 3.0, 1.0, 100.0])
+        sketch = apply_sketch(build_sketch(n, rows, spawn_seed(seed, ROLE_SKETCH)), Z)
+        _, sigma, vt = np.linalg.svd(sketch, full_matrices=False)
+        svd_basis = Z @ (vt.T / sigma)
+        approx = approx_leverage(Z, rows, p, seed=seed, right_projection=np.eye(p))
+        np.testing.assert_allclose(
+            approx, np.einsum("ij,ij->i", svd_basis, svd_basis), atol=1e-10
+        )
 
     def test_identity_design_sum_preserved_on_average(self):
         total, n_ok = 0.0, 0
@@ -217,7 +243,7 @@ class TestApproxInfluence:
         exact_d, _ = influence(sol.residuals, exact_leverage(prob.Z, sol))
         assert exact_d[mask].mean() > exact_d[~mask].mean()
 
-        sketched_sol, _, _ = _sketched(prob.Z, prob.y, 256, seed=9)
+        sketched_sol = _sketched(prob.Z, prob.y, 256, seed=9)
         e_approx = prob.y - prob.Z @ sketched_sol.coefficients
         l_approx = approx_leverage(prob.Z, 256, 8, seed=9)
         approx_d, _ = approx_influence(e_approx, l_approx)

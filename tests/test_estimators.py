@@ -102,6 +102,26 @@ class TestDispatcher:
         np.testing.assert_allclose(result.sampling_probabilities, probs, atol=1e-15)
         np.testing.assert_allclose(result.coefficients, oracle, atol=1e-8)
 
+    def test_scipy_gets_only_vector_right_hand_sides(self, monkeypatch):
+        # scipy bundles its own OpenBLAS; a 2-d right-hand side wakes that
+        # library's thread pool, which then slows numpy's BLAS in later calls
+        import rbls.diagnostics
+        import rbls.linalg
+
+        def vector_only(solve):
+            def shim(a, b, *args, **kwargs):
+                assert np.ndim(b) == 1, f"solve_triangular got a {np.shape(b)} right-hand side"
+                return solve(a, b, *args, **kwargs)
+
+            return shim
+
+        for module in (rbls.linalg, rbls.diagnostics):
+            monkeypatch.setattr(module, "solve_triangular", vector_only(module.solve_triangular))
+        prob = gen_corrupted(512, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
+        for method in (OLS, SRHT_LS, LEV_LS, ULURU, IWS_LS, AIWS_LS, ARWS_LS):
+            result = fit(prob, EstimatorConfig(method=method, n_subs=64, seed=3))
+            assert np.all(np.isfinite(result.coefficients))
+
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParamsError):
             EstimatorConfig(method="SGD")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rbls.errors import InvalidInputError, RankDeficientError
-from rbls.linalg import apply_gram_inverse, refine_ls, solve_ls, thin_svd
+from rbls.linalg import apply_gram_inverse, refine_ls, solve_ls
 
 
 def normal_equations_oracle(Z, y):
@@ -99,41 +99,6 @@ class TestRefineLs:
         sol = refine_ls(Z, y, solve_ls(Z[:12], y[:12]))
         assert sol.iterations <= 1
         np.testing.assert_allclose(sol.residuals, 0.0, atol=1e-10)
-
-
-class TestThinSvd:
-    def test_diagonal(self):
-        U, s, V = thin_svd(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(s, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(U), np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(np.abs(V), np.eye(2), atol=1e-12)
-
-    def test_orthonormal_columns_have_unit_spectrum(self):
-        rng = np.random.default_rng(5)
-        Q, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-        _, s, _ = thin_svd(Q)
-        np.testing.assert_allclose(s, [1.0, 1.0], atol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_reconstruction_and_orthonormality(self, seed):
-        rng = np.random.default_rng(seed)
-        A = rng.standard_normal((64, 8))
-        U, s, V = thin_svd(A)
-        rel = np.linalg.norm(A - U @ np.diag(s) @ V.T) / np.linalg.norm(A)
-        assert rel < 1e-9
-        np.testing.assert_allclose(U.T @ U, np.eye(8), atol=1e-9)
-        np.testing.assert_allclose(V.T @ V, np.eye(8), atol=1e-9)
-        assert np.all(np.diff(s) <= 0)
-
-    def test_matches_lapack_singular_values(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((30, 6))
-        _, s, _ = thin_svd(A)
-        np.testing.assert_allclose(s, np.linalg.svd(A, compute_uv=False), atol=1e-10)
-
-    def test_wide_matrix_rejected(self):
-        with pytest.raises(InvalidInputError):
-            thin_svd(np.ones((2, 5)))
 
 
 class TestApplyGramInverse:
