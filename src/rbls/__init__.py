@@ -19,7 +19,6 @@ from .datagen import (
 )
 from .diagnostics import (
     DiagnosticsReport,
-    approx_influence,
     approx_leverage,
     compute_diagnostics,
     exact_leverage,
@@ -82,7 +81,6 @@ __all__ = [
     "aggregate",
     "apply_gram_inverse",
     "apply_sketch",
-    "approx_influence",
     "approx_leverage",
     "build_sketch",
     "compute_diagnostics",

@@ -77,15 +77,6 @@ def influence(e, l):
     return d, n_clamped
 
 
-def approx_influence(e_approx, l_approx):
-    """Influence from sketched residuals and leverages.
-
-    Same formula and clamp as :func:`influence`; approximate leverages may
-    exceed 1, which the clamp absorbs (and counts).
-    """
-    return influence(e_approx, l_approx)
-
-
 def compute_diagnostics(Z, y):
     """Full exact diagnostics for (Z, y): one OLS solve plus leverages."""
     sol = solve_ls(Z, y)

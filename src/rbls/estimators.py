@@ -10,12 +10,12 @@ AIWS_LS        IWS_LS with sketch-preconditioned CGLS residuals (exact to a
                tolerance) and randomized leverages.
 ARWS_LS        rows sampled proportional to 1/e_i^2 (sketched residuals).
 
-Sampling estimators draw rows with replacement and solve unweighted least
-squares on the subsample; set ``importance_reweight`` to scale sampled rows
-by 1/sqrt(n_subs p_i) instead.  All estimators are deterministic given
-(data, config): each randomized ingredient draws from a role-tagged child
-stream of ``config.seed``, so e.g. AIWS_LS and IWS_LS share the row-sampling
-stream but not the sketch stream.
+The four sampling estimators differ only in how they score rows.  Each
+turns its scores into probabilities and ends in one shared step that draws
+n_subs rows with replacement and solves unweighted least squares on them.
+All estimators are deterministic given (data, config): each randomized
+ingredient draws from a role-tagged child stream of ``config.seed``, so e.g.
+AIWS_LS and IWS_LS share the row-sampling stream but not the sketch stream.
 """
 
 import math
@@ -26,14 +26,14 @@ import numpy as np
 
 from .diagnostics import (
     DiagnosticsReport,
-    approx_influence,
     approx_leverage,
+    compute_diagnostics,
     exact_leverage,
     influence,
 )
-from .errors import InvalidParamsError, RankDeficientError
+from .errors import InvalidInputError, InvalidParamsError, RankDeficientError
 from .linalg import apply_gram_inverse, as_matrix, as_vector, refine_ls, solve_ls
-from .sampling import normalize_probabilities, sample_with_replacement
+from .sampling import inverse_score_probabilities
 from .seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng, spawn_seed
 from .srht import apply_sketch_pair, build_sketch
 
@@ -49,39 +49,25 @@ ARWS_LS = "ARWS_LS"
 METHOD_NAMES = (OLS, SRHT_LS, LEV_LS, ULURU, IWS_LS, AIWS_LS, ARWS_LS)
 METHOD_CODES = {name: code for code, name in enumerate(METHOD_NAMES)}
 
-# Relative floor applied to influence (or squared-residual) scores before
-# inverting them into sampling weights.  Inverse weights of a continuously
-# distributed score have infinite mean, so without a meaningful floor the
-# draw collapses onto the few smallest-score rows and the subsample loses
-# rank; 1e-3 keeps the draw spread while still suppressing high-influence
-# rows by three orders of magnitude.
-DEFAULT_WEIGHT_FLOOR_RATIO = 1e-3
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Configuration shared by all estimators.
 
     n_subs is the number of drawn rows (duplicates possible).  sketch_rows
-    and projection_cols control the randomized leverage pipeline and default
-    to max(2p, ceil(p ln p), n_subs) and ceil(p/2).
+    sizes the AIWS_LS sketch and defaults to max(2p, ceil(p ln p), n_subs).
     """
 
     method: str
     n_subs: int | None = None
     sketch_rows: int | None = None
-    projection_cols: int | None = None
     seed: int = 0
-    weight_floor_ratio: float = DEFAULT_WEIGHT_FLOOR_RATIO
-    importance_reweight: bool = False
 
     def __post_init__(self):
         if self.method not in METHOD_CODES:
             raise InvalidParamsError(
                 f"unknown method {self.method!r}; expected one of {METHOD_NAMES}"
             )
-        if self.weight_floor_ratio <= 0 or self.weight_floor_ratio >= 1:
-            raise InvalidParamsError("weight_floor_ratio must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -97,14 +83,24 @@ class FitResult:
     uniform_fallback: bool = False
 
 
-def _require_n_subs(cfg, n, p, bounded_by_n=True):
+def _inputs(Z, y, cfg, bounded_by_n=True):
+    """Validated (Z, y) for a fit that keeps cfg.n_subs rows.
+
+    Row samplers draw from the n rows, so their n_subs is bounded by n;
+    sketches draw from the padded Hadamard domain, which build_sketch bounds.
+    """
+    Z = as_matrix(Z, "Z")
+    y = as_vector(y, "y")
+    n, p = Z.shape
+    if y.shape[0] != n:
+        raise InvalidInputError(f"y has length {y.shape[0]}, expected {n}")
     if cfg.n_subs is None:
         raise InvalidParamsError(f"{cfg.method} requires n_subs")
     if cfg.n_subs < p:
         raise InvalidParamsError(f"need n_subs >= p, got {cfg.n_subs} < {p}")
     if bounded_by_n and cfg.n_subs > n:
         raise InvalidParamsError(f"need n_subs <= n, got {cfg.n_subs} > {n}")
-    return int(cfg.n_subs)
+    return Z, y
 
 
 def _resolve_sketch_rows(cfg, n, p):
@@ -116,39 +112,22 @@ def _resolve_sketch_rows(cfg, n, p):
     return min(rows, n)
 
 
-def _resolve_projection_cols(cfg, p):
-    return int(cfg.projection_cols) if cfg.projection_cols is not None else max(1, math.ceil(p / 2))
+def _sample_and_refit(method, Z, y, cfg, probs, fallback=False, report=None):
+    """Draw cfg.n_subs rows i.i.d. from ``probs`` and refit them by plain LS.
 
-
-def _inverse_score_probs(scores, floor_ratio):
-    """Sampling distribution proportional to 1/max(score, floor).
-
-    Returns (probabilities, uniform_fallback).  Falls back to uniform when
-    every score is zero (nothing to discriminate on).
+    Every sampling estimator ends here; the draw uses the ROLE_SAMPLING
+    child stream of cfg.seed.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    top = scores.max()
-    if top <= 0.0:
-        n = scores.size
-        return np.full(n, 1.0 / n), True
-    weights = 1.0 / np.maximum(scores, floor_ratio * top)
-    return normalize_probabilities(weights), False
-
-
-def _subsample_solve(Z, y, probs, n_subs, rng, reweight):
-    idx = sample_with_replacement(probs, n_subs, rng)
-    Zs, ys = Z[idx], y[idx]
-    if reweight:
-        scale = 1.0 / np.sqrt(n_subs * probs[idx])
-        Zs = Zs * scale[:, None]
-        ys = ys * scale
+    idx = spawn_rng(cfg.seed, ROLE_SAMPLING).choice(Z.shape[0], int(cfg.n_subs), p=probs)
     try:
-        sol = solve_ls(Zs, ys)
+        sol = solve_ls(Z[idx], y[idx])
     except RankDeficientError as err:
         raise RankDeficientError(
-            f"subsample of {n_subs} rows lost rank ({err}); increase n_subs"
+            f"subsample of {cfg.n_subs} rows lost rank ({err}); increase n_subs"
         ) from err
-    return sol, idx
+    return FitResult(
+        method, sol.coefficients, idx, probs, diagnostics=report, uniform_fallback=fallback
+    )
 
 
 def _sketched_solve(Z, y, rows, seed, op=None):
@@ -178,25 +157,16 @@ def fit_srht_ls(Z, y, cfg, *, sketch_op=None):
     ``sketch_op`` substitutes a prebuilt operator (test hook; a full-sample
     operator makes the sketch orthonormal and the fit equal to OLS).
     """
-    Z = as_matrix(Z, "Z")
-    y = as_vector(y, "y")
-    n_subs = _require_n_subs(cfg, Z.shape[0], Z.shape[1], bounded_by_n=False)
-    sol = _sketched_solve(Z, y, n_subs, cfg.seed, op=sketch_op)
+    Z, y = _inputs(Z, y, cfg, bounded_by_n=False)
+    sol = _sketched_solve(Z, y, cfg.n_subs, cfg.seed, op=sketch_op)
     return FitResult(SRHT_LS, sol.coefficients)
 
 
 def fit_lev_ls(Z, y, cfg):
     """Sample rows proportional to exact leverage, then unweighted LS."""
-    Z = as_matrix(Z, "Z")
-    y = as_vector(y, "y")
-    n, p = Z.shape
-    n_subs = _require_n_subs(cfg, n, p)
-    sol = solve_ls(Z, y)
-    probs = normalize_probabilities(exact_leverage(Z, sol))
-    sub, idx = _subsample_solve(
-        Z, y, probs, n_subs, spawn_rng(cfg.seed, ROLE_SAMPLING), cfg.importance_reweight
-    )
-    return FitResult(LEV_LS, sub.coefficients, idx, probs)
+    Z, y = _inputs(Z, y, cfg)
+    lev = exact_leverage(Z, solve_ls(Z, y))
+    return _sample_and_refit(LEV_LS, Z, y, cfg, lev / lev.sum())
 
 
 def fit_uluru(Z, y, cfg):
@@ -212,26 +182,22 @@ def fit_uluru(Z, y, cfg):
     without replacement, and the correction regresses the residual of the
     n' - n_subs held-out rows, scaled by n_subs / (n' - n_subs).  Here
     Z'r = (H D Z)'(H D r), the sampled rows' part of it vanishes at b1, and
-    the Gram factor carries the sketch's scale n' / n_subs.  Apart from the
-    with-replacement draw, c is therefore the published correction times
-    (n' - n_subs) / n'.  The paper promises an O(sqrt(p / n)) error above a
-    subsample threshold and no constant.  Measured ratios of the median
-    error to OLS on the acceptance grid (gaussian, n = 256, p = 16,
+    the Gram factor carries the sketch's scale n' / n_subs.  The sketch
+    draws its rows without replacement too, so c is the published correction
+    times (n' - n_subs) / n'.  The paper promises an O(sqrt(p / n)) error
+    above a subsample threshold and no constant.  Measured ratios of the
+    median error to OLS on the acceptance grid (gaussian, n = 256, p = 16,
     n_subs = 64, 20 replications, base seeds 6 / 7 / 8):
 
-        this function                                      2.84 / 3.24 / 3.13
-        published form, without-replacement draw           3.81 / 2.76 / 3.37
-        this step on the same without-replacement draw     2.55 / 1.78 / 2.16
-        this function with c scaled by n' / (n' - n_subs)  4.13 / 4.75 / 4.74
+        this function                                      2.55 / 1.78 / 2.16
+        published form (c scaled by n' / (n' - n_subs))    3.81 / 2.76 / 3.37
+        this function on a with-replacement sketch         2.84 / 3.24 / 3.13
 
-    The without-replacement rows depend on how the draw is made (these take
-    rng.choice on the sketch's index stream).  At fixed n_subs = 64 the
-    ratio grows with n: this function gives 9.44 at n = 4096.
+    At fixed n_subs = 64 the ratio grows with n: this function gives 8.05 at
+    n = 4096.
     """
-    Z = as_matrix(Z, "Z")
-    y = as_vector(y, "y")
-    n_subs = _require_n_subs(cfg, Z.shape[0], Z.shape[1], bounded_by_n=False)
-    sol1 = _sketched_solve(Z, y, n_subs, cfg.seed)
+    Z, y = _inputs(Z, y, cfg, bounded_by_n=False)
+    sol1 = _sketched_solve(Z, y, cfg.n_subs, cfg.seed)
     residual = y - Z @ sol1.coefficients
     correction = apply_gram_inverse(sol1, Z.T @ residual)
     return FitResult(ULURU, sol1.coefficients + correction)
@@ -242,23 +208,14 @@ def fit_iws_ls(Z, y, cfg, *, influences=None):
 
     Full OLS gives residuals and leverages; rows are then drawn with
     probability proportional to 1/d_i (floored, see
-    ``weight_floor_ratio``) and the subsample is refit.  ``influences``
-    overrides the computed influence vector (test hook).
+    ``sampling.WEIGHT_FLOOR_RATIO``) and the subsample is refit.
+    ``influences`` overrides the computed influence vector (test hook).
     """
-    Z = as_matrix(Z, "Z")
-    y = as_vector(y, "y")
-    n, p = Z.shape
-    n_subs = _require_n_subs(cfg, n, p)
-    sol = solve_ls(Z, y)
-    lev = exact_leverage(Z, sol)
-    d, n_clamped = influence(sol.residuals, lev)
-    report = DiagnosticsReport(sol.residuals, lev, d, "exact", n_clamped)
-    scores = d if influences is None else as_vector(influences, "influences")
-    probs, fallback = _inverse_score_probs(scores, cfg.weight_floor_ratio)
-    sub, idx = _subsample_solve(
-        Z, y, probs, n_subs, spawn_rng(cfg.seed, ROLE_SAMPLING), cfg.importance_reweight
-    )
-    return FitResult(IWS_LS, sub.coefficients, idx, probs, None, report, fallback)
+    Z, y = _inputs(Z, y, cfg)
+    report = compute_diagnostics(Z, y)
+    scores = report.influences if influences is None else as_vector(influences, "influences")
+    probs, fallback = inverse_score_probabilities(scores)
+    return _sample_and_refit(IWS_LS, Z, y, cfg, probs, fallback, report)
 
 
 def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
@@ -273,12 +230,9 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     then mirrors IWS_LS with the approximate influence.  ``residuals`` /
     ``leverages`` override the sketched estimates (test hooks).
     """
-    Z = as_matrix(Z, "Z")
-    y = as_vector(y, "y")
+    Z, y = _inputs(Z, y, cfg)
     n, p = Z.shape
-    n_subs = _require_n_subs(cfg, n, p)
     rows = _resolve_sketch_rows(cfg, n, p)
-    proj_cols = _resolve_projection_cols(cfg, p)
     anchor_iterations = 0
     if residuals is None or leverages is None:
         sol1 = _sketched_solve(Z, y, rows, cfg.seed)
@@ -289,19 +243,16 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
         e_approx = as_vector(residuals, "residuals")
     if leverages is None:
         l_approx = approx_leverage(
-            Z, rows, proj_cols, cfg.seed, r_factor=sol1.r_factor
+            Z, rows, math.ceil(p / 2), cfg.seed, r_factor=sol1.r_factor
         )
     else:
         l_approx = as_vector(leverages, "leverages")
-    d_approx, n_clamped = approx_influence(e_approx, l_approx)
+    d_approx, n_clamped = influence(e_approx, l_approx)
     report = DiagnosticsReport(
         e_approx, l_approx, d_approx, "approximate", n_clamped, anchor_iterations
     )
-    probs, fallback = _inverse_score_probs(d_approx, cfg.weight_floor_ratio)
-    sub, idx = _subsample_solve(
-        Z, y, probs, n_subs, spawn_rng(cfg.seed, ROLE_SAMPLING), cfg.importance_reweight
-    )
-    return FitResult(AIWS_LS, sub.coefficients, idx, probs, None, report, fallback)
+    probs, fallback = inverse_score_probabilities(d_approx)
+    return _sample_and_refit(AIWS_LS, Z, y, cfg, probs, fallback, report)
 
 
 def fit_arws_ls(Z, y, cfg):
@@ -310,17 +261,11 @@ def fit_arws_ls(Z, y, cfg):
     Residuals come from one SRHT solve; the floor keeps exactly-fit rows
     from receiving unbounded weight.
     """
-    Z = as_matrix(Z, "Z")
-    y = as_vector(y, "y")
-    n, p = Z.shape
-    n_subs = _require_n_subs(cfg, n, p)
-    sol1 = _sketched_solve(Z, y, n_subs, cfg.seed)
+    Z, y = _inputs(Z, y, cfg)
+    sol1 = _sketched_solve(Z, y, cfg.n_subs, cfg.seed)
     e_approx = y - Z @ sol1.coefficients
-    probs, fallback = _inverse_score_probs(e_approx**2, cfg.weight_floor_ratio)
-    sub, idx = _subsample_solve(
-        Z, y, probs, n_subs, spawn_rng(cfg.seed, ROLE_SAMPLING), cfg.importance_reweight
-    )
-    return FitResult(ARWS_LS, sub.coefficients, idx, probs, None, None, fallback)
+    probs, fallback = inverse_score_probabilities(e_approx**2)
+    return _sample_and_refit(ARWS_LS, Z, y, cfg, probs, fallback)
 
 
 _DISPATCH = {

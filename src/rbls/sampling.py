@@ -1,32 +1,32 @@
-"""Weighted with-replacement row sampling."""
+"""Inverse-score sampling probabilities with a relative floor."""
 
 import numpy as np
 
 from .errors import InvalidInputError
 
-
-def normalize_probabilities(weights):
-    """Turn nonnegative weights into a probability vector."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidInputError("weights must be a non-empty 1-d array")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise InvalidInputError("weights must be finite and nonnegative")
-    total = w.sum()
-    if total <= 0:
-        raise InvalidInputError("weights sum to zero")
-    return w / total
+# Relative floor applied to influence (or squared-residual) scores before
+# inverting them into sampling weights.  Inverse weights of a continuously
+# distributed score have infinite mean, so without a meaningful floor the
+# draw collapses onto the few smallest-score rows and the subsample loses
+# rank; 1e-3 keeps the draw spread while still suppressing high-influence
+# rows by three orders of magnitude.
+WEIGHT_FLOOR_RATIO = 1e-3
 
 
-def sample_with_replacement(probs, size, rng):
-    """Draw ``size`` category indices i.i.d. from a probability vector.
+def inverse_score_probabilities(scores):
+    """Sampling distribution proportional to 1/max(score, floor).
 
-    Inverse-CDF search: O(n) setup plus O(size log n) per draw batch, fully
-    vectorized.  In the subsampling regime here (size << n) this beats an
-    alias table, whose O(n) construction would dominate.
+    The floor is ``WEIGHT_FLOOR_RATIO`` times the largest score.  Returns
+    (probabilities, uniform_fallback); falls back to uniform when every
+    score is zero (nothing to discriminate on).
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0  # guard against rounding in the last bin
-    idx = np.searchsorted(cdf, rng.random(int(size)), side="right")
-    return np.minimum(idx, probs.size - 1)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or scores.size == 0:
+        raise InvalidInputError("scores must be a non-empty 1-d array")
+    if not np.all(np.isfinite(scores)) or np.any(scores < 0):
+        raise InvalidInputError("scores must be finite and nonnegative")
+    top = scores.max()
+    if top == 0.0:
+        return np.full(scores.size, 1.0 / scores.size), True
+    weights = 1.0 / np.maximum(scores, WEIGHT_FLOOR_RATIO * top)
+    return weights / weights.sum(), False

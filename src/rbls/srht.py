@@ -2,9 +2,9 @@
 
 The operator is scale * S @ H @ D where D is a random sign diagonal, H the
 normalized Walsh-Hadamard matrix on the zero-padded row count n' (next power
-of two), S a uniform with-replacement row sampler, and
-scale = sqrt(n' / n_subs).  With this scale E||Pi x||^2 = ||x||^2 for any
-fixed padded x.
+of two), S a uniform row sampler without replacement, and
+scale = sqrt(n' / n_subs).  Each padded row is kept with probability
+n_subs / n', so E||Pi x||^2 = ||x||^2 for any fixed padded x.
 """
 
 from dataclasses import dataclass
@@ -82,9 +82,9 @@ class SketchOperator:
     padded_rows : int
         n' = next power of two >= n.
     n_subs : int
-        Number of rows sampled (with replacement) from the padded space.
+        Number of distinct rows sampled from the padded space.
     sign_flips : ndarray of +-1, length n'
-    sampled_indices : ndarray of int, length n_subs, values in [0, n')
+    sampled_indices : ndarray of int, length n_subs, distinct values in [0, n')
     scale : float
         sqrt(n' / n_subs).
     """
@@ -102,7 +102,9 @@ def build_sketch(n, n_subs, seed):
     """Draw a SketchOperator for n-row inputs, deterministic in ``seed``.
 
     Sign flips and row indices come from independent child streams of the
-    seed, so changing n_subs never perturbs the sign pattern.
+    seed, so changing n_subs never perturbs the sign pattern.  The rows are
+    drawn without replacement: a repeated row would add no information and
+    can leave a sketch of p rows rank deficient.
     """
     n = int(n)
     n_subs = int(n_subs)
@@ -113,7 +115,7 @@ def build_sketch(n, n_subs, seed):
         raise InvalidCountsError(f"need 1 <= n_subs <= {padded}, got {n_subs}")
     sign_ss, index_ss = np.random.SeedSequence(int(seed)).spawn(2)
     signs = np.random.default_rng(sign_ss).integers(0, 2, padded) * 2 - 1
-    indices = np.random.default_rng(index_ss).integers(0, padded, n_subs)
+    indices = np.random.default_rng(index_ss).choice(padded, n_subs, replace=False)
     return SketchOperator(
         seed=int(seed),
         original_rows=n,

@@ -6,7 +6,6 @@ from scipy.stats import spearmanr
 
 from rbls.datagen import gen_corrupted
 from rbls.diagnostics import (
-    approx_influence,
     approx_leverage,
     compute_diagnostics,
     exact_leverage,
@@ -184,16 +183,9 @@ class TestApproxLeverage:
         )
 
     def test_identity_design_sum_preserved_on_average(self):
-        total, n_ok = 0.0, 0
-        for seed in range(300):
-            try:
-                approx = approx_leverage(np.eye(4), 4, 2, seed=seed)
-            except SketchRankDeficientError:
-                continue  # 4 of 4 padded rows drawn with replacement often collide
-            total += approx.sum()
-            n_ok += 1
-        assert n_ok > 10
-        assert abs(total / n_ok - 4.0) <= 1.0  # within 25%
+        # a 4-row sketch of 4 rows keeps every row, so it never loses rank
+        total = sum(approx_leverage(np.eye(4), 4, 2, seed=seed).sum() for seed in range(300))
+        assert abs(total / 300 - 4.0) <= 1.0  # within 25%
 
     def test_rank_correlation_with_exact(self):
         cors = []
@@ -220,17 +212,19 @@ class TestApproxLeverage:
 
 
 class TestApproxInfluence:
+    # the influence formula and clamp applied to sketched residuals and
+    # leverages, which may exceed 1
     def test_zero_residual(self):
-        d, _ = approx_influence(np.array([0.0]), np.array([0.4]))
+        d, _ = influence(np.array([0.0]), np.array([0.4]))
         assert d[0] == 0.0
 
     def test_arithmetic(self):
-        d, _ = approx_influence(np.array([1.0]), np.array([0.1]))
+        d, _ = influence(np.array([1.0]), np.array([0.1]))
         assert d[0] == pytest.approx(0.1 / 0.81)
         assert d[0] == pytest.approx(0.12346, abs=5e-6)
 
     def test_leverage_above_one_clamped(self):
-        d, n_clamped = approx_influence(np.array([1.0]), np.array([1.3]))
+        d, n_clamped = influence(np.array([1.0]), np.array([1.3]))
         assert n_clamped == 1
         assert np.isfinite(d[0])
 
@@ -246,7 +240,7 @@ class TestApproxInfluence:
         sketched_sol = _sketched(prob.Z, prob.y, 256, seed=9)
         e_approx = prob.y - prob.Z @ sketched_sol.coefficients
         l_approx = approx_leverage(prob.Z, 256, 8, seed=9)
-        approx_d, _ = approx_influence(e_approx, l_approx)
+        approx_d, _ = influence(e_approx, l_approx)
         assert approx_d[mask].mean() > approx_d[~mask].mean()
 
 

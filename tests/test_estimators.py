@@ -4,12 +4,13 @@ from scipy.stats import chisquare
 
 from rbls.datagen import gen_corrupted
 from rbls.diagnostics import exact_leverage, influence
-from rbls.errors import InvalidParamsError
+from rbls.errors import InvalidInputError, InvalidParamsError
 from rbls.estimators import (
     AIWS_LS,
     ARWS_LS,
     IWS_LS,
     LEV_LS,
+    METHOD_NAMES,
     OLS,
     SRHT_LS,
     ULURU,
@@ -24,7 +25,7 @@ from rbls.estimators import (
     fit_uluru,
 )
 from rbls.linalg import REFINE_MAX_ITER, solve_ls
-from rbls.sampling import sample_with_replacement
+from rbls.sampling import WEIGHT_FLOOR_RATIO, inverse_score_probabilities
 from rbls.seeding import ROLE_SAMPLING, spawn_rng
 from rbls.datagen import RegressionProblem
 from test_srht import full_sample_operator
@@ -86,21 +87,24 @@ class TestDispatcher:
         if a.sampled_row_indices is not None:
             assert np.array_equal(a.sampled_row_indices, b.sampled_row_indices)
 
-    def test_iws_equals_manual_pipeline(self):
+    @pytest.mark.parametrize("method", [LEV_LS, IWS_LS, AIWS_LS, ARWS_LS])
+    def test_iws_equals_manual_pipeline(self, method):
+        # every sampler draws n_subs rows i.i.d. from its probabilities on
+        # the ROLE_SAMPLING stream and refits them by plain least squares
         Z, y, _ = gaussian_problem(100, 5, seed=1)
-        cfg = EstimatorConfig(method=IWS_LS, n_subs=40, seed=11)
+        cfg = EstimatorConfig(method=method, n_subs=40, seed=11)
         result = fit(RegressionProblem(Z, y), cfg)
 
-        sol = solve_ls(Z, y)
-        d, _ = influence(sol.residuals, exact_leverage(Z, sol))
-        w = 1.0 / np.maximum(d, cfg.weight_floor_ratio * d.max())
-        probs = w / w.sum()
-        idx = sample_with_replacement(probs, 40, spawn_rng(11, ROLE_SAMPLING))
+        probs = result.sampling_probabilities
+        idx = spawn_rng(11, ROLE_SAMPLING).choice(100, 40, p=probs)
         oracle = np.linalg.lstsq(Z[idx], y[idx], rcond=None)[0]
-
         assert np.array_equal(result.sampled_row_indices, idx)
-        np.testing.assert_allclose(result.sampling_probabilities, probs, atol=1e-15)
         np.testing.assert_allclose(result.coefficients, oracle, atol=1e-8)
+        if method == IWS_LS:
+            sol = solve_ls(Z, y)
+            d, _ = influence(sol.residuals, exact_leverage(Z, sol))
+            w = 1.0 / np.maximum(d, WEIGHT_FLOOR_RATIO * d.max())
+            np.testing.assert_allclose(probs, w / w.sum(), atol=1e-15)
 
     def test_scipy_gets_only_vector_right_hand_sides(self, monkeypatch):
         # scipy bundles its own OpenBLAS; a 2-d right-hand side wakes that
@@ -140,6 +144,12 @@ class TestDispatcher:
         Z, y, _ = gaussian_problem(64, 4, seed=2)
         with pytest.raises(InvalidParamsError):
             fit_lev_ls(Z, y, EstimatorConfig(method=LEV_LS, n_subs=100))
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_mismatched_y_length_rejected(self, method):
+        Z, y, _ = gaussian_problem(256, 4, seed=2)
+        with pytest.raises(InvalidInputError):
+            fit(RegressionProblem(Z, y[:-1]), EstimatorConfig(method=method, n_subs=64))
 
 
 class TestSrhtLs:
@@ -185,9 +195,7 @@ class TestLevLs:
         cfg = EstimatorConfig(method=LEV_LS, n_subs=16, seed=0)
         result = fit_lev_ls(Z, y, cfg)
         np.testing.assert_allclose(result.sampling_probabilities, 1 / 16, atol=1e-12)
-        draws = sample_with_replacement(
-            result.sampling_probabilities, 10_000, np.random.default_rng(0)
-        )
+        draws = np.random.default_rng(0).choice(16, 10_000, p=result.sampling_probabilities)
         assert chisquare(np.bincount(draws, minlength=16)).pvalue > 1e-3
 
     def test_probabilities_sum_to_one(self):
@@ -265,9 +273,7 @@ class TestIwsLs:
         Z, y, _ = gaussian_problem(80, 4, seed=10)
         cfg = EstimatorConfig(method=IWS_LS, n_subs=25, seed=21)
         result = fit_iws_ls(Z, y, cfg, influences=np.ones(80))
-        uniform_idx = sample_with_replacement(
-            np.full(80, 1 / 80), 25, spawn_rng(21, ROLE_SAMPLING)
-        )
+        uniform_idx = spawn_rng(21, ROLE_SAMPLING).choice(80, 25, p=np.full(80, 1 / 80))
         assert np.array_equal(result.sampled_row_indices, uniform_idx)
 
     def test_all_zero_influence_falls_back_to_uniform(self):
@@ -305,8 +311,8 @@ class TestAiwsLs:
 
     @pytest.mark.parametrize("sketch_rows", [16, 17, 32, 128])
     def test_refined_anchor_matches_exact_residuals(self, sketch_rows):
-        # p = 16.  The sketch draws rows with replacement, so at sketch_rows = p
-        # a repeated row costs rank; seed 0 draws p distinct rows at n = 2048
+        # p = 16, so sketch_rows = 16 is the smallest sketch that can hold
+        # rank; the sketch's rows are distinct, so any seed can
         Z, y, _ = gaussian_problem(2048, 16, seed=1200)
         cfg = EstimatorConfig(method=AIWS_LS, n_subs=64, sketch_rows=sketch_rows, seed=0)
         report = fit_aiws_ls(Z, y, cfg).diagnostics
@@ -334,9 +340,7 @@ class TestAiwsLs:
 
 class TestArwsLs:
     def test_equal_scores_give_uniform_probabilities(self):
-        from rbls.estimators import _inverse_score_probs
-
-        probs, fallback = _inverse_score_probs(np.full(30, 2.5), 1e-3)
+        probs, fallback = inverse_score_probabilities(np.full(30, 2.5))
         assert not fallback
         np.testing.assert_allclose(probs, 1 / 30, atol=1e-15)
 
@@ -354,15 +358,3 @@ class TestArwsLs:
         probs = result.sampling_probabilities
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(probs >= 0)
-
-
-class TestImportanceReweight:
-    def test_flag_changes_subsample_scaling_not_draw(self):
-        Z, y, _ = gaussian_problem(300, 5, seed=15)
-        plain = fit_iws_ls(Z, y, EstimatorConfig(method=IWS_LS, n_subs=60, seed=9))
-        reweighted = fit_iws_ls(
-            Z, y,
-            EstimatorConfig(method=IWS_LS, n_subs=60, seed=9, importance_reweight=True),
-        )
-        assert np.array_equal(plain.sampled_row_indices, reweighted.sampled_row_indices)
-        assert not np.allclose(plain.coefficients, reweighted.coefficients)

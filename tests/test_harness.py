@@ -65,6 +65,30 @@ class TestRunExperiment:
             (r.method, r.n_subs, r.replication, r.est_error) for r in par
         ]
 
+    def test_splits_generated_lazily_per_replication(self, monkeypatch):
+        # a sweep holds one split per worker: replication k + 1 is generated
+        # only after every fit of replication k
+        import rbls.harness as harness
+
+        log = []
+        generate, fit_one = harness._generate_split, harness.fit
+
+        def logged_generate(cfg, rep):
+            log.append(("generate", rep))
+            return generate(cfg, rep)
+
+        def logged_fit(problem, est_cfg):
+            log.append(("fit", est_cfg.method))
+            return fit_one(problem, est_cfg)
+
+        monkeypatch.setattr(harness, "_generate_split", logged_generate)
+        monkeypatch.setattr(harness, "fit", logged_fit)
+        run_experiment(tiny_config(replications=3), threads=1)
+        fits_per_rep = [("fit", OLS), ("fit", SRHT_LS)]
+        assert log == [("generate", 0), *fits_per_rep,
+                       ("generate", 1), *fits_per_rep,
+                       ("generate", 2), *fits_per_rep]
+
     def test_per_fit_seeds_unique(self):
         results = run_experiment(tiny_config(n_subs_grid=(20, 40), replications=3))
         seeds = [r.seed for r in results]

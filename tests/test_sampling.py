@@ -1,47 +1,41 @@
 import numpy as np
 import pytest
-from scipy.stats import chisquare
 
 from rbls.errors import InvalidInputError
-from rbls.sampling import normalize_probabilities, sample_with_replacement
+from rbls.sampling import WEIGHT_FLOOR_RATIO, inverse_score_probabilities
 
 
 def test_normalization():
-    probs = normalize_probabilities(np.array([1.0, 3.0]))
-    np.testing.assert_allclose(probs, [0.25, 0.75])
+    probs, fallback = inverse_score_probabilities(np.array([1.0, 3.0]))
+    assert not fallback
+    np.testing.assert_allclose(probs, [0.75, 0.25])
     assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_floor_ratio():
+    # scores below WEIGHT_FLOOR_RATIO * max share the floor's weight, so no
+    # row outweighs the top-score row by more than 1 / WEIGHT_FLOOR_RATIO
+    scores = np.array([0.0, 1e-9, 0.5 * WEIGHT_FLOOR_RATIO, 0.1, 1.0])
+    probs, fallback = inverse_score_probabilities(scores)
+    assert not fallback
+    assert probs[0] == probs[1] == probs[2]
+    assert probs[0] / probs[-1] == pytest.approx(1.0 / WEIGHT_FLOOR_RATIO)
+    assert probs[3] / probs[-1] == pytest.approx(10.0)
+
+
+def test_uniform_fallback():
+    probs, fallback = inverse_score_probabilities(np.zeros(8))
+    assert fallback
+    np.testing.assert_array_equal(probs, np.full(8, 1 / 8))
+
+
 def test_rejects_bad_weights():
-    for bad in ([], [0.0, 0.0], [-1.0, 2.0], [np.nan, 1.0]):
+    for bad in ([], [-1.0, 2.0], [np.nan, 1.0], [np.inf, 1.0], [[1.0, 2.0]]):
         with pytest.raises(InvalidInputError):
-            normalize_probabilities(np.array(bad, dtype=float))
-
-
-def test_uniform_weights_pass_chi_square():
-    probs = normalize_probabilities(np.ones(8))
-    draws = sample_with_replacement(probs, 10_000, np.random.default_rng(0))
-    counts = np.bincount(draws, minlength=8)
-    assert chisquare(counts).pvalue > 1e-3
-
-
-def test_skewed_weights_match_frequencies():
-    probs = normalize_probabilities(np.array([0.0, 2.0, 4.0, 2.0, 2.0]))
-    draws = sample_with_replacement(probs, 50_000, np.random.default_rng(1))
-    counts = np.bincount(draws, minlength=5)
-    assert counts[0] == 0  # zero-weight category never drawn
-    np.testing.assert_allclose(counts / 50_000, probs, atol=0.01)
-
-
-def test_deterministic_given_rng_seed():
-    probs = normalize_probabilities(np.arange(1.0, 11.0))
-    a = sample_with_replacement(probs, 100, np.random.default_rng(5))
-    b = sample_with_replacement(probs, 100, np.random.default_rng(5))
-    assert np.array_equal(a, b)
+            inverse_score_probabilities(np.array(bad, dtype=float))
 
 
 def test_single_category():
-    probs = normalize_probabilities(np.array([3.0]))
-    assert np.array_equal(
-        sample_with_replacement(probs, 7, np.random.default_rng(2)), np.zeros(7, int)
-    )
+    probs, fallback = inverse_score_probabilities(np.array([3.0]))
+    assert not fallback
+    np.testing.assert_array_equal(probs, [1.0])

@@ -101,6 +101,12 @@ class TestBuildSketch:
         assert np.array_equal(a.sign_flips, b.sign_flips)
         assert np.array_equal(a.sampled_indices, b.sampled_indices)
 
+    def test_rows_drawn_without_replacement(self):
+        # a repeated row would leave a sketch of p rows rank deficient
+        for seed in range(100):
+            op = build_sketch(2048, 16, seed)
+            assert np.unique(op.sampled_indices).size == 16
+
     def test_sign_stream_independent_of_n_subs(self):
         a = build_sketch(300, 64, seed=42)
         b = build_sketch(300, 128, seed=42)
