@@ -113,7 +113,13 @@ def solve_ls(Z, y):
         raise InvalidInputError(f"need n >= p, got n={n}, p={p}")
     if y.shape[0] != n:
         raise InvalidInputError(f"y has length {y.shape[0]}, expected {n}")
-    r_aug = np.linalg.qr(np.column_stack([Z, y]), mode="r")
+    # LAPACK factors column-major arrays: numpy's qr copies a Fortran-ordered
+    # [Z | y] contiguously, where a row-major one costs a transposing copy.
+    # Same bytes reach LAPACK, so R does not depend on Z's layout.
+    aug = np.empty((n, p + 1), order="F")
+    aug[:, :p] = Z
+    aug[:, p] = y
+    r_aug = np.linalg.qr(aug, mode="r")
     R = r_aug[:p, :p]
     _check_r_factor(R)
     coef = solve_triangular(R, r_aug[:p, p])

@@ -53,6 +53,18 @@ class TestSolveLs:
             1 + np.linalg.norm(Z.T @ y)
         )
 
+    def test_layout_of_z_does_not_change_the_factor(self):
+        rng = np.random.default_rng(12)
+        Z = rng.standard_normal((500, 7))
+        y = rng.standard_normal(500)
+        Z_f = np.asfortranarray(Z)
+        Z_before, y_before = Z.copy(), y.copy()
+        sol_c, sol_f = solve_ls(Z, y), solve_ls(Z_f, y)
+        assert np.array_equal(sol_c.coefficients, sol_f.coefficients)
+        assert np.array_equal(sol_c.r_factor, sol_f.r_factor)
+        assert np.array_equal(Z, Z_before) and np.array_equal(Z_f, Z_before)
+        assert np.array_equal(y, y_before)
+
     def test_residuals_recomputable(self):
         rng = np.random.default_rng(2)
         Z = rng.standard_normal((40, 3))

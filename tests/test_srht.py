@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,14 @@ from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from rbls.errors import InvalidCountsError, NotPowerOfTwoError, ShapeMismatchError
-from rbls.srht import SketchOperator, apply_sketch, build_sketch, fwht_inplace, next_pow2
+from rbls.srht import (
+    SketchOperator,
+    apply_sketch,
+    apply_sketch_pair,
+    build_sketch,
+    fwht_inplace,
+    next_pow2,
+)
 
 
 def dense_fwht_oracle(v):
@@ -44,6 +53,28 @@ class TestFwht:
         out = fwht_inplace(A.copy())
         for j in range(3):
             np.testing.assert_allclose(out[:, j], dense_fwht_oracle(A[:, j]), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2**13, 2**14])
+    def test_three_pass_lengths_match_explicit_rows(self, n):
+        # 13 and 14 levels run in three passes, so the result lands in the
+        # scratch array and must be copied back into the input
+        v = np.random.default_rng(n).standard_normal(n)
+        out = fwht_inplace(v.copy())
+        j = np.arange(n)
+        for i in np.random.default_rng(1).choice(n, 8, replace=False):
+            parity = np.array([bin(k).count("1") & 1 for k in i & j])
+            row = (1.0 - 2.0 * parity) / np.sqrt(n)
+            assert out[i] == pytest.approx(row @ v, abs=1e-12)
+        np.testing.assert_allclose(fwht_inplace(out), v, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [512, 2**13])
+    def test_strided_column_transformed_in_place(self, n):
+        M = np.random.default_rng(2).standard_normal((n, 3))
+        before = M.copy()
+        column = M[:, 1]
+        assert fwht_inplace(column) is column
+        np.testing.assert_allclose(M[:, 1], dense_fwht_oracle(before[:, 1]), atol=1e-12)
+        np.testing.assert_array_equal(M[:, [0, 2]], before[:, [0, 2]])
 
     def test_mutates_in_place(self):
         v = np.array([1.0, 0.0, 0.0, 0.0])
@@ -175,6 +206,45 @@ class TestApplySketch:
         np.testing.assert_allclose(
             apply_sketch(op, v), apply_sketch(op, v.reshape(-1, 1)).ravel(), atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "n,n_subs",
+        [(1, 1), (3, 2), (300, 17), (2048, 64), (2049, 64), (1000, 1024), (4096, 4096)],
+    )
+    def test_matches_dense_operator(self, n, n_subs):
+        # (2048, 64): several blocks; (2049, 64): a ragged last block;
+        # (1000, 1024) and (4096, 4096): full sample, one block
+        op = build_sketch(n, n_subs, seed=n + n_subs)
+        padded = op.padded_rows
+        dense = op.scale * (hadamard(padded) / np.sqrt(padded))[op.sampled_indices]
+        dense = (dense * op.sign_flips)[:, :n]
+        rng = np.random.default_rng(n)
+        Z = rng.standard_normal((n, 3))
+        y = rng.standard_normal(n)
+        np.testing.assert_allclose(apply_sketch(op, Z), dense @ Z, atol=1e-12)
+        np.testing.assert_allclose(apply_sketch(op, y), dense @ y, atol=1e-12)
+        Zs, ys = apply_sketch_pair(op, Z, y)
+        stacked = apply_sketch(op, np.column_stack([Z, y]))
+        np.testing.assert_array_equal(Zs, stacked[:, :3])
+        np.testing.assert_array_equal(ys, stacked[:, 3])
+
+    def test_pair_peak_memory_near_data_size(self):
+        # the transform buffer plus one scratch, both the size of the data
+        # blocks (2x the data); transforming a zero-padded n' = 32768-row
+        # copy with a new array per pass takes 4.9x
+        n, p = 20000, 50
+        rng = np.random.default_rng(8)
+        Z = rng.standard_normal((n, p))
+        y = rng.standard_normal(n)
+        op = build_sketch(n, 400, seed=8)
+        apply_sketch_pair(op, Z, y)
+        tracemalloc.start()
+        try:
+            apply_sketch_pair(op, Z, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * n * (p + 1) * 8
 
     def test_shape_mismatch_rejected(self):
         op = build_sketch(20, 8, seed=1)
