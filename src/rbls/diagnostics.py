@@ -21,7 +21,7 @@ from .errors import (
     LeverageOneError,
     SketchRankDeficientError,
 )
-from .linalg import RANK_TOL, as_matrix, as_vector, solve_ls
+from .linalg import RANK_TOL, _ls_inputs, _solve_ls, as_matrix, as_vector
 from .seeding import ROLE_PROJECTION, ROLE_SKETCH, spawn_rng, spawn_seed
 from .srht import build_sketch, apply_sketch
 
@@ -56,7 +56,11 @@ def exact_leverage(Z, sol):
     Forms W = Z R^{-1} and reads l_i as squared row norms of W, O(n p^2)
     total.  For a full-rank design 0 <= l_i <= 1 and sum(l) = p.
     """
-    Z = as_matrix(Z, "Z")
+    return _exact_leverage(as_matrix(Z, "Z"), sol)
+
+
+def _exact_leverage(Z, sol):
+    """exact_leverage of a Z the caller has already validated."""
     W = Z @ np.linalg.inv(sol.r_factor)
     return np.einsum("ij,ij->i", W, W)
 
@@ -79,8 +83,13 @@ def influence(e, l):
 
 def compute_diagnostics(Z, y):
     """Full exact diagnostics for (Z, y): one OLS solve plus leverages."""
-    sol = solve_ls(Z, y)
-    lev = exact_leverage(Z, sol)
+    return _exact_diagnostics(*_ls_inputs(Z, y))
+
+
+def _exact_diagnostics(Z, y):
+    """compute_diagnostics of a (Z, y) the caller has already validated."""
+    sol = _solve_ls(Z, y)
+    lev = _exact_leverage(Z, sol)
     d, n_clamped = influence(sol.residuals, lev)
     return DiagnosticsReport(sol.residuals, lev, d, "exact", n_clamped)
 
@@ -161,7 +170,13 @@ def approx_leverage(
         raise SketchRankDeficientError(
             "row sketch of Z is rank deficient; increase sketch_rows"
         )
+    return _approx_leverage(Z, R, projection_cols, seed, right_projection)
+
+
+def _approx_leverage(Z, R, projection_cols, seed, right_projection=None):
+    """approx_leverage's basis step for a validated Z and full-rank R."""
     if right_projection is None:
+        p = R.shape[0]
         rng = spawn_rng(seed, ROLE_PROJECTION)
         pi2 = (rng.integers(0, 2, (p, projection_cols)) * 2 - 1) / np.sqrt(projection_cols)
     else:

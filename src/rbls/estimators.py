@@ -26,13 +26,13 @@ import numpy as np
 
 from .diagnostics import (
     DiagnosticsReport,
-    approx_leverage,
-    compute_diagnostics,
-    exact_leverage,
+    _approx_leverage,
+    _exact_diagnostics,
+    _exact_leverage,
     influence,
 )
 from .errors import InvalidInputError, InvalidParamsError, RankDeficientError
-from .linalg import apply_gram_inverse, as_matrix, as_vector, refine_ls, solve_ls
+from .linalg import _refine_ls, _solve_ls, apply_gram_inverse, as_matrix, as_vector, solve_ls
 from .sampling import inverse_score_probabilities
 from .seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng, spawn_seed
 from .srht import apply_sketch_pair, build_sketch
@@ -88,6 +88,11 @@ def _inputs(Z, y, cfg, bounded_by_n=True):
 
     Row samplers draw from the n rows, so their n_subs is bounded by n;
     sketches draw from the padded Hadamard domain, which build_sketch bounds.
+    This is the one finiteness scan of the full data in a fit: the
+    estimators pass the validated arrays to the unchecked kernels behind
+    the public linalg and diagnostics functions.  The small systems built
+    from them (a sketch, a subsample) still go through the checked
+    ``solve_ls``.
     """
     Z = as_matrix(Z, "Z")
     y = as_vector(y, "y")
@@ -165,7 +170,7 @@ def fit_srht_ls(Z, y, cfg, *, sketch_op=None):
 def fit_lev_ls(Z, y, cfg):
     """Sample rows proportional to exact leverage, then unweighted LS."""
     Z, y = _inputs(Z, y, cfg)
-    lev = exact_leverage(Z, solve_ls(Z, y))
+    lev = _exact_leverage(Z, _solve_ls(Z, y))
     return _sample_and_refit(LEV_LS, Z, y, cfg, lev / lev.sum())
 
 
@@ -212,7 +217,7 @@ def fit_iws_ls(Z, y, cfg, *, influences=None):
     ``influences`` overrides the computed influence vector (test hook).
     """
     Z, y = _inputs(Z, y, cfg)
-    report = compute_diagnostics(Z, y)
+    report = _exact_diagnostics(Z, y)
     scores = report.influences if influences is None else as_vector(influences, "influences")
     probs, fallback = inverse_score_probabilities(scores)
     return _sample_and_refit(IWS_LS, Z, y, cfg, probs, fallback, report)
@@ -237,14 +242,12 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     if residuals is None or leverages is None:
         sol1 = _sketched_solve(Z, y, rows, cfg.seed)
     if residuals is None:
-        anchor = refine_ls(Z, y, sol1)
+        anchor = _refine_ls(Z, y, sol1)
         e_approx, anchor_iterations = anchor.residuals, anchor.iterations
     else:
         e_approx = as_vector(residuals, "residuals")
     if leverages is None:
-        l_approx = approx_leverage(
-            Z, rows, math.ceil(p / 2), cfg.seed, r_factor=sol1.r_factor
-        )
+        l_approx = _approx_leverage(Z, sol1.r_factor, math.ceil(p / 2), cfg.seed)
     else:
         l_approx = as_vector(leverages, "leverages")
     d_approx, n_clamped = influence(e_approx, l_approx)

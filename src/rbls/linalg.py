@@ -106,6 +106,11 @@ def solve_ls(Z, y):
     InvalidInputError
         On NaN/Inf entries or inconsistent shapes.
     """
+    return _solve_ls(*_ls_inputs(Z, y))
+
+
+def _ls_inputs(Z, y):
+    """Validated float64 (Z, y) of a least-squares problem with n >= p."""
     Z = as_matrix(Z, "Z")
     y = as_vector(y, "y")
     n, p = Z.shape
@@ -113,6 +118,12 @@ def solve_ls(Z, y):
         raise InvalidInputError(f"need n >= p, got n={n}, p={p}")
     if y.shape[0] != n:
         raise InvalidInputError(f"y has length {y.shape[0]}, expected {n}")
+    return Z, y
+
+
+def _solve_ls(Z, y):
+    """solve_ls on inputs the caller has already validated."""
+    n, p = Z.shape
     # LAPACK factors column-major arrays: numpy's qr copies a Fortran-ordered
     # [Z | y] contiguously, where a row-major one costs a transposing copy.
     # Same bytes reach LAPACK, so R does not depend on Z's layout.
@@ -145,8 +156,11 @@ def refine_ls(Z, y, sol):
         Refined coefficients, residuals y - Z b recomputed from them, the
         preconditioner R, and the iteration count.
     """
-    Z = as_matrix(Z, "Z")
-    y = as_vector(y, "y")
+    return _refine_ls(as_matrix(Z, "Z"), as_vector(y, "y"), sol)
+
+
+def _refine_ls(Z, y, sol):
+    """refine_ls on inputs the caller has already validated."""
     R = sol.r_factor
     _check_r_factor(R)
     # level-2 triangular solves (dtrsv: no wrapper checks, no threads).

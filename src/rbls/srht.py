@@ -11,7 +11,10 @@ factors as H_{n'/b} (x) H_b over the high and low bits of the row index, so
 the kernel runs the length-b transform on the ceil(n/b) blocks that hold
 data and finishes the high-bit levels for the n_subs kept rows only (a
 pruned transform; Woolfe, Liberty, Rokhlin and Tygert, ACHA 2008).  Cost
-O(n * cols * log b + n_subs * ceil(n/b) * cols).
+O(n * cols * log b + n_subs * ceil(n/b) * cols).  The blocks stream through
+one cache-sized tile, each tile adding its share to the kept rows, so the
+working memory is one tile plus the n_subs-row output, not a copy of the
+data.
 """
 
 from dataclasses import dataclass
@@ -22,12 +25,30 @@ from .errors import InvalidCountsError, NotPowerOfTwoError, ShapeMismatchError
 
 # Transform at most this many levels per pass; each pass is a batched
 # matmul against a cached 2^k x 2^k Hadamard block, which is much faster in
-# numpy than 2-point butterflies while costing the same O(n' log n') overall.
-_BLOCK_LEVELS = 6
+# numpy than 2-point butterflies.  A pass of k levels costs 2^(k+1) flops per
+# entry, so once the sketch's tiles sit in cache the flops, not the memory
+# passes, decide: one apply_sketch_pair call with at most 4 levels per pass
+# against 6 took 8.4 / 9.4 ms at 20000 x 50 (n_subs 400), 79 / 85 ms at
+# 2^17 x 64 (1024), 43 / 48 ms at 20000 x 200 (1600) and 0.68 / 0.81 s at
+# 100000 x 500 (4000); 3 levels took 0.84 s at the last size (medians of
+# interleaved calls, 2-core x86 host, OpenBLAS 0.3.31).
+_BLOCK_LEVELS = 4
 # Shortest block of the pruned sketch.  With blocks of b >= 2 * n_subs rows
 # the kept-row finish (n_subs * ceil(n/b) * cols) costs at most half of one
 # transform level (n * cols); the floor keeps the block passes large.
 _MIN_SKETCH_BLOCK = 512
+# Byte cap of the tile the sketch streams its row blocks through (a tile
+# holds at least one block).  A tile and its transform scratch then stay in
+# cache through every pass, and the sketch's working memory stays a small
+# fraction of the data, which the allocator reuses from call to call instead
+# of faulting in fresh pages.  One apply_sketch_pair call with the allocator
+# told to keep freed memory (so only the compute differs) took 8.4 ms at
+# 20000 x 50 (n_subs 400) with this cap, 8.7-9.0 ms at 256-512 KB, 10.0 ms
+# at 2-4 MB and 10.2 ms with the whole data in one tile; at 2^17 x 64
+# (n_subs 1024) caps of 256 KB-2 MB took 79-82 ms, 4 MB 91 ms and the whole
+# data 116 ms (medians of interleaved calls, 2-core x86 host, 2 MB L2 per
+# core).
+_TILE_BYTES = 1 << 20
 
 _HADAMARD_BLOCKS = {}
 
@@ -57,7 +78,7 @@ def fwht_inplace(a):
     of axis 0 must be a power of two.  Applying the transform twice returns
     the original array (H is symmetric orthogonal).
 
-    The log2(n) levels run in passes of at most 6 levels, each one product
+    The log2(n) levels run in passes of at most 4 levels, each one product
     with a cached Hadamard block already scaled by 1/sqrt(block), so no
     separate normalization pass runs.  Passes alternate between ``a`` and
     one scratch array; a non-contiguous or non-float64 ``a`` is transformed
@@ -68,8 +89,8 @@ def fwht_inplace(a):
     if n & (n - 1) or n == 0:
         raise NotPowerOfTwoError(f"axis-0 length {n} is not a power of two")
     levels = n.bit_length() - 1
-    # equal chunks (10 levels -> 5 + 5, not 6 + 4); any split gives the same
-    # operator since H_2^L factors over bit blocks
+    # equal chunks (10 levels -> 3 + 3 + 4, not 4 + 4 + 2); any split gives
+    # the same operator since H_2^L factors over bit blocks
     passes = -(-levels // _BLOCK_LEVELS)
     chunks = [levels // passes + (i >= passes - levels % passes) for i in range(passes)]
     if a.dtype == np.float64 and a.flags.c_contiguous:
@@ -158,38 +179,59 @@ def _parity(x):
 def _sketch_columns(op, operands):
     """scale * S H D [a_1 | a_2 | ...] for operands of op.original_rows rows.
 
-    Row j = j1 * b + j2 of the signed data goes to buf[j2, j1, :], so one
-    length-b transform along axis 0 covers every data block.  Kept row
-    i = i1 * b + i2 is then sqrt(b / n') * sum_{j1} (-1)^popcount(i1 & j1)
-    * buf[i2, j1, :]; blocks past the data are zero and drop out of the sum.
+    Row j = j1 * b + j2 of the signed data belongs to block j1, and kept row
+    i = i1 * b + i2 is sqrt(b / n') * sum_{j1} (-1)^popcount(i1 & j1)
+    * (H_b D block j1)[i2]; blocks past the data are zero and drop out of
+    the sum.  The blocks stream through one tile buffer of at most
+    _TILE_BYTES (one block if a block is larger): block j1 of a tile goes
+    to tile[j2, j1 - g0, :], one length-b transform along axis 0 covers the
+    tile, and the tile's share of every kept row is added to the output.
+    Working memory is one tile, its transform scratch and its gathered kept
+    rows, plus the n_subs-row output.
     """
     n, padded = op.original_rows, op.padded_rows
     b = min(padded, max(_MIN_SKETCH_BLOCK, 2 * next_pow2(op.n_subs)))
     blocks = -(-n // b)
-    full, tail = divmod(n, b)
     widths = [1 if a.ndim == 1 else a.shape[1] for a in operands]
-    buf = np.empty((b, blocks, sum(widths)))
-    signs = op.sign_flips[:n].astype(np.float64)
-    head_signs = signs[: full * b].reshape(full, b).T
-    c = 0
-    for a, w in zip(operands, widths):
-        a = a.reshape(n, w)
-        # einsum's row-scaling loop runs ~1.7x faster than np.multiply's
-        # broadcast over rows of ~50 entries
-        np.einsum(
-            "jkc,jk->jkc",
-            a[: full * b].reshape(full, b, w).transpose(1, 0, 2),
-            head_signs,
-            out=buf[:, :full, c : c + w],
-        )
-        if tail:
-            np.multiply(a[full * b :], signs[full * b :, None], out=buf[:tail, full, c : c + w])
-        c += w
-    buf[tail:, full:, :] = 0.0
-    fwht_inplace(buf.reshape(b, -1))
+    cols = sum(widths)
+    per_tile = min(blocks, max(1, _TILE_BYTES // (8 * b * cols)))
     high, low = np.divmod(op.sampled_indices, b)
     block_signs = 1.0 - 2.0 * _parity(high[:, None] & np.arange(blocks))
-    out = np.matmul(block_signs[:, None, :], buf[low])[:, 0, :]
+    # flat buffers, so a short last tile is still one contiguous array
+    tile_buf = np.empty(b * per_tile * cols)
+    kept_buf = np.empty(op.n_subs * per_tile * cols)
+    out = np.zeros((op.n_subs, cols))
+    for g0 in range(0, blocks, per_tile):
+        g1 = min(g0 + per_tile, blocks)
+        tile = tile_buf[: b * (g1 - g0) * cols].reshape(b, g1 - g0, cols)
+        r0, r1 = g0 * b, min(g1 * b, n)
+        full, tail = divmod(r1 - r0, b)
+        signs = op.sign_flips[r0:r1].astype(np.float64)
+        head_signs = signs[: full * b].reshape(full, b).T
+        c = 0
+        for a, w in zip(operands, widths):
+            a = a.reshape(n, w)[r0:r1]
+            # einsum's row-scaling loop runs ~1.7x faster than np.multiply's
+            # broadcast over rows of ~50 entries
+            np.einsum(
+                "jkc,jk->jkc",
+                a[: full * b].reshape(full, b, w).transpose(1, 0, 2),
+                head_signs,
+                out=tile[:, :full, c : c + w],
+            )
+            if tail:
+                np.multiply(a[full * b :], signs[full * b :, None], out=tile[:tail, full, c : c + w])
+            c += w
+        if tail:
+            tile[tail:, full, :] = 0.0
+        fwht_inplace(tile.reshape(b, -1))
+        kept = kept_buf[: op.n_subs * (g1 - g0) * cols].reshape(op.n_subs, g1 - g0, cols)
+        # mode="wrap" skips the buffered copy np.take makes for out= under
+        # its default mode="raise"; every index is in range
+        np.take(tile, low, axis=0, out=kept, mode="wrap")
+        kept *= block_signs[:, g0:g1, None]
+        for k in range(g1 - g0):
+            out += kept[:, k]
     out *= op.scale * np.sqrt(b / padded)
     return out
 
@@ -219,7 +261,7 @@ def apply_sketch_pair(op, Z, y):
     """Sketch a design matrix and its response with one transform pass.
 
     Equal to splitting apply_sketch(op, [Z | y]); Z and y are signed
-    straight into the transform buffer, with no stacked copy.  Returns
+    straight into the transform tile, with no stacked copy.  Returns
     (sketched_Z, sketched_y).
     """
     Z = np.asarray(Z, dtype=np.float64)

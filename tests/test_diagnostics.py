@@ -15,6 +15,7 @@ from rbls.diagnostics import (
 )
 from rbls.errors import (
     DegenerateRangeError,
+    InvalidInputError,
     LeverageOneError,
     SketchRankDeficientError,
 )
@@ -283,6 +284,27 @@ class TestHistogramL1Distance:
     def test_degenerate_range(self):
         with pytest.raises(DegenerateRangeError):
             histogram_l1_distance(np.ones(5), np.ones(3))
+
+
+class TestInputChecks:
+    # the estimators skip these checks after validating once; the public
+    # functions keep them
+    def test_nan_design_rejected(self):
+        Z = np.random.default_rng(30).standard_normal((40, 3))
+        sol = solve_ls(Z, np.zeros(40))
+        Z[7, 2] = np.nan
+        with pytest.raises(InvalidInputError):
+            exact_leverage(Z, sol)
+        with pytest.raises(InvalidInputError):
+            approx_leverage(Z, 8, 2, seed=0, r_factor=sol.r_factor)
+        with pytest.raises(InvalidInputError):
+            compute_diagnostics(Z, np.zeros(40))
+
+    def test_compute_diagnostics_checks_shapes(self):
+        with pytest.raises(InvalidInputError):
+            compute_diagnostics(np.ones((2, 3)), np.zeros(2))
+        with pytest.raises(InvalidInputError):
+            compute_diagnostics(np.ones((5, 2)), np.zeros(4))
 
 
 class TestComputeDiagnostics:

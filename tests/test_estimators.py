@@ -126,6 +126,29 @@ class TestDispatcher:
             result = fit(prob, EstimatorConfig(method=method, n_subs=64, seed=3))
             assert np.all(np.isfinite(result.coefficients))
 
+    def test_full_design_scanned_once_per_fit(self, monkeypatch):
+        # each finiteness scan of Z is a full pass over the data; a fit
+        # validates Z once and hands it to the unchecked kernels
+        import sys
+
+        import rbls.linalg
+
+        shapes = []
+        check = rbls.linalg.as_matrix
+
+        def recording(A, *args, **kwargs):
+            shapes.append(np.shape(A))
+            return check(A, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rbls") and getattr(module, "as_matrix", None) is check:
+                monkeypatch.setattr(module, "as_matrix", recording)
+        prob = gen_corrupted(512, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
+        for method in METHOD_NAMES:
+            shapes.clear()
+            fit(prob, EstimatorConfig(method=method, n_subs=64, seed=3))
+            assert shapes.count((512, 8)) == 1, (method, shapes)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParamsError):
             EstimatorConfig(method="SGD")

@@ -112,6 +112,15 @@ class TestRefineLs:
         assert sol.iterations <= 1
         np.testing.assert_allclose(sol.residuals, 0.0, atol=1e-10)
 
+    def test_nan_input_rejected(self):
+        Z = np.random.default_rng(23).standard_normal((40, 3))
+        sol = solve_ls(Z, np.zeros(40))
+        Z[5, 1] = np.nan
+        with pytest.raises(InvalidInputError):
+            refine_ls(Z, np.zeros(40), sol)
+        with pytest.raises(InvalidInputError):
+            refine_ls(np.ones((40, 3)), np.full(40, np.inf), sol)
+
 
 class TestApplyGramInverse:
     def test_scaled_identity(self):

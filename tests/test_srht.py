@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
+from rbls import srht
 from rbls.errors import InvalidCountsError, NotPowerOfTwoError, ShapeMismatchError
 from rbls.srht import (
     SketchOperator,
@@ -54,10 +56,11 @@ class TestFwht:
         for j in range(3):
             np.testing.assert_allclose(out[:, j], dense_fwht_oracle(A[:, j]), atol=1e-12)
 
-    @pytest.mark.parametrize("n", [2**13, 2**14])
+    @pytest.mark.parametrize("n", [2**10, 2**11, 2**13, 2**14])
     def test_three_pass_lengths_match_explicit_rows(self, n):
-        # 13 and 14 levels run in three passes, so the result lands in the
-        # scratch array and must be copied back into the input
+        # 10 and 11 levels run in three passes, so the result lands in the
+        # scratch array and must be copied back into the input; 13 and 14
+        # levels run in four
         v = np.random.default_rng(n).standard_normal(n)
         out = fwht_inplace(v.copy())
         j = np.arange(n)
@@ -165,6 +168,65 @@ def full_sample_operator(n, seed=0):
     )
 
 
+def transform_oracle(op, A):
+    """op.scale * (H D A)[sampled rows] by one full transform of the padded A."""
+    padded = np.zeros((op.padded_rows,) + A.shape[1:])
+    padded[: op.original_rows] = (A.T * op.sign_flips[: op.original_rows]).T
+    return op.scale * fwht_inplace(padded)[op.sampled_indices]
+
+
+def tiled_shape(n_subs, cols, tiles, extra_rows):
+    """Rows that fill ``tiles`` sketch tiles of ``cols`` columns, plus extra_rows."""
+    b = max(srht._MIN_SKETCH_BLOCK, 2 * next_pow2(n_subs))
+    per_tile = max(1, srht._TILE_BYTES // (8 * b * cols))
+    return tiles * per_tile * b + extra_rows, per_tile, b
+
+
+class TestStreamedSketch:
+    """The tiled kernel against a transform of the whole padded matrix;
+    apply_sketch_pair must equal apply_sketch of the stacked [Z | y]."""
+
+    @pytest.mark.parametrize(
+        "cols,tiles,extra_blocks,extra_rows",
+        [
+            (4, 2, 3, 100),  # a partial last tile whose last block is ragged
+            (4, 3, 0, 0),  # whole tiles only
+            (4, 2, 0, 77),  # a ragged block alone in the last tile
+            (4, 2, 0, -435),  # a full last tile whose last block is ragged
+        ],
+    )
+    def test_several_tiles(self, cols, tiles, extra_blocks, extra_rows):
+        n_subs = 64
+        n, per_tile, b = tiled_shape(n_subs, cols, tiles, extra_rows)
+        n += extra_blocks * b
+        assert per_tile > 1 and n > per_tile * b
+        op = build_sketch(n, n_subs, seed=n)
+        A = np.random.default_rng(n).standard_normal((n, cols))
+        out = apply_sketch(op, A)
+        np.testing.assert_allclose(out, transform_oracle(op, A), atol=1e-12)
+        Zs, ys = apply_sketch_pair(op, A[:, :-1], A[:, -1])
+        np.testing.assert_array_equal(Zs, out[:, :-1])
+        np.testing.assert_array_equal(ys, out[:, -1])
+
+    def test_block_wider_than_the_tile(self):
+        n_subs = 100
+        b = max(srht._MIN_SKETCH_BLOCK, 2 * next_pow2(n_subs))
+        cols = srht._TILE_BYTES // (8 * b) + 3
+        n = 3 * b + 7
+        op = build_sketch(n, n_subs, seed=5)
+        A = np.random.default_rng(5).standard_normal((n, cols))
+        np.testing.assert_allclose(apply_sketch(op, A), transform_oracle(op, A), atol=1e-12)
+
+    def test_vector_over_several_tiles(self):
+        n, per_tile, b = tiled_shape(32, 1, 1, 5)
+        assert per_tile > 1
+        op = build_sketch(n, 32, seed=6)
+        v = np.random.default_rng(6).standard_normal(n)
+        out = apply_sketch(op, v)
+        assert out.shape == (32,)
+        np.testing.assert_allclose(out, transform_oracle(op, v), atol=1e-12)
+
+
 class TestApplySketch:
     def test_zero_matrix_maps_to_zero(self):
         op = build_sketch(20, 8, seed=1)
@@ -245,6 +307,41 @@ class TestApplySketch:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * n * (p + 1) * 8
+
+    def test_pair_peak_memory_is_a_fraction_of_the_data(self):
+        # the sketch streams the data through one cache-sized tile; its
+        # working memory is that tile, the tile's transform scratch, the
+        # gathered kept rows and the n_subs-row output
+        n, p = 20000, 50
+        rng = np.random.default_rng(8)
+        Z = rng.standard_normal((n, p))
+        y = rng.standard_normal(n)
+        op = build_sketch(n, 400, seed=8)
+        apply_sketch_pair(op, Z, y)
+        tracemalloc.start()
+        try:
+            apply_sketch_pair(op, Z, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * n * (p + 1) * 8
+
+    def test_concurrent_calls_match_sequential_calls(self):
+        # run_experiment(threads=2) sketches on two threads at once; no
+        # buffer may be shared between calls
+        rng = np.random.default_rng(9)
+        jobs = []
+        for k, (n, n_subs) in enumerate([(12000, 200), (9000, 600)] * 3):
+            Z = rng.standard_normal((n, 12))
+            y = rng.standard_normal(n)
+            jobs.append((build_sketch(n, n_subs, seed=k), Z, y))
+        sequential = [apply_sketch_pair(*job) for job in jobs]
+        for _ in range(3):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                concurrent = list(pool.map(lambda job: apply_sketch_pair(*job), jobs))
+            for (Zs, ys), (Zc, yc) in zip(sequential, concurrent):
+                np.testing.assert_array_equal(Zs, Zc)
+                np.testing.assert_array_equal(ys, yc)
 
     def test_shape_mismatch_rejected(self):
         op = build_sketch(20, 8, seed=1)

@@ -1,0 +1,69 @@
+"""Save or compare the coefficients of all seven estimators on six desk problems.
+
+A refactor that should not change the numbers is checked by saving the
+fits of the code before it and comparing the code after it:
+
+    PYTHONPATH=src python3 tools/fit_fingerprint.py --save before.npz
+    (change the code)
+    PYTHONPATH=src python3 tools/fit_fingerprint.py --compare before.npz
+
+Problem k = 0..5 is gen_corrupted(20000, 50, pi=0.3, sigma_x=1.0,
+sigma_w=0.4, sigma_eps=0.1, seed=100 + k), fitted with
+EstimatorConfig(method, n_subs=400, seed=1000 k + 7).  --compare prints,
+per method, how many of the six fits are bit-identical and the largest
+absolute coefficient difference, and exits 1 if any fit is missing.
+"""
+
+import argparse
+import sys
+
+import numpy as np
+
+from rbls import METHOD_NAMES, EstimatorConfig, fit, gen_corrupted
+
+PROBLEMS = 6
+
+
+def fingerprint():
+    """{"<method>/<k>": coefficients} for every method and desk problem."""
+    fits = {}
+    for k in range(PROBLEMS):
+        problem = gen_corrupted(20000, 50, pi=0.3, sigma_x=1.0, sigma_w=0.4, sigma_eps=0.1, seed=100 + k)
+        for method in METHOD_NAMES:
+            cfg = EstimatorConfig(method, n_subs=400, seed=1000 * k + 7)
+            fits[f"{method}/{k}"] = fit(problem, cfg).coefficients
+    return fits
+
+
+def compare(saved, fits):
+    """Print one line per method; return False if a saved fit is missing."""
+    complete = True
+    for method in METHOD_NAMES:
+        keys = [f"{method}/{k}" for k in range(PROBLEMS)]
+        if any(key not in saved for key in keys):
+            print(f"{method:8s} missing from the saved file")
+            complete = False
+            continue
+        same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
+        diff = max(float(np.max(np.abs(saved[key] - fits[key]))) for key in keys)
+        print(f"{method:8s} {same}/{PROBLEMS} bit-identical, max |diff| {diff:.3g}")
+    return complete
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--save", metavar="FILE.npz", help="fit and save the coefficients")
+    mode.add_argument("--compare", metavar="FILE.npz", help="fit and compare with a saved file")
+    args = parser.parse_args(argv)
+    fits = fingerprint()
+    if args.save:
+        np.savez(args.save, **fits)
+        print(f"saved {len(fits)} fits to {args.save}")
+        return 0
+    with np.load(args.compare) as saved:
+        return 0 if compare(dict(saved), fits) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
