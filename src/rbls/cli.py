@@ -76,17 +76,11 @@ def _common_flags(sub):
                      help="byte-stable outputs: no timestamp, zeroed wall times")
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--threads", type=int, default=1,
-                     help="replications run concurrently (RBLS_THREADS overrides)")
+                     help="replications run concurrently")
     sub.add_argument("--gnuplot", action="store_true", help="also write plot.gp")
 
 
 def _threads(args):
-    env = os.environ.get("RBLS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as err:
-            raise ConfigError(f"RBLS_THREADS is not an integer: {env!r}") from err
     return max(1, args.threads)
 
 

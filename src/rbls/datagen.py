@@ -4,7 +4,10 @@ The corrupted observation model draws a latent design X and responses
 y = X beta + eps, but exposes Z = X + diag(u) W where u is a Bernoulli(pi)
 row mask and W an independent noise matrix: a row is either observed clean
 or with additive corruption.  Entries of X and W are i.i.d. N(0, sigma^2)
-with the stated per-entry standard deviations.
+with the stated per-entry standard deviations.  A generated problem keeps
+only Z, y, beta and u; X, W and eps are not stored.  They can be redrawn
+from the seed: beta, X, W, the mask (uniforms below pi) and eps are drawn
+in that order from ``np.random.default_rng(seed)``.
 """
 
 import csv
@@ -17,17 +20,15 @@ from .errors import InvalidParamsError, ParseError, SchemaError
 
 @dataclass(frozen=True)
 class Truth:
-    """Latent components behind a simulated problem."""
+    """What a simulated problem is scored against.
 
-    X: np.ndarray
-    W: np.ndarray | None
+    ``beta`` is the coefficient vector behind y, and ``corruption_mask``
+    marks the rows of Z that carry additive corruption (all False for the
+    leverage regimes and for clean test rows).
+    """
+
     beta: np.ndarray
     corruption_mask: np.ndarray
-    eps: np.ndarray
-    sigma_x: float
-    sigma_w: float
-    sigma_eps: float
-    pi: float
 
 
 @dataclass(frozen=True)
@@ -64,21 +65,24 @@ def _check_scales(pi, sigma_x, sigma_w, sigma_eps):
 
 
 def _assemble_corrupted(rng, n, p, pi, sigma_x, sigma_w, sigma_eps, beta):
-    X = rng.standard_normal((n, p)) * sigma_x
-    W = rng.standard_normal((n, p)) * sigma_w
+    # X is drawn straight into Z and W is added to the masked rows in
+    # place, so a problem holds one n x p array once this returns.
+    Z = rng.standard_normal((n, p))
+    Z *= sigma_x
+    W = rng.standard_normal((n, p))
     mask = rng.random(n) < pi
     eps = rng.standard_normal(n) * sigma_eps
-    Z = X + mask[:, None] * W
-    y = X @ beta + eps
-    truth = Truth(X, W, beta, mask, eps, sigma_x, sigma_w, sigma_eps, pi)
-    return RegressionProblem(Z, y, truth)
+    y = Z @ beta + eps
+    W *= sigma_w
+    np.add(Z, W, out=Z, where=mask[:, None])
+    return RegressionProblem(Z, y, Truth(beta, mask))
 
 
 def gen_corrupted(n, p, pi, sigma_x, sigma_w, sigma_eps, seed):
     """Corrupted-observation problem with i.i.d. Gaussian components.
 
-    beta is standard normal; Z = X + diag(u) W and y = X beta + eps are
-    exact functions of the stored truth.  Deterministic in ``seed``.
+    beta is standard normal, Z = X + diag(u) W and y = X beta + eps.
+    Deterministic in ``seed``; see the module docstring for the draw order.
     """
     if n < 1 or p < 1:
         raise InvalidParamsError(f"need n, p >= 1, got n={n}, p={p}")
@@ -88,14 +92,13 @@ def gen_corrupted(n, p, pi, sigma_x, sigma_w, sigma_eps, seed):
     return _assemble_corrupted(rng, n, p, pi, sigma_x, sigma_w, sigma_eps, beta)
 
 
-def gen_corrupted_split(
-    n_train, n_test, p, pi, sigma_x, sigma_w, sigma_eps, seed, corrupt_test=False
-):
+def gen_corrupted_split(n_train, n_test, p, pi, sigma_x, sigma_w, sigma_eps, seed):
     """Train/test corrupted problems sharing one beta.
 
-    Test covariates are clean by default so test RMSE measures the fit
-    against the true signal; pass corrupt_test=True to corrupt them with
-    the same mechanism as the training rows.
+    The training rows are corrupted as in ``gen_corrupted``.  The test rows
+    are always clean (their corruption mask is all False), so test RMSE
+    measures the fit against the true signal.  The test rows are drawn
+    after the training rows in the same order, W and mask included.
     """
     if n_train < 1 or n_test < 1 or p < 1:
         raise InvalidParamsError("need positive n_train, n_test, p")
@@ -103,8 +106,7 @@ def gen_corrupted_split(
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
     train = _assemble_corrupted(rng, n_train, p, pi, sigma_x, sigma_w, sigma_eps, beta)
-    test_pi = pi if corrupt_test else 0.0
-    test = _assemble_corrupted(rng, n_test, p, test_pi, sigma_x, sigma_w, sigma_eps, beta)
+    test = _assemble_corrupted(rng, n_test, p, 0.0, sigma_x, sigma_w, sigma_eps, beta)
     return SplitProblem(train, test)
 
 
@@ -118,13 +120,14 @@ _REGIME_DF = {GAUSSIAN: None, T3: 3, T1: 1}
 REGIME_SIGMA_EPS = 0.1
 
 
-def _regime_rows(rng, n, p, regime):
+def _regime_problem(rng, n, p, regime, beta):
     X = rng.standard_normal((n, p))
     df = _REGIME_DF[regime]
     if df is not None:
         # multivariate-t rows: Gaussian over sqrt(chi2/df), per row
         X = X / np.sqrt(rng.chisquare(df, n) / df)[:, None]
-    return X
+    eps = rng.standard_normal(n) * REGIME_SIGMA_EPS
+    return RegressionProblem(X, X @ beta + eps, Truth(beta, np.zeros(n, dtype=bool)))
 
 
 def gen_leverage_regime(n, p, regime, seed):
@@ -140,12 +143,7 @@ def gen_leverage_regime(n, p, regime, seed):
         raise InvalidParamsError(f"need n > p, got n={n}, p={p}")
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
-    X = _regime_rows(rng, n, p, regime)
-    eps = rng.standard_normal(n) * REGIME_SIGMA_EPS
-    truth = Truth(
-        X, None, beta, np.zeros(n, dtype=bool), eps, 1.0, 0.0, REGIME_SIGMA_EPS, 0.0
-    )
-    return RegressionProblem(X, X @ beta + eps, truth)
+    return _regime_problem(rng, n, p, regime, beta)
 
 
 def gen_regime_split(n_train, n_test, p, regime, seed):
@@ -156,15 +154,9 @@ def gen_regime_split(n_train, n_test, p, regime, seed):
         raise InvalidParamsError("need n_train > p and n_test >= 1")
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
-    parts = []
-    for n in (n_train, n_test):
-        X = _regime_rows(rng, n, p, regime)
-        eps = rng.standard_normal(n) * REGIME_SIGMA_EPS
-        truth = Truth(
-            X, None, beta, np.zeros(n, dtype=bool), eps, 1.0, 0.0, REGIME_SIGMA_EPS, 0.0
-        )
-        parts.append(RegressionProblem(X, X @ beta + eps, truth))
-    return SplitProblem(parts[0], parts[1])
+    train = _regime_problem(rng, n_train, p, regime, beta)
+    test = _regime_problem(rng, n_test, p, regime, beta)
+    return SplitProblem(train, test)
 
 
 class OneHotPairEncoder:

@@ -20,6 +20,7 @@ data.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import hadamard
 
 from .errors import InvalidCountsError, NotPowerOfTwoError, ShapeMismatchError
 
@@ -56,10 +57,7 @@ _HADAMARD_BLOCKS = {}
 def _hadamard_block(d):
     """H_d / sqrt(d), cached: one pass of the transform is one product."""
     if d not in _HADAMARD_BLOCKS:
-        H = np.array([[1.0]])
-        while H.shape[0] < d:
-            H = np.block([[H, H], [H, -H]])
-        _HADAMARD_BLOCKS[d] = H / np.sqrt(d)
+        _HADAMARD_BLOCKS[d] = hadamard(d) / np.sqrt(d)
     return _HADAMARD_BLOCKS[d]
 
 

@@ -100,16 +100,6 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
 
-    def test_bad_threads_env_is_config_error(self, tmp_path, config_file, monkeypatch):
-        monkeypatch.setenv("RBLS_THREADS", "many")
-        assert main(["run", "--config", str(config_file), "--out", str(tmp_path)]) == EXIT_CONFIG
-
-    def test_threads_env_overrides_flag(self, tmp_path, config_file, monkeypatch):
-        monkeypatch.setenv("RBLS_THREADS", "1")
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(config_file), "--out", str(out),
-                     "--threads", "0"]) == EXIT_OK
-
 
 class TestFig1Command:
     def test_writes_histograms(self, tmp_path):

@@ -1,8 +1,12 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rbls.datagen import (
     GAUSSIAN,
+    REGIME_SIGMA_EPS,
     T1,
     T3,
     OneHotPairEncoder,
@@ -16,15 +20,39 @@ from rbls.diagnostics import compute_diagnostics, histogram_l1_distance
 from rbls.errors import InvalidParamsError, ParseError, SchemaError
 
 
+def replay_corrupted(n, p, pi, sigma_x, sigma_w, sigma_eps, seed):
+    """Redraw the latent parts of gen_corrupted in its documented order."""
+    rng = np.random.default_rng(seed)
+    beta = rng.standard_normal(p)
+    X = rng.standard_normal((n, p)) * sigma_x
+    W = rng.standard_normal((n, p)) * sigma_w
+    mask = rng.random(n) < pi
+    eps = rng.standard_normal(n) * sigma_eps
+    return SimpleNamespace(beta=beta, X=X, W=W, mask=mask, eps=eps)
+
+
+def replay_regime(n, p, df, seed):
+    """Redraw the latent parts of gen_leverage_regime (df None: Gaussian rows)."""
+    rng = np.random.default_rng(seed)
+    beta = rng.standard_normal(p)
+    X = rng.standard_normal((n, p))
+    if df is not None:
+        X = X / np.sqrt(rng.chisquare(df, n) / df)[:, None]
+    eps = rng.standard_normal(n) * REGIME_SIGMA_EPS
+    return SimpleNamespace(beta=beta, X=X, eps=eps)
+
+
 class TestGenCorrupted:
     def test_pi_zero_means_clean_design(self):
-        prob = gen_corrupted(100, 4, pi=0.0, sigma_x=1.0, sigma_w=0.4, sigma_eps=0.1, seed=0)
-        np.testing.assert_array_equal(prob.Z, prob.truth.X)
+        args = (100, 4, 0.0, 1.0, 0.4, 0.1, 0)
+        prob = gen_corrupted(*args)
+        np.testing.assert_array_equal(prob.Z, replay_corrupted(*args).X)
         assert not prob.truth.corruption_mask.any()
 
     def test_sigma_w_zero_means_clean_design(self):
-        prob = gen_corrupted(100, 4, pi=0.5, sigma_x=1.0, sigma_w=0.0, sigma_eps=0.1, seed=0)
-        np.testing.assert_array_equal(prob.Z, prob.truth.X)
+        args = (100, 4, 0.5, 1.0, 0.0, 0.1, 0)
+        prob = gen_corrupted(*args)
+        np.testing.assert_array_equal(prob.Z, replay_corrupted(*args).X)
 
     def test_corrupted_row_count_concentrates(self):
         prob = gen_corrupted(10_000, 20, pi=0.3, sigma_x=1.0, sigma_w=0.4, sigma_eps=0.1, seed=5)
@@ -38,10 +66,13 @@ class TestGenCorrupted:
             assert dev <= 3 * np.sqrt(0.3 * 0.7 / 5000)
 
     def test_reconstruction_from_truth(self):
-        prob = gen_corrupted(200, 6, 0.3, 1.0, 0.4, 0.1, seed=3)
-        t = prob.truth
-        np.testing.assert_array_equal(prob.Z, t.X + t.corruption_mask[:, None] * t.W)
-        np.testing.assert_allclose(prob.y, t.X @ t.beta + t.eps, atol=1e-12)
+        args = (200, 6, 0.3, 1.0, 0.4, 0.1, 3)
+        prob = gen_corrupted(*args)
+        d = replay_corrupted(*args)
+        np.testing.assert_array_equal(prob.truth.beta, d.beta)
+        np.testing.assert_array_equal(prob.truth.corruption_mask, d.mask)
+        np.testing.assert_array_equal(prob.Z, d.X + d.mask[:, None] * d.W)
+        np.testing.assert_allclose(prob.y, d.X @ d.beta + d.eps, atol=1e-12)
 
     def test_deterministic(self):
         a = gen_corrupted(50, 3, 0.2, 1.0, 0.4, 0.1, seed=9)
@@ -50,8 +81,24 @@ class TestGenCorrupted:
 
     def test_entry_second_moment(self):
         # n * p = 2e5 entries: the mean square is within 5% of sigma_x^2
-        prob = gen_corrupted(20_000, 10, 0.0, sigma_x=1.5, sigma_w=0.4, sigma_eps=0.1, seed=2)
-        assert np.mean(prob.truth.X**2) == pytest.approx(1.5**2, rel=0.05)
+        args = (20_000, 10, 0.0, 1.5, 0.4, 0.1, 2)
+        prob = gen_corrupted(*args)
+        np.testing.assert_array_equal(prob.Z, replay_corrupted(*args).X)
+        assert np.mean(prob.Z**2) == pytest.approx(1.5**2, rel=0.05)
+
+    def test_holds_only_what_is_read(self):
+        # a problem keeps Z, y, beta and the mask; the latent X, W and eps
+        # are dropped, and W is the only n x p array made beside Z
+        tracemalloc.start()
+        try:
+            prob = gen_corrupted(20_000, 50, 0.3, 1.0, 0.4, 0.1, seed=0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        t = prob.truth
+        kept = prob.Z.nbytes + prob.y.nbytes + t.beta.nbytes + t.corruption_mask.nbytes
+        assert held <= 1.1 * kept
+        assert peak <= 2.1 * prob.Z.nbytes
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParamsError):
@@ -76,10 +123,6 @@ class TestGenCorruptedSplit:
         assert not split.test.truth.corruption_mask.any()
         assert split.train.truth.corruption_mask.any()
 
-    def test_corrupt_test_flag(self):
-        split = gen_corrupted_split(300, 200, 5, 0.5, 1.0, 0.4, 0.1, seed=1, corrupt_test=True)
-        assert split.test.truth.corruption_mask.any()
-
 
 class TestLeverageRegimes:
     def test_gaussian_rows_have_uniform_leverage(self):
@@ -103,10 +146,11 @@ class TestLeverageRegimes:
         assert prob.Z.shape == (2048, 8)
 
     def test_response_regenerable(self):
-        for regime in (GAUSSIAN, T3, T1):
+        for regime, df in ((GAUSSIAN, None), (T3, 3), (T1, 1)):
             prob = gen_leverage_regime(500, 6, regime, seed=4)
-            t = prob.truth
-            np.testing.assert_allclose(prob.y, t.X @ t.beta + t.eps, atol=1e-12)
+            d = replay_regime(500, 6, df, seed=4)
+            np.testing.assert_array_equal(prob.Z, d.X)
+            np.testing.assert_allclose(prob.y, d.X @ d.beta + d.eps, atol=1e-12)
 
     def test_split_shares_beta(self):
         split = gen_regime_split(400, 100, 6, T3, seed=2)

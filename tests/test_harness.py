@@ -3,7 +3,16 @@ import pytest
 
 from rbls.datagen import gen_corrupted, RegressionProblem
 from rbls.errors import ConfigError, MissingCorruptedError, MissingTruthError
-from rbls.estimators import AIWS_LS, ARWS_LS, IWS_LS, OLS, SRHT_LS, ULURU
+from rbls.estimators import (
+    AIWS_LS,
+    ARWS_LS,
+    IWS_LS,
+    METHOD_CODES,
+    OLS,
+    SRHT_LS,
+    ULURU,
+    EstimatorConfig,
+)
 from rbls.harness import (
     AGGREGATE_HEADER,
     RESULTS_HEADER,
@@ -16,6 +25,7 @@ from rbls.harness import (
     write_aggregates_csv,
     write_results_csv,
 )
+from rbls.seeding import spawn_seed
 
 AIRLINE_HEADER = "Year,Month,DayofMonth,UniqueCarrier,Origin,Dest,Distance,ArrDelay"
 
@@ -88,6 +98,35 @@ class TestRunExperiment:
         assert log == [("generate", 0), *fits_per_rep,
                        ("generate", 1), *fits_per_rep,
                        ("generate", 2), *fits_per_rep]
+
+    def test_ols_fitted_once_per_replication(self, monkeypatch):
+        # OLS ignores n_subs and the seed: one fit serves every grid point,
+        # and each row keeps its own per-fit seed and its own scores
+        import rbls.harness as harness
+
+        calls = []
+        fit_one = harness.fit
+
+        def counted_fit(problem, est_cfg):
+            calls.append(est_cfg.method)
+            return fit_one(problem, est_cfg)
+
+        grid = (20, 40, 80)
+        cfg = tiny_config(methods=(OLS,), n_subs_grid=grid, replications=2)
+        monkeypatch.setattr(harness, "fit", counted_fit)
+        results = run_experiment(cfg)
+        assert calls == [OLS, OLS]
+        for rep in range(2):
+            split = harness._generate_split(cfg, rep)
+            coef = fit_one(split.train, EstimatorConfig(OLS)).coefficients
+            est_error = float(np.linalg.norm(coef - split.train.truth.beta))
+            rmse = float(np.sqrt(np.mean((split.test.y - split.test.Z @ coef) ** 2)))
+            rows = [r for r in results if r.replication == rep]
+            assert [r.n_subs for r in rows] == list(grid)
+            assert [r.seed for r in rows] == [
+                spawn_seed(cfg.base_seed, METHOD_CODES[OLS], g, rep) for g in grid
+            ]
+            assert all(r.est_error == est_error and r.rmse == rmse for r in rows)
 
     def test_per_fit_seeds_unique(self):
         results = run_experiment(tiny_config(n_subs_grid=(20, 40), replications=3))

@@ -76,7 +76,14 @@ class TestFwht:
         before = M.copy()
         column = M[:, 1]
         assert fwht_inplace(column) is column
-        np.testing.assert_allclose(M[:, 1], dense_fwht_oracle(before[:, 1]), atol=1e-12)
+        if n <= 512:
+            expected = dense_fwht_oracle(before[:, 1])
+        else:
+            # the dense H_8192 is 512 MB; the contiguous transform is checked
+            # against explicit rows at this length in
+            # test_three_pass_lengths_match_explicit_rows
+            expected = fwht_inplace(before[:, 1].copy())
+        np.testing.assert_allclose(M[:, 1], expected, atol=1e-12)
         np.testing.assert_array_equal(M[:, [0, 2]], before[:, [0, 2]])
 
     def test_mutates_in_place(self):

@@ -9,12 +9,16 @@ fits of the code before it and comparing the code after it:
 
 Problem k = 0..5 is gen_corrupted(20000, 50, pi=0.3, sigma_x=1.0,
 sigma_w=0.4, sigma_eps=0.1, seed=100 + k), fitted with
-EstimatorConfig(method, n_subs=400, seed=1000 k + 7).  --compare prints,
-per method, how many of the six fits are bit-identical and the largest
-absolute coefficient difference, and exits 1 if any fit is missing.
+EstimatorConfig(method, n_subs=400, seed=1000 k + 7).  The SHA-256 of each
+problem's Z and y bytes is saved beside the fits, so a change to data
+generation is shown to keep the data, not only inferred from the fits.
+--compare prints, per method, how many of the six fits are bit-identical
+and the largest absolute coefficient difference, then how many of the six
+problems have bit-identical data, and exits 1 if anything is missing.
 """
 
 import argparse
+import hashlib
 import sys
 
 import numpy as np
@@ -25,10 +29,13 @@ PROBLEMS = 6
 
 
 def fingerprint():
-    """{"<method>/<k>": coefficients} for every method and desk problem."""
+    """{"<method>/<k>": coefficients, "data/<k>": SHA-256 of Z and y} for
+    every method and desk problem."""
     fits = {}
     for k in range(PROBLEMS):
         problem = gen_corrupted(20000, 50, pi=0.3, sigma_x=1.0, sigma_w=0.4, sigma_eps=0.1, seed=100 + k)
+        digest = hashlib.sha256(problem.Z.tobytes() + problem.y.tobytes()).digest()
+        fits[f"data/{k}"] = np.frombuffer(digest, dtype=np.uint8)
         for method in METHOD_NAMES:
             cfg = EstimatorConfig(method, n_subs=400, seed=1000 * k + 7)
             fits[f"{method}/{k}"] = fit(problem, cfg).coefficients
@@ -47,6 +54,12 @@ def compare(saved, fits):
         same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
         diff = max(float(np.max(np.abs(saved[key] - fits[key]))) for key in keys)
         print(f"{method:8s} {same}/{PROBLEMS} bit-identical, max |diff| {diff:.3g}")
+    keys = [f"data/{k}" for k in range(PROBLEMS)]
+    if any(key not in saved for key in keys):
+        print("data     missing from the saved file")
+        return False
+    same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
+    print(f"data     {same}/{PROBLEMS} bit-identical")
     return complete
 
 
@@ -59,7 +72,7 @@ def main(argv=None):
     fits = fingerprint()
     if args.save:
         np.savez(args.save, **fits)
-        print(f"saved {len(fits)} fits to {args.save}")
+        print(f"saved {len(fits) - PROBLEMS} fits and {PROBLEMS} data digests to {args.save}")
         return 0
     with np.load(args.compare) as saved:
         return 0 if compare(dict(saved), fits) else 1
