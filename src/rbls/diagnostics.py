@@ -2,9 +2,9 @@
 sketched approximations.
 
 Exact leverage is the hat-matrix diagonal l_i = z_i (Z'Z)^{-1} z_i',
-read off as squared row norms of Z R^{-1} with R the stored QR factor.
-Influence is the leave-one-out change in fit d_i = e_i^2 l_i / (1 - l_i)^2,
-equal to (b - b_{-i})' Z'Z (b - b_{-i}).  The randomized approximation
+read off as squared row norms of Z R^{-1} with R the stored triangular
+factor (R'R = Z'Z).  Influence is the leave-one-out change in fit
+d_i = e_i^2 l_i / (1 - l_i)^2, equal to (b - b_{-i})' Z'Z (b - b_{-i}).  The randomized approximation
 replaces R with the triangular factor of a row-sketched copy of Z and
 right-multiplies Z R^{-1} by a narrow sign projection Pi2 (Drineas,
 Magdon-Ismail, Mahoney and Woodruff, JMLR 2012).
@@ -51,7 +51,7 @@ class DiagnosticsReport:
 
 
 def exact_leverage(Z, sol):
-    """Hat-matrix diagonal for the design Z, given its QR solution.
+    """Hat-matrix diagonal for the design Z, given its least-squares solution.
 
     Forms W = Z R^{-1} and reads l_i as squared row norms of W, O(n p^2)
     total.  For a full-rank design 0 <= l_i <= 1 and sum(l) = p.

@@ -1,6 +1,7 @@
 """The seven regression estimators behind one ``fit`` interface.
 
-OLS            exact Householder-QR least squares on all rows.
+OLS            exact least squares on all rows: Cholesky of Z'Z plus CGLS
+               refinement, Householder QR when Z'Z is ill-conditioned.
 SRHT_LS        least squares on a randomized Hadamard sketch of (Z, y).
 LEV_LS         rows sampled proportional to exact leverage, then LS.
 ULURU          sketched solve plus a bias correction that regresses the
@@ -8,7 +9,8 @@ ULURU          sketched solve plus a bias correction that regresses the
 IWS_LS         rows sampled proportional to 1/d_i (exact influence), then LS.
 AIWS_LS        IWS_LS with sketch-preconditioned CGLS residuals (exact to a
                tolerance) and randomized leverages.
-ARWS_LS        rows sampled proportional to 1/e_i^2 (sketched residuals).
+ARWS_LS        rows sampled proportional to 1/e_i^2 (residuals of a
+               CountSketch pilot solve).
 
 The four sampling estimators differ only in how they score rows.  Each
 turns its scores into probabilities and ends in one shared step that draws
@@ -23,6 +25,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csc_array
 
 from .diagnostics import (
     DiagnosticsReport,
@@ -49,13 +52,30 @@ ARWS_LS = "ARWS_LS"
 METHOD_NAMES = (OLS, SRHT_LS, LEV_LS, ULURU, IWS_LS, AIWS_LS, ARWS_LS)
 METHOD_CODES = {name: code for code, name in enumerate(METHOD_NAMES)}
 
+# ARWS_LS's CountSketch pilot has at least this many rows per column of Z.
+# A pilot of only n_subs rows leaves noisy residuals when n_subs is near p.
+# Median ARWS_LS error / OLS error on gen_corrupted(5000, 20, pi=0.3,
+# sigma_x=1, sigma_w=0.4, sigma_eps=0.1), 40 problems x 3 draws:
+#
+#     pilot                                   n_subs 40   n_subs 80
+#     SRHT, n_subs rows                          2.79        1.30
+#     CountSketch, n_subs rows                   2.52        1.27
+#     CountSketch, max(n_subs, 4p) rows          1.52        1.27
+#     CountSketch, max(n_subs, 8p) rows          1.14        0.91
+#     CountSketch, max(n_subs, 16p) rows         0.86        0.69
+#
+# From n_subs 160 = 8p up the first, second and fourth rows read the same.
+PILOT_ROWS_PER_COLUMN = 8
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Configuration shared by all estimators.
 
     n_subs is the number of drawn rows (duplicates possible).  sketch_rows
-    sizes the AIWS_LS sketch and defaults to max(2p, ceil(p ln p), n_subs).
+    sizes the AIWS_LS sketch, by default min(n, max(2p, ceil(p ln p),
+    n_subs)), and the ARWS_LS CountSketch pilot, by default
+    min(n, max(n_subs, PILOT_ROWS_PER_COLUMN p)).
     """
 
     method: str
@@ -108,13 +128,11 @@ def _inputs(Z, y, cfg, bounded_by_n=True):
     return Z, y
 
 
-def _resolve_sketch_rows(cfg, n, p):
+def _sketch_rows(cfg, n, default):
+    """cfg.sketch_rows, else min(n, max(default, cfg.n_subs))."""
     if cfg.sketch_rows is not None:
         return int(cfg.sketch_rows)
-    rows = max(2 * p, math.ceil(p * math.log(p)) if p > 1 else 2)
-    if cfg.n_subs is not None:
-        rows = max(rows, int(cfg.n_subs))
-    return min(rows, n)
+    return min(max(default, int(cfg.n_subs)), n)
 
 
 def _sample_and_refit(method, Z, y, cfg, probs, fallback=False, report=None):
@@ -135,19 +153,21 @@ def _sample_and_refit(method, Z, y, cfg, probs, fallback=False, report=None):
     )
 
 
-def _sketched_solve(Z, y, rows, seed, op=None):
-    """Sketch [Z | y] with one operator and solve the sketched system."""
-    n = Z.shape[0]
-    if op is None:
-        op = build_sketch(n, rows, spawn_seed(seed, ROLE_SKETCH))
-    Zs, ys = apply_sketch_pair(op, Z, y)
+def _solve_sketch(Zs, ys):
+    """solve_ls on a sketched system; a rank loss names the sketch."""
     try:
-        sol = solve_ls(Zs, ys)
+        return solve_ls(Zs, ys)
     except RankDeficientError as err:
         raise RankDeficientError(
-            f"sketch with {rows} rows lost rank ({err}); increase n_subs"
+            f"sketch with {Zs.shape[0]} rows lost rank ({err}); increase n_subs"
         ) from err
-    return sol
+
+
+def _sketched_solve(Z, y, rows, seed, op=None):
+    """Sketch [Z | y] with one SRHT operator and solve the sketched system."""
+    if op is None:
+        op = build_sketch(Z.shape[0], rows, spawn_seed(seed, ROLE_SKETCH))
+    return _solve_sketch(*apply_sketch_pair(op, Z, y))
 
 
 def fit_ols(Z, y):
@@ -226,8 +246,8 @@ def fit_iws_ls(Z, y, cfg, *, influences=None):
 def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     """Influence-weighted subsampling with sketched diagnostics.
 
-    One row sketch (sketch_rows rows) and its QR factor R are reused twice.
-    Residuals: the sketched solution starts a CGLS solve of the full problem,
+    One row sketch (sketch_rows rows) and its triangular factor R are
+    reused twice.  Residuals: the sketched solution starts a CGLS solve of the full problem,
     right-preconditioned by R (``linalg.refine_ls``), which runs until the
     residuals are exact to ``linalg.REFINE_TOL`` at O(n p) per iteration.
     Leverages: Z R^{-1} is the basis for randomized leverage scores
@@ -237,7 +257,7 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     """
     Z, y = _inputs(Z, y, cfg)
     n, p = Z.shape
-    rows = _resolve_sketch_rows(cfg, n, p)
+    rows = _sketch_rows(cfg, n, max(2 * p, math.ceil(p * math.log(p)) if p > 1 else 2))
     anchor_iterations = 0
     if residuals is None or leverages is None:
         sol1 = _sketched_solve(Z, y, rows, cfg.seed)
@@ -258,14 +278,32 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     return _sample_and_refit(AIWS_LS, Z, y, cfg, probs, fallback, report)
 
 
+def _count_sketch(n, rows, seed):
+    """CountSketch S (rows x n) as a sparse matrix: column i holds one sign.
+
+    Row i of the data lands in bucket h_i with sign s_i, drawn in that order
+    from the ROLE_SKETCH child stream of ``seed`` (Clarkson and Woodruff,
+    STOC 2013).  S @ Z is a sparse product, O(n p) with no BLAS call.
+    """
+    rng = spawn_rng(seed, ROLE_SKETCH)
+    buckets = rng.integers(0, rows, n)
+    signs = rng.integers(0, 2, n) * 2.0 - 1.0
+    return csc_array((signs, buckets, np.arange(n + 1)), shape=(rows, n))
+
+
 def fit_arws_ls(Z, y, cfg):
     """Residual-weighted subsampling: draw rows proportional to 1/e_i^2.
 
-    Residuals come from one SRHT solve; the floor keeps exactly-fit rows
-    from receiving unbounded weight.
+    Residuals come from a pilot least-squares solve on a CountSketch of
+    [Z | y] with cfg.sketch_rows rows, by default
+    min(n, max(n_subs, PILOT_ROWS_PER_COLUMN p)); the floor keeps
+    exactly-fit rows from receiving unbounded weight.
     """
     Z, y = _inputs(Z, y, cfg)
-    sol1 = _sketched_solve(Z, y, cfg.n_subs, cfg.seed)
+    n, p = Z.shape
+    rows = _sketch_rows(cfg, n, PILOT_ROWS_PER_COLUMN * p)
+    S = _count_sketch(n, rows, cfg.seed)
+    sol1 = _solve_sketch(S @ Z, S @ y)
     e_approx = y - Z @ sol1.coefficients
     probs, fallback = inverse_score_probabilities(e_approx**2)
     return _sample_and_refit(ARWS_LS, Z, y, cfg, probs, fallback)

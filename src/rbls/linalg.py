@@ -1,14 +1,19 @@
-"""Dense least-squares kernels: QR solve, preconditioned CGLS refinement,
-Gram inverse.
+"""Dense least-squares kernels: Cholesky solve with CGLS refinement,
+Householder fallback, Gram inverse.
 
-All matrices are plain row-major ``numpy.ndarray`` of float64.  The QR-based
-solver never forms (Z'Z) or Q explicitly; downstream diagnostics reuse its
+All matrices are plain row-major ``numpy.ndarray`` of float64.  The exact
+solver factors the Gram matrix Z'Z = R'R (one level-3 product and a p x p
+Cholesky, no n x p copy), then refines its first solution by CGLS
+right-preconditioned with that R, so the result is as accurate as a QR
+solve.  Designs whose Gram matrix is too ill-conditioned for Cholesky fall
+back to Householder QR of [Z | y].  Downstream diagnostics reuse the
 triangular factor through :func:`apply_gram_inverse`.
 
-Dense level-3 work (QR, products, inverses of R) runs in numpy.  scipy ships
-a second OpenBLAS with its own thread pool, so scipy is only handed 1-d
-right-hand sides (level-2 triangular solves): a 2-d one wakes that pool,
-whose spinning threads then slow numpy's BLAS on a small host.
+Dense level-3 work (Gram products, Cholesky, QR, inverses of R) runs in
+numpy.  scipy ships a second OpenBLAS with its own thread pool, so scipy is
+only handed 1-d right-hand sides (level-2 triangular solves): a 2-d one
+wakes that pool, whose spinning threads then slow numpy's BLAS on a small
+host.
 """
 
 from dataclasses import dataclass
@@ -28,6 +33,16 @@ REFINE_TOL = 1e-10
 # With a sketch of 2p or more rows cond(A) is below ~10 and CGLS meets
 # REFINE_TOL in 15-20 iterations; the cap bounds the cost when it is not.
 REFINE_MAX_ITER = 100
+# _solve_ls takes the Cholesky factor of Z'Z only while
+# min|r_jj| >= CHOLESKY_PIVOT_RATIO max|r_jj|, and Householder QR otherwise.
+# Exactly singular Gram matrices need not fail the Cholesky: of 200 rank-15
+# 16 x 16 designs (15 gaussian rows, one of them repeated), numpy's Cholesky
+# of Z'Z succeeded on 89, with min|r_jj| / max|r_jj| from 7.3e-9 to 5.9e-7;
+# with this test all 200 reach Householder, which rejects them at RANK_TOL.
+# On 2000 x 20 designs with log-spaced singular values, cond 1e4 read ratios
+# of 7e-4 to 1.3e-3 and took the Cholesky route (one refinement step), cond
+# 1e5 straddled the ratio, and cond 1e6 and above fell back.
+CHOLESKY_PIVOT_RATIO = 1e-4
 
 
 def as_matrix(A, name="matrix"):
@@ -52,7 +67,7 @@ def as_vector(v, name="vector"):
 
 @dataclass(frozen=True)
 class LeastSquaresSolution:
-    """Result of a QR least-squares solve.
+    """Result of a least-squares solve.
 
     Attributes
     ----------
@@ -61,11 +76,14 @@ class LeastSquaresSolution:
     residuals : ndarray, shape (n,)
         y - Z @ coefficients.
     r_factor : ndarray, shape (p, p)
-        Upper-triangular R from the Householder QR of Z, so that
-        (Z'Z)^{-1} = R^{-1} R^{-T}.  After :func:`refine_ls` it is the
-        preconditioner's factor, not Z's.
+        Upper-triangular R with R'R = Z'Z, so that
+        (Z'Z)^{-1} = R^{-1} R^{-T}: the Cholesky factor of Z'Z, which is
+        the Householder R of Z up to the signs of its rows (or that R
+        itself when :func:`solve_ls` fell back to QR).  After
+        :func:`refine_ls` it is the preconditioner's factor, not Z's.
     iterations : int
-        CGLS iterations of :func:`refine_ls` (0 for a direct QR solve).
+        CGLS refinement steps taken (0 for the Householder fallback, and
+        when the starting point already solves the normal equations).
     """
 
     coefficients: np.ndarray
@@ -85,10 +103,17 @@ def _check_r_factor(R):
 
 
 def solve_ls(Z, y):
-    """Solve min_b ||y - Z b||_2 via Householder QR of [Z | y].
+    """Solve min_b ||y - Z b||_2 by Cholesky of Z'Z plus CGLS refinement.
 
-    Only the triangular factor of the augmented matrix is formed: its
-    leading p x p block is Z's R and its last column above row p is Q'y.
+    R is the Cholesky factor of Z'Z, the first solution R^{-1} R^{-T} Z'y
+    comes from two triangular solves, and :func:`refine_ls` then runs CGLS
+    right-preconditioned by R from it; on a well-conditioned design one
+    step meets ``REFINE_TOL``.  Z is made C-contiguous first, so the result
+    does not depend on its layout.  If the Cholesky fails, or if
+    min |r_jj| < CHOLESKY_PIVOT_RATIO max |r_jj|, the solve falls back to
+    Householder QR of [Z | y]; only the triangular factor of the augmented
+    matrix is formed: its leading p x p block is Z's R and its last column
+    above row p is Q'y.
 
     Parameters
     ----------
@@ -102,7 +127,8 @@ def solve_ls(Z, y):
     Raises
     ------
     RankDeficientError
-        If |r_jj| < 1e-12 * max_k |r_kk| for some diagonal entry of R.
+        If the fallback's Householder R has |r_jj| < 1e-12 * max_k |r_kk|
+        for some diagonal entry.
     InvalidInputError
         On NaN/Inf entries or inconsistent shapes.
     """
@@ -123,6 +149,22 @@ def _ls_inputs(Z, y):
 
 def _solve_ls(Z, y):
     """solve_ls on inputs the caller has already validated."""
+    # One layout for the Gram product, so that R does not depend on Z's.
+    Z = np.ascontiguousarray(Z)
+    try:
+        R = np.linalg.cholesky(Z.T @ Z).T
+    except np.linalg.LinAlgError:
+        return _householder_ls(Z, y)
+    d = np.abs(np.diag(R))
+    # written so that an empty or NaN diagonal also falls back
+    if not d.size or not d.min() >= CHOLESKY_PIVOT_RATIO * d.max():
+        return _householder_ls(Z, y)
+    coef = dtrsv(R, dtrsv(R, Z.T @ y, trans=1))
+    return _refine_ls(Z, y, LeastSquaresSolution(coef, None, R))
+
+
+def _householder_ls(Z, y):
+    """Householder QR of [Z | y]: the fallback of _solve_ls."""
     n, p = Z.shape
     # LAPACK factors column-major arrays: numpy's qr copies a Fortran-ordered
     # [Z | y] contiguously, where a row-major one costs a transposing copy.

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import rbls.estimators
 from rbls.datagen import gen_corrupted
 from rbls.diagnostics import exact_leverage, influence
 from rbls.errors import InvalidInputError, InvalidParamsError
@@ -12,6 +15,7 @@ from rbls.estimators import (
     LEV_LS,
     METHOD_NAMES,
     OLS,
+    PILOT_ROWS_PER_COLUMN,
     SRHT_LS,
     ULURU,
     EstimatorConfig,
@@ -26,7 +30,7 @@ from rbls.estimators import (
 )
 from rbls.linalg import REFINE_MAX_ITER, solve_ls
 from rbls.sampling import WEIGHT_FLOOR_RATIO, inverse_score_probabilities
-from rbls.seeding import ROLE_SAMPLING, spawn_rng
+from rbls.seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng
 from rbls.datagen import RegressionProblem
 from test_srht import full_sample_operator
 
@@ -381,3 +385,61 @@ class TestArwsLs:
         probs = result.sampling_probabilities
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(probs >= 0)
+
+
+def count_sketch_oracle(n, rows, seed):
+    """Dense CountSketch from the documented draw: bucket h_i for every
+    row, then sign s_i for every row, from the ROLE_SKETCH stream."""
+    rng = spawn_rng(seed, ROLE_SKETCH)
+    buckets = rng.integers(0, rows, n)
+    signs = rng.integers(0, 2, n) * 2.0 - 1.0
+    S = np.zeros((rows, n))
+    S[buckets, np.arange(n)] = signs
+    return S
+
+
+def arws_pilot(monkeypatch, Z, y, cfg):
+    """Fit ARWS_LS and return the sketched system its pilot solved."""
+    systems = []
+
+    def recording(Zs, ys):
+        systems.append((Zs, ys))
+        return solve_ls(Zs, ys)
+
+    monkeypatch.setattr(rbls.estimators, "solve_ls", recording)
+    result = fit_arws_ls(Z, y, cfg)
+    pilot, refit = systems
+    assert refit[0].shape[0] == cfg.n_subs
+    return pilot, result
+
+
+class TestArwsPilot:
+    # with p = 8 the pilot's rows come from 8p, n_subs and n in turn
+    @pytest.mark.parametrize("n, n_subs", [(512, 16), (512, 100), (40, 16)])
+    def test_pilot_is_a_count_sketch_of_the_data(self, monkeypatch, n, n_subs):
+        rows = min(n, max(n_subs, PILOT_ROWS_PER_COLUMN * 8))
+        Z, y, _ = gaussian_problem(n, 8, seed=15)
+        cfg = EstimatorConfig(method=ARWS_LS, n_subs=n_subs, seed=7)
+        (Zs, ys), _ = arws_pilot(monkeypatch, Z, y, cfg)
+        oracle = count_sketch_oracle(n, rows, cfg.seed) @ np.column_stack([Z, y])
+        assert Zs.shape == (rows, 8)
+        np.testing.assert_allclose(Zs, oracle[:, :8], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ys, oracle[:, 8], rtol=0, atol=1e-12)
+
+    def test_sketch_rows_sizes_the_pilot(self, monkeypatch):
+        Z, y, _ = gaussian_problem(512, 8, seed=16)
+        cfg = EstimatorConfig(method=ARWS_LS, n_subs=16, sketch_rows=37, seed=8)
+        (Zs, ys), _ = arws_pilot(monkeypatch, Z, y, cfg)
+        oracle = count_sketch_oracle(512, 37, cfg.seed) @ np.column_stack([Z, y])
+        np.testing.assert_allclose(np.column_stack([Zs, ys]), oracle, rtol=0, atol=1e-12)
+
+    def test_pilot_is_deterministic_in_the_seed(self, monkeypatch):
+        Z, y, _ = gaussian_problem(512, 8, seed=17)
+        cfg = EstimatorConfig(method=ARWS_LS, n_subs=32, seed=9)
+        (Zs1, _), first = arws_pilot(monkeypatch, Z, y, cfg)
+        (Zs2, _), second = arws_pilot(monkeypatch, Z, y, cfg)
+        (Zs3, _), _ = arws_pilot(monkeypatch, Z, y, replace(cfg, seed=10))
+        assert np.array_equal(Zs1, Zs2)
+        assert np.array_equal(first.coefficients, second.coefficients)
+        assert np.array_equal(first.sampled_row_indices, second.sampled_row_indices)
+        assert not np.array_equal(Zs1, Zs3)

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import rbls.linalg
+from rbls.diagnostics import exact_leverage
 from rbls.errors import InvalidInputError, RankDeficientError
 from rbls.linalg import apply_gram_inverse, refine_ls, solve_ls
 
@@ -90,6 +94,69 @@ class TestSolveLs:
     def test_underdetermined_rejected(self):
         with pytest.raises(InvalidInputError):
             solve_ls(np.ones((2, 3)), np.zeros(2))
+
+
+def graded_design(cond, seed):
+    """2000 x 20 design with singular values log-spaced from 1 to 1/cond.
+
+    y = U c + noise excites every singular direction alike, so b grows as
+    1/s and a backward-stable solve fixes it to near machine precision;
+    with an O(1) b instead, cond 1e8 leaves about cond eps = 1e-8 between
+    any two backward-stable solvers.  Returns Z, y and the true hat
+    diagonal (squared row norms of U).
+    """
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((2000, 20)))[0]
+    V = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+    Z = (U * np.logspace(0, -np.log10(cond), 20)) @ V.T
+    y = U @ rng.standard_normal(20) + 0.01 * rng.standard_normal(2000)
+    return Z, y, np.einsum("ij,ij->i", U, U)
+
+
+class TestCholeskySolve:
+    def test_exactly_rank_deficient_designs_raise(self):
+        # Cholesky of an exactly singular Gram matrix often succeeds with a
+        # tiny pivot; those designs must still reach the Householder check
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((15, 16))
+            Z = np.vstack([X, X[rng.integers(15)]])
+            with pytest.raises(RankDeficientError):
+                solve_ls(Z, rng.standard_normal(16))
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
+    def test_graded_designs_match_lstsq(self, cond):
+        for seed in range(5):
+            Z, y, hat = graded_design(cond, seed)
+            sol = solve_ls(Z, y)
+            oracle = np.linalg.lstsq(Z, y, rcond=None)[0]
+            rel = np.linalg.norm(sol.coefficients - oracle) / np.linalg.norm(oracle)
+            assert rel <= 1e-8
+            np.testing.assert_allclose(exact_leverage(Z, sol), hat, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4])
+    def test_well_conditioned_designs_take_the_cholesky_path(self, cond, monkeypatch):
+        def householder(Z, y):
+            raise AssertionError("fell back to Householder QR")
+
+        monkeypatch.setattr(rbls.linalg, "_householder_ls", householder)
+        for seed in range(5):
+            Z, y, _ = graded_design(cond, seed)
+            assert solve_ls(Z, y).iterations >= 1
+
+    def test_peak_memory_is_a_fraction_of_the_data(self):
+        # the Householder QR of [Z | y] held three n x (p + 1) copies (2.0x)
+        rng = np.random.default_rng(24)
+        Z = rng.standard_normal((20000, 50))
+        y = rng.standard_normal(20000)
+        solve_ls(Z, y)
+        tracemalloc.start()
+        try:
+            solve_ls(Z, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * (Z.nbytes + y.nbytes)
 
 
 class TestRefineLs:

@@ -12,9 +12,10 @@ sigma_w=0.4, sigma_eps=0.1, seed=100 + k), fitted with
 EstimatorConfig(method, n_subs=400, seed=1000 k + 7).  The SHA-256 of each
 problem's Z and y bytes is saved beside the fits, so a change to data
 generation is shown to keep the data, not only inferred from the fits.
---compare prints, per method, how many of the six fits are bit-identical
-and the largest absolute coefficient difference, then how many of the six
-problems have bit-identical data, and exits 1 if anything is missing.
+--compare prints, per method, how many of the six fits are bit-identical,
+the largest absolute coefficient difference and the largest relative one
+(max |diff| over max |saved coefficient|, per fit), then how many of the
+six problems have bit-identical data, and exits 1 if anything is missing.
 """
 
 import argparse
@@ -52,8 +53,12 @@ def compare(saved, fits):
             complete = False
             continue
         same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
-        diff = max(float(np.max(np.abs(saved[key] - fits[key]))) for key in keys)
-        print(f"{method:8s} {same}/{PROBLEMS} bit-identical, max |diff| {diff:.3g}")
+        diffs = [np.max(np.abs(saved[key] - fits[key])) for key in keys]
+        rel = max(d / np.max(np.abs(saved[key])) for d, key in zip(diffs, keys))
+        print(
+            f"{method:8s} {same}/{PROBLEMS} bit-identical, "
+            f"max |diff| {max(diffs):.3g}, max rel diff {rel:.3g}"
+        )
     keys = [f"data/{k}" for k in range(PROBLEMS)]
     if any(key not in saved for key in keys):
         print("data     missing from the saved file")
