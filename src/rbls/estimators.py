@@ -73,9 +73,7 @@ class EstimatorConfig:
     """Configuration shared by all estimators.
 
     n_subs is the number of drawn rows (duplicates possible).  sketch_rows
-    sizes the AIWS_LS sketch, by default min(n, max(2p, ceil(p ln p),
-    n_subs)), and the ARWS_LS CountSketch pilot, by default
-    min(n, max(n_subs, PILOT_ROWS_PER_COLUMN p)).
+    sizes the AIWS_LS sketch and defaults to max(2p, ceil(p ln p), n_subs).
     """
 
     method: str
@@ -128,11 +126,13 @@ def _inputs(Z, y, cfg, bounded_by_n=True):
     return Z, y
 
 
-def _sketch_rows(cfg, n, default):
-    """cfg.sketch_rows, else min(n, max(default, cfg.n_subs))."""
+def _resolve_sketch_rows(cfg, n, p):
     if cfg.sketch_rows is not None:
         return int(cfg.sketch_rows)
-    return min(max(default, int(cfg.n_subs)), n)
+    rows = max(2 * p, math.ceil(p * math.log(p)) if p > 1 else 2)
+    if cfg.n_subs is not None:
+        rows = max(rows, int(cfg.n_subs))
+    return min(rows, n)
 
 
 def _sample_and_refit(method, Z, y, cfg, probs, fallback=False, report=None):
@@ -257,7 +257,7 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     """
     Z, y = _inputs(Z, y, cfg)
     n, p = Z.shape
-    rows = _sketch_rows(cfg, n, max(2 * p, math.ceil(p * math.log(p)) if p > 1 else 2))
+    rows = _resolve_sketch_rows(cfg, n, p)
     anchor_iterations = 0
     if residuals is None or leverages is None:
         sol1 = _sketched_solve(Z, y, rows, cfg.seed)
@@ -295,13 +295,12 @@ def fit_arws_ls(Z, y, cfg):
     """Residual-weighted subsampling: draw rows proportional to 1/e_i^2.
 
     Residuals come from a pilot least-squares solve on a CountSketch of
-    [Z | y] with cfg.sketch_rows rows, by default
-    min(n, max(n_subs, PILOT_ROWS_PER_COLUMN p)); the floor keeps
-    exactly-fit rows from receiving unbounded weight.
+    [Z | y] with min(n, max(n_subs, PILOT_ROWS_PER_COLUMN p)) rows; the
+    floor keeps exactly-fit rows from receiving unbounded weight.
     """
     Z, y = _inputs(Z, y, cfg)
     n, p = Z.shape
-    rows = _sketch_rows(cfg, n, PILOT_ROWS_PER_COLUMN * p)
+    rows = min(n, max(PILOT_ROWS_PER_COLUMN * p, cfg.n_subs))
     S = _count_sketch(n, rows, cfg.seed)
     sol1 = _solve_sketch(S @ Z, S @ y)
     e_approx = y - Z @ sol1.coefficients

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dtrcon
 
 from .errors import InvalidInputError, RankDeficientError
 
@@ -33,16 +34,22 @@ REFINE_TOL = 1e-10
 # With a sketch of 2p or more rows cond(A) is below ~10 and CGLS meets
 # REFINE_TOL in 15-20 iterations; the cap bounds the cost when it is not.
 REFINE_MAX_ITER = 100
-# _solve_ls takes the Cholesky factor of Z'Z only while
-# min|r_jj| >= CHOLESKY_PIVOT_RATIO max|r_jj|, and Householder QR otherwise.
-# Exactly singular Gram matrices need not fail the Cholesky: of 200 rank-15
-# 16 x 16 designs (15 gaussian rows, one of them repeated), numpy's Cholesky
-# of Z'Z succeeded on 89, with min|r_jj| / max|r_jj| from 7.3e-9 to 5.9e-7;
-# with this test all 200 reach Householder, which rejects them at RANK_TOL.
-# On 2000 x 20 designs with log-spaced singular values, cond 1e4 read ratios
-# of 7e-4 to 1.3e-3 and took the Cholesky route (one refinement step), cond
-# 1e5 straddled the ratio, and cond 1e6 and above fell back.
-CHOLESKY_PIVOT_RATIO = 1e-4
+# _solve_ls keeps the Cholesky factor R of Z'Z only while LAPACK's estimate
+# of its 1-norm condition number (dtrcon, O(p^2)) is at most
+# CHOLESKY_MAX_COND, and uses Householder QR otherwise.  R'R carries an
+# error of about eps cond(Z)^2 that CGLS removes from the coefficients but
+# not from R, so the leverages read from R lose accuracy as cond^2: on
+# 2000 x 20 designs with log-spaced singular values (10 seeds each) their
+# largest error was 3.6e-11 at cond 1e4, 1.2e-9 at 1e5 and 1.5e-7 at 1e6,
+# while the estimate read 1.3-4.2e4, 1.2-3.7e5 and 2.1-3.6e6.  The ratio
+# min|r_jj| / max|r_jj| does not bound cond: Z = Q K with K the 40 x 40
+# Kahan matrix (c = 0.4) has ratio 3.3e-2, cond 4.4e7 and leverage errors
+# near 1e-4 through Cholesky; its estimate reads 7.0e7.  Exactly singular
+# Gram matrices need not fail the Cholesky: of 200 rank-15 16 x 16 designs
+# (15 gaussian rows, one of them repeated) it succeeded on 89, whose
+# estimates read 7.5e8 and above, so all 200 reach Householder, which
+# rejects them at RANK_TOL.
+CHOLESKY_MAX_COND = 1e5
 
 
 def as_matrix(A, name="matrix"):
@@ -109,11 +116,12 @@ def solve_ls(Z, y):
     comes from two triangular solves, and :func:`refine_ls` then runs CGLS
     right-preconditioned by R from it; on a well-conditioned design one
     step meets ``REFINE_TOL``.  Z is made C-contiguous first, so the result
-    does not depend on its layout.  If the Cholesky fails, or if
-    min |r_jj| < CHOLESKY_PIVOT_RATIO max |r_jj|, the solve falls back to
-    Householder QR of [Z | y]; only the triangular factor of the augmented
-    matrix is formed: its leading p x p block is Z's R and its last column
-    above row p is Q'y.
+    does not depend on its layout.  The solve falls back to Householder QR
+    of [Z | y] if the Cholesky fails, if the estimated condition number of
+    R exceeds CHOLESKY_MAX_COND, or if the refinement does not stop within
+    REFINE_MAX_ITER steps.  The fallback forms only the triangular factor
+    of the augmented matrix: its leading p x p block is Z's R and its last
+    column above row p is Q'y.
 
     Parameters
     ----------
@@ -155,12 +163,18 @@ def _solve_ls(Z, y):
         R = np.linalg.cholesky(Z.T @ Z).T
     except np.linalg.LinAlgError:
         return _householder_ls(Z, y)
-    d = np.abs(np.diag(R))
-    # written so that an empty or NaN diagonal also falls back
-    if not d.size or not d.min() >= CHOLESKY_PIVOT_RATIO * d.max():
+    # rcond = 1 / (estimated cond); written so that an empty R or a NaN
+    # estimate also falls back
+    rcond = dtrcon(R, norm="1", uplo="U")[0] if R.size else 0.0
+    if not rcond >= 1.0 / CHOLESKY_MAX_COND:
         return _householder_ls(Z, y)
     coef = dtrsv(R, dtrsv(R, Z.T @ y, trans=1))
-    return _refine_ls(Z, y, LeastSquaresSolution(coef, None, R))
+    sol = _refine_ls(Z, y, LeastSquaresSolution(coef, None, R))
+    # 1-2 steps on every design accepted above; hitting the cap means R is
+    # not the factor of Z'Z it should be
+    if sol.iterations >= REFINE_MAX_ITER:
+        return _householder_ls(Z, y)
+    return sol
 
 
 def _householder_ls(Z, y):

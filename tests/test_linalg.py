@@ -144,6 +144,37 @@ class TestCholeskySolve:
             Z, y, _ = graded_design(cond, seed)
             assert solve_ls(Z, y).iterations >= 1
 
+    @pytest.mark.parametrize("p, c", [(50, 0.4), (40, 0.4), (50, 0.3)])
+    def test_kahan_designs_match_lstsq_and_the_hat_diagonal(self, p, c):
+        # Z = Q K with K the Kahan matrix: cond 3.5e9, 4.4e7 and 1.2e7, yet
+        # the Cholesky of Z'Z (when it succeeds) has pivots within 0.01 of
+        # each other, so only a condition estimate sends them to Householder
+        rng = np.random.default_rng(25)
+        Q = np.linalg.qr(rng.standard_normal((2000, p)))[0]
+        s = np.sqrt(1 - c * c)
+        K = s ** np.arange(p)[:, None] * (np.eye(p) - c * np.triu(np.ones((p, p)), 1))
+        Z = Q @ K
+        y = Q @ rng.standard_normal(p) + 0.01 * rng.standard_normal(2000)
+        sol = solve_ls(Z, y)
+        oracle = np.linalg.lstsq(Z, y, rcond=None)[0]
+        rel = np.linalg.norm(sol.coefficients - oracle) / np.linalg.norm(oracle)
+        assert rel <= 1e-8
+        hat = np.einsum("ij,ij->i", Q, Q)
+        np.testing.assert_allclose(exact_leverage(Z, sol), hat, rtol=0, atol=1e-8)
+
+    def test_refinement_that_does_not_stop_falls_back(self, monkeypatch):
+        # with the condition test off, the Cholesky R of most cond 1e8
+        # designs is too poor a preconditioner for CGLS to stop, and the
+        # coefficients it reaches at the cap are off by up to 1e66
+        monkeypatch.setattr(rbls.linalg, "CHOLESKY_MAX_COND", np.inf)
+        for seed in range(10):
+            Z, y, _ = graded_design(1e8, seed)
+            sol = solve_ls(Z, y)
+            assert sol.iterations < rbls.linalg.REFINE_MAX_ITER
+            oracle = np.linalg.lstsq(Z, y, rcond=None)[0]
+            rel = np.linalg.norm(sol.coefficients - oracle) / np.linalg.norm(oracle)
+            assert rel <= 1e-8
+
     def test_peak_memory_is_a_fraction_of_the_data(self):
         # the Householder QR of [Z | y] held three n x (p + 1) copies (2.0x)
         rng = np.random.default_rng(24)
