@@ -7,14 +7,16 @@ LEV_LS         rows sampled proportional to exact leverage, then LS.
 ULURU          sketched solve plus a bias correction that regresses the
                full residual through the sketched Gram factor.
 IWS_LS         rows sampled proportional to 1/d_i (exact influence), then LS.
-AIWS_LS        IWS_LS with sketch-preconditioned CGLS residuals (exact to a
-               tolerance) and randomized leverages.
-ARWS_LS        rows sampled proportional to 1/e_i^2 (residuals of a
-               CountSketch pilot solve).
+AIWS_LS        IWS_LS with CGLS residuals preconditioned by a CountSketch
+               anchor (exact to a tolerance) and randomized leverages.
+ARWS_LS        rows sampled proportional to 1/e_i^2 (one-shot residuals of
+               the same CountSketch anchor).
 
-The four sampling estimators differ only in how they score rows.  Each
-turns its scores into probabilities and ends in one shared step that draws
-n_subs rows with replacement and solves unweighted least squares on them.
+SRHT_LS and ULURU, the paper's baselines, solve an SRHT sketch; AIWS_LS and
+ARWS_LS share one CountSketch anchor solve.  The four sampling estimators
+differ only in how they score rows.  Each turns its scores into
+probabilities and ends in one shared step that draws n_subs rows with
+replacement and solves unweighted least squares on them.
 All estimators are deterministic given (data, config): each randomized
 ingredient draws from a role-tagged child stream of ``config.seed``, so e.g.
 AIWS_LS and IWS_LS share the row-sampling stream but not the sketch stream.
@@ -52,20 +54,27 @@ ARWS_LS = "ARWS_LS"
 METHOD_NAMES = (OLS, SRHT_LS, LEV_LS, ULURU, IWS_LS, AIWS_LS, ARWS_LS)
 METHOD_CODES = {name: code for code, name in enumerate(METHOD_NAMES)}
 
-# ARWS_LS's CountSketch pilot has at least this many rows per column of Z.
-# A pilot of only n_subs rows leaves noisy residuals when n_subs is near p.
-# Median ARWS_LS error / OLS error on gen_corrupted(5000, 20, pi=0.3,
-# sigma_x=1, sigma_w=0.4, sigma_eps=0.1), 40 problems x 3 draws:
+# Rows per column of Z in the CountSketch anchor that AIWS_LS and ARWS_LS
+# share.  A CountSketch costs O(nnz(Z)) whatever its row count, and a
+# bigger one is a better-conditioned preconditioner: AIWS_LS's CGLS takes
+# fewer steps and ARWS_LS's one-shot residuals come closer to exact.
+# Median ARWS_LS error / OLS error on gen_corrupted(n, p, pi=0.3,
+# sigma_x=1, sigma_w=0.4, sigma_eps=0.1), 40 problems x 3 draws at
+# 5000 x 20 and 24 problems x 2 draws on desk (20000 x 50, n_subs 400), and
+# AIWS_LS's CGLS steps on those desk fits:
 #
-#     pilot                                   n_subs 40   n_subs 80
-#     SRHT, n_subs rows                          2.79        1.30
-#     CountSketch, n_subs rows                   2.52        1.27
-#     CountSketch, max(n_subs, 4p) rows          1.52        1.27
-#     CountSketch, max(n_subs, 8p) rows          1.14        0.91
-#     CountSketch, max(n_subs, 16p) rows         0.86        0.69
+#                                   ARWS_LS, 5000 x 20     ARWS_LS  AIWS_LS
+#     anchor                        n_subs 40  n_subs 80     desk     steps
+#     CountSketch, max(n_subs, 8p)     1.15       0.91       0.77    19-20
+#     CountSketch, max(n_subs, 16p)    0.98       0.69       0.57    14-16
+#     CountSketch, max(n_subs, 32p)    0.80       0.56       0.46    12-13
 #
-# From n_subs 160 = 8p up the first, second and fourth rows read the same.
-PILOT_ROWS_PER_COLUMN = 8
+# An SRHT of max(2p, p ln p, n_subs) rows takes 19 steps on desk.  Past 32p
+# the steps fall slowly: 10-11 at 64p and 9 at 128p, for desk AIWS_LS fits
+# of 11.5 and 11.8 ms against 12.5 ms at 32p (a loop on a 2-core host).
+# The anchor's Gram product costs rows p^2, though: a sixth of the exact
+# n p^2 at 32p on 100000 x 500, and a third at 64p.
+ANCHOR_ROWS_PER_COLUMN = 32
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,8 @@ class EstimatorConfig:
     """Configuration shared by all estimators.
 
     n_subs is the number of drawn rows (duplicates possible).  sketch_rows
-    sizes the AIWS_LS sketch and defaults to max(2p, ceil(p ln p), n_subs).
+    sizes the CountSketch anchor of AIWS_LS and ARWS_LS; it must lie in
+    [p, n] and defaults to min(n, max(ANCHOR_ROWS_PER_COLUMN p, n_subs)).
     """
 
     method: str
@@ -123,16 +133,11 @@ def _inputs(Z, y, cfg, bounded_by_n=True):
         raise InvalidParamsError(f"need n_subs >= p, got {cfg.n_subs} < {p}")
     if bounded_by_n and cfg.n_subs > n:
         raise InvalidParamsError(f"need n_subs <= n, got {cfg.n_subs} > {n}")
+    if cfg.sketch_rows is not None and not p <= cfg.sketch_rows <= n:
+        raise InvalidParamsError(
+            f"need p <= sketch_rows <= n, got {cfg.sketch_rows} with p = {p}, n = {n}"
+        )
     return Z, y
-
-
-def _resolve_sketch_rows(cfg, n, p):
-    if cfg.sketch_rows is not None:
-        return int(cfg.sketch_rows)
-    rows = max(2 * p, math.ceil(p * math.log(p)) if p > 1 else 2)
-    if cfg.n_subs is not None:
-        rows = max(rows, int(cfg.n_subs))
-    return min(rows, n)
 
 
 def _sample_and_refit(method, Z, y, cfg, probs, fallback=False, report=None):
@@ -168,6 +173,34 @@ def _sketched_solve(Z, y, rows, seed, op=None):
     if op is None:
         op = build_sketch(Z.shape[0], rows, spawn_seed(seed, ROLE_SKETCH))
     return _solve_sketch(*apply_sketch_pair(op, Z, y))
+
+
+def _count_sketch(n, rows, seed):
+    """CountSketch S (rows x n) as a sparse matrix: column i holds one sign.
+
+    Row i of the data lands in bucket h_i with sign s_i, drawn in that order
+    from the ROLE_SKETCH child stream of ``seed`` (Clarkson and Woodruff,
+    STOC 2013).  S @ Z is a sparse product, O(n p) with no BLAS call.
+    """
+    rng = spawn_rng(seed, ROLE_SKETCH)
+    buckets = rng.integers(0, rows, n)
+    signs = rng.integers(0, 2, n) * 2.0 - 1.0
+    return csc_array((signs, buckets, np.arange(n + 1)), shape=(rows, n))
+
+
+def _anchor(Z, y, cfg):
+    """Solve the CountSketch anchor system (S Z, S y) that AIWS_LS and
+    ARWS_LS share.
+
+    S is ``_count_sketch(n, rows, cfg.seed)`` with rows = cfg.sketch_rows,
+    or min(n, max(ANCHOR_ROWS_PER_COLUMN p, n_subs)) when that is unset.
+    """
+    n, p = Z.shape
+    rows = cfg.sketch_rows
+    if rows is None:
+        rows = min(n, max(ANCHOR_ROWS_PER_COLUMN * p, cfg.n_subs))
+    S = _count_sketch(n, rows, cfg.seed)
+    return _solve_sketch(S @ Z, S @ y)
 
 
 def fit_ols(Z, y):
@@ -246,24 +279,24 @@ def fit_iws_ls(Z, y, cfg, *, influences=None):
 def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     """Influence-weighted subsampling with sketched diagnostics.
 
-    One row sketch (sketch_rows rows) and its triangular factor R are
-    reused twice.  Residuals: the sketched solution starts a CGLS solve of the full problem,
-    right-preconditioned by R (``linalg.refine_ls``), which runs until the
-    residuals are exact to ``linalg.REFINE_TOL`` at O(n p) per iteration.
-    Leverages: Z R^{-1} is the basis for randomized leverage scores
+    The CountSketch anchor it shares with ARWS_LS (``_anchor``) and its
+    triangular factor R are reused twice.  Residuals: the anchor's solution
+    starts a CGLS solve of the full problem, right-preconditioned by R
+    (``linalg.refine_ls``), which runs until the residuals are exact to
+    ``linalg.REFINE_TOL`` at O(n p) per iteration.  Leverages: Z R^{-1} is
+    the basis for randomized leverage scores with ceil(p / 2) sign columns
     (``diagnostics.approx_leverage``), which stay approximate.  Sampling
     then mirrors IWS_LS with the approximate influence.  ``residuals`` /
     ``leverages`` override the sketched estimates (test hooks).
     """
     Z, y = _inputs(Z, y, cfg)
-    n, p = Z.shape
-    rows = _resolve_sketch_rows(cfg, n, p)
+    p = Z.shape[1]
     anchor_iterations = 0
     if residuals is None or leverages is None:
-        sol1 = _sketched_solve(Z, y, rows, cfg.seed)
+        sol1 = _anchor(Z, y, cfg)
     if residuals is None:
-        anchor = _refine_ls(Z, y, sol1)
-        e_approx, anchor_iterations = anchor.residuals, anchor.iterations
+        refined = _refine_ls(Z, y, sol1)
+        e_approx, anchor_iterations = refined.residuals, refined.iterations
     else:
         e_approx = as_vector(residuals, "residuals")
     if leverages is None:
@@ -278,31 +311,15 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     return _sample_and_refit(AIWS_LS, Z, y, cfg, probs, fallback, report)
 
 
-def _count_sketch(n, rows, seed):
-    """CountSketch S (rows x n) as a sparse matrix: column i holds one sign.
-
-    Row i of the data lands in bucket h_i with sign s_i, drawn in that order
-    from the ROLE_SKETCH child stream of ``seed`` (Clarkson and Woodruff,
-    STOC 2013).  S @ Z is a sparse product, O(n p) with no BLAS call.
-    """
-    rng = spawn_rng(seed, ROLE_SKETCH)
-    buckets = rng.integers(0, rows, n)
-    signs = rng.integers(0, 2, n) * 2.0 - 1.0
-    return csc_array((signs, buckets, np.arange(n + 1)), shape=(rows, n))
-
-
 def fit_arws_ls(Z, y, cfg):
     """Residual-weighted subsampling: draw rows proportional to 1/e_i^2.
 
-    Residuals come from a pilot least-squares solve on a CountSketch of
-    [Z | y] with min(n, max(n_subs, PILOT_ROWS_PER_COLUMN p)) rows; the
+    Residuals are the one-shot residuals y - Z b of the CountSketch anchor
+    it shares with AIWS_LS (``_anchor``), without AIWS_LS's refinement; the
     floor keeps exactly-fit rows from receiving unbounded weight.
     """
     Z, y = _inputs(Z, y, cfg)
-    n, p = Z.shape
-    rows = min(n, max(PILOT_ROWS_PER_COLUMN * p, cfg.n_subs))
-    S = _count_sketch(n, rows, cfg.seed)
-    sol1 = _solve_sketch(S @ Z, S @ y)
+    sol1 = _anchor(Z, y, cfg)
     e_approx = y - Z @ sol1.coefficients
     probs, fallback = inverse_score_probabilities(e_approx**2)
     return _sample_and_refit(ARWS_LS, Z, y, cfg, probs, fallback)

@@ -5,17 +5,18 @@ import pytest
 from scipy.stats import chisquare
 
 import rbls.estimators
+import rbls.srht
 from rbls.datagen import gen_corrupted
 from rbls.diagnostics import exact_leverage, influence
 from rbls.errors import InvalidInputError, InvalidParamsError
 from rbls.estimators import (
     AIWS_LS,
+    ANCHOR_ROWS_PER_COLUMN,
     ARWS_LS,
     IWS_LS,
     LEV_LS,
     METHOD_NAMES,
     OLS,
-    PILOT_ROWS_PER_COLUMN,
     SRHT_LS,
     ULURU,
     EstimatorConfig,
@@ -339,7 +340,7 @@ class TestAiwsLs:
     @pytest.mark.parametrize("sketch_rows", [16, 17, 32, 128])
     def test_refined_anchor_matches_exact_residuals(self, sketch_rows):
         # p = 16, so sketch_rows = 16 is the smallest sketch that can hold
-        # rank; the sketch's rows are distinct, so any seed can
+        # rank; each CountSketch row sums ~128 gaussian rows, so any seed can
         Z, y, _ = gaussian_problem(2048, 16, seed=1200)
         cfg = EstimatorConfig(method=AIWS_LS, n_subs=64, sketch_rows=sketch_rows, seed=0)
         report = fit_aiws_ls(Z, y, cfg).diagnostics
@@ -347,6 +348,14 @@ class TestAiwsLs:
         rel_err = np.linalg.norm(report.residuals - exact) / np.linalg.norm(exact)
         assert rel_err <= 1e-5
         assert 0 < report.anchor_iterations < REFINE_MAX_ITER
+
+    def test_anchor_preconditions_cgls_in_few_steps(self):
+        # a 32p-row CountSketch anchor takes 11-12 steps here, an SRHT of
+        # n_subs = 128 rows 22-23
+        for seed in range(5):
+            Z, y, _ = gaussian_problem(8192, 32, seed=seed)
+            cfg = EstimatorConfig(method=AIWS_LS, n_subs=128, seed=seed)
+            assert fit_aiws_ls(Z, y, cfg).diagnostics.anchor_iterations <= 14
 
     def test_no_harm_on_clean_gaussian_data(self):
         aiws_errs, srht_errs = [], []
@@ -398,8 +407,12 @@ def count_sketch_oracle(n, rows, seed):
     return S
 
 
-def arws_pilot(monkeypatch, Z, y, cfg):
-    """Fit ARWS_LS and return the sketched system its pilot solved."""
+ANCHORED = {ARWS_LS: fit_arws_ls, AIWS_LS: fit_aiws_ls}
+
+
+def anchor_system(monkeypatch, Z, y, cfg):
+    """Fit ARWS_LS or AIWS_LS and return the sketched system its anchor
+    solved."""
     systems = []
 
     def recording(Zs, ys):
@@ -407,20 +420,23 @@ def arws_pilot(monkeypatch, Z, y, cfg):
         return solve_ls(Zs, ys)
 
     monkeypatch.setattr(rbls.estimators, "solve_ls", recording)
-    result = fit_arws_ls(Z, y, cfg)
-    pilot, refit = systems
+    result = ANCHORED[cfg.method](Z, y, cfg)
+    anchor, refit = systems
     assert refit[0].shape[0] == cfg.n_subs
-    return pilot, result
+    return anchor, result
 
 
 class TestArwsPilot:
-    # with p = 8 the pilot's rows come from 8p, n_subs and n in turn
-    @pytest.mark.parametrize("n, n_subs", [(512, 16), (512, 100), (40, 16)])
-    def test_pilot_is_a_count_sketch_of_the_data(self, monkeypatch, n, n_subs):
-        rows = min(n, max(n_subs, PILOT_ROWS_PER_COLUMN * 8))
+    """ARWS_LS's pilot is the CountSketch anchor it shares with AIWS_LS."""
+
+    # with p = 8 the anchor's rows come from 32p, n_subs and n in turn
+    @pytest.mark.parametrize("method", [ARWS_LS, AIWS_LS])
+    @pytest.mark.parametrize("n, n_subs", [(512, 16), (512, 300), (40, 16)])
+    def test_pilot_is_a_count_sketch_of_the_data(self, monkeypatch, n, n_subs, method):
+        rows = min(n, max(n_subs, ANCHOR_ROWS_PER_COLUMN * 8))
         Z, y, _ = gaussian_problem(n, 8, seed=15)
-        cfg = EstimatorConfig(method=ARWS_LS, n_subs=n_subs, seed=7)
-        (Zs, ys), _ = arws_pilot(monkeypatch, Z, y, cfg)
+        cfg = EstimatorConfig(method=method, n_subs=n_subs, seed=7)
+        (Zs, ys), _ = anchor_system(monkeypatch, Z, y, cfg)
         oracle = count_sketch_oracle(n, rows, cfg.seed) @ np.column_stack([Z, y])
         assert Zs.shape == (rows, 8)
         np.testing.assert_allclose(Zs, oracle[:, :8], rtol=0, atol=1e-12)
@@ -429,10 +445,44 @@ class TestArwsPilot:
     def test_pilot_is_deterministic_in_the_seed(self, monkeypatch):
         Z, y, _ = gaussian_problem(512, 8, seed=17)
         cfg = EstimatorConfig(method=ARWS_LS, n_subs=32, seed=9)
-        (Zs1, _), first = arws_pilot(monkeypatch, Z, y, cfg)
-        (Zs2, _), second = arws_pilot(monkeypatch, Z, y, cfg)
-        (Zs3, _), _ = arws_pilot(monkeypatch, Z, y, replace(cfg, seed=10))
+        (Zs1, _), first = anchor_system(monkeypatch, Z, y, cfg)
+        (Zs2, _), second = anchor_system(monkeypatch, Z, y, cfg)
+        (Zs3, _), _ = anchor_system(monkeypatch, Z, y, replace(cfg, seed=10))
         assert np.array_equal(Zs1, Zs2)
         assert np.array_equal(first.coefficients, second.coefficients)
         assert np.array_equal(first.sampled_row_indices, second.sampled_row_indices)
         assert not np.array_equal(Zs1, Zs3)
+
+    @pytest.mark.parametrize("sketch_rows", [None, 40])
+    def test_both_samplers_solve_one_anchor(self, monkeypatch, sketch_rows):
+        Z, y, _ = gaussian_problem(2048, 8, seed=18)
+        systems = [
+            anchor_system(
+                monkeypatch, Z, y,
+                EstimatorConfig(method=method, n_subs=64, sketch_rows=sketch_rows, seed=3),
+            )[0]
+            for method in ANCHORED
+        ]
+        (Zs_arws, ys_arws), (Zs_aiws, ys_aiws) = systems
+        assert Zs_arws.shape[0] == (sketch_rows or ANCHOR_ROWS_PER_COLUMN * 8)
+        assert np.array_equal(Zs_arws, Zs_aiws)
+        assert np.array_equal(ys_arws, ys_aiws)
+
+    @pytest.mark.parametrize("method", [ARWS_LS, AIWS_LS])
+    def test_anchor_runs_no_srht(self, monkeypatch, method):
+        def no_srht(*args):
+            raise AssertionError("the anchor must not run an SRHT")
+
+        monkeypatch.setattr(rbls.srht, "apply_sketch_pair", no_srht)
+        monkeypatch.setattr(rbls.estimators, "apply_sketch_pair", no_srht)
+        Z, y, _ = gaussian_problem(512, 8, seed=19)
+        ANCHORED[method](Z, y, EstimatorConfig(method=method, n_subs=64, seed=2))
+
+    @pytest.mark.parametrize("method", [ARWS_LS, AIWS_LS])
+    @pytest.mark.parametrize("sketch_rows", [0, 7, 513])
+    def test_sketch_rows_outside_p_to_n_rejected(self, method, sketch_rows):
+        # p = 8, n = 512
+        Z, y, _ = gaussian_problem(512, 8, seed=20)
+        cfg = EstimatorConfig(method=method, n_subs=64, sketch_rows=sketch_rows, seed=1)
+        with pytest.raises(InvalidParamsError, match="sketch_rows"):
+            ANCHORED[method](Z, y, cfg)

@@ -12,10 +12,13 @@ sigma_w=0.4, sigma_eps=0.1, seed=100 + k), fitted with
 EstimatorConfig(method, n_subs=400, seed=1000 k + 7).  The SHA-256 of each
 problem's Z and y bytes is saved beside the fits, so a change to data
 generation is shown to keep the data, not only inferred from the fits.
+So is AIWS_LS's anchor_iterations per problem (the CGLS steps of its
+anchor), so a change to the anchor shows its step count beside the fits.
 --compare prints, per method, how many of the six fits are bit-identical,
 the largest absolute coefficient difference and the largest relative one
 (max |diff| over max |saved coefficient|, per fit), then how many of the
-six problems have bit-identical data, and exits 1 if anything is missing.
+six problems have bit-identical data, then the six anchor step counts
+saved -> now, and exits 1 if anything is missing.
 """
 
 import argparse
@@ -24,14 +27,15 @@ import sys
 
 import numpy as np
 
-from rbls import METHOD_NAMES, EstimatorConfig, fit, gen_corrupted
+from rbls import AIWS_LS, METHOD_NAMES, EstimatorConfig, fit, gen_corrupted
 
 PROBLEMS = 6
 
 
 def fingerprint():
-    """{"<method>/<k>": coefficients, "data/<k>": SHA-256 of Z and y} for
-    every method and desk problem."""
+    """{"<method>/<k>": coefficients, "data/<k>": SHA-256 of Z and y,
+    "anchor_iterations/<k>": AIWS_LS's CGLS steps} for every method and
+    desk problem."""
     fits = {}
     for k in range(PROBLEMS):
         problem = gen_corrupted(20000, 50, pi=0.3, sigma_x=1.0, sigma_w=0.4, sigma_eps=0.1, seed=100 + k)
@@ -39,7 +43,10 @@ def fingerprint():
         fits[f"data/{k}"] = np.frombuffer(digest, dtype=np.uint8)
         for method in METHOD_NAMES:
             cfg = EstimatorConfig(method, n_subs=400, seed=1000 * k + 7)
-            fits[f"{method}/{k}"] = fit(problem, cfg).coefficients
+            result = fit(problem, cfg)
+            fits[f"{method}/{k}"] = result.coefficients
+            if method == AIWS_LS:
+                fits[f"anchor_iterations/{k}"] = np.array(result.diagnostics.anchor_iterations)
     return fits
 
 
@@ -65,6 +72,13 @@ def compare(saved, fits):
         return False
     same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
     print(f"data     {same}/{PROBLEMS} bit-identical")
+    keys = [f"anchor_iterations/{k}" for k in range(PROBLEMS)]
+    if any(key not in saved for key in keys):
+        print("anchor   iterations missing from the saved file")
+        return False
+    before = " ".join(str(int(saved[key])) for key in keys)
+    after = " ".join(str(int(fits[key])) for key in keys)
+    print(f"anchor   {AIWS_LS} CGLS steps {before} -> {after}")
     return complete
 
 
@@ -77,7 +91,11 @@ def main(argv=None):
     fits = fingerprint()
     if args.save:
         np.savez(args.save, **fits)
-        print(f"saved {len(fits) - PROBLEMS} fits and {PROBLEMS} data digests to {args.save}")
+        fit_count = PROBLEMS * len(METHOD_NAMES)
+        print(
+            f"saved {fit_count} fits, {PROBLEMS} data digests and "
+            f"{PROBLEMS} anchor step counts to {args.save}"
+        )
         return 0
     with np.load(args.compare) as saved:
         return 0 if compare(dict(saved), fits) else 1
