@@ -15,6 +15,7 @@ import sys
 from .datagen import gen_corrupted
 from .errors import (
     ConfigError,
+    InvalidInputError,
     InvalidParamsError,
     MissingCorruptedError,
     MissingTruthError,
@@ -148,7 +149,7 @@ def main(argv=None):
     handlers = {"run": _cmd_run, "fig1": _cmd_fig1, "airline": _cmd_airline}
     try:
         return handlers[args.command](args)
-    except (ConfigError, InvalidParamsError) as err:
+    except (ConfigError, InvalidParamsError, InvalidInputError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except _DATA_ERRORS as err:

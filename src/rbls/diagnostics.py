@@ -5,9 +5,10 @@ Exact leverage is the hat-matrix diagonal l_i = z_i (Z'Z)^{-1} z_i',
 read off as squared row norms of Z R^{-1} with R the stored triangular
 factor (R'R = Z'Z).  Influence is the leave-one-out change in fit
 d_i = e_i^2 l_i / (1 - l_i)^2, equal to (b - b_{-i})' Z'Z (b - b_{-i}).  The randomized approximation
-replaces R with the triangular factor of a row-sketched copy of Z and
-right-multiplies Z R^{-1} by a narrow sign projection Pi2 (Drineas,
-Magdon-Ismail, Mahoney and Woodruff, JMLR 2012).
+replaces R with the triangular factor of a row sketch of Z, which the
+caller's sketched solve already made, and right-multiplies Z R^{-1} by a
+narrow sign projection Pi2 (Drineas, Magdon-Ismail, Mahoney and Woodruff,
+JMLR 2012).  Both read their row norms through one kernel, ``_leverage``.
 """
 
 from dataclasses import dataclass
@@ -15,21 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import (
-    DegenerateRangeError,
-    InvalidInputError,
-    LeverageOneError,
-    SketchRankDeficientError,
-)
-from .linalg import RANK_TOL, _ls_inputs, _solve_ls, as_matrix, as_vector
-from .seeding import ROLE_PROJECTION, ROLE_SKETCH, spawn_rng, spawn_seed
-from .srht import build_sketch, apply_sketch
+from .errors import DegenerateRangeError, InvalidInputError, LeverageOneError
+from .linalg import _check_r_factor, _ls_inputs, _solve_ls, as_matrix, as_vector
+from .seeding import ROLE_PROJECTION, spawn_rng
 
 # l_i -> 1 makes the influence denominator explode; clamp and count.
 LEVERAGE_CLAMP = 1.0 - 1e-6
 LOO_LEVERAGE_LIMIT = 1.0 - 1e-10
 
 DEFAULT_HISTOGRAM_BINS = 50
+
+# Byte cap of the row tile of Z R^{-1} Pi2 that _leverage forms at a time.
+# The whole n x k product (8 MB at 20000 x 50) made the allocator fault in
+# fresh pages, 420-930 per desk LEV_LS or IWS_LS fit (about 2 ms); 1 MB tiles
+# take none, and cost 2.8 against 2.6 ms at 20000 x 50 and 32 against 43 ms
+# at 2^17 x 64 (2-core x86 host).  256 KB tiles changed the product's last bits.
+_TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,13 +58,21 @@ def exact_leverage(Z, sol):
     Forms W = Z R^{-1} and reads l_i as squared row norms of W, O(n p^2)
     total.  For a full-rank design 0 <= l_i <= 1 and sum(l) = p.
     """
-    return _exact_leverage(as_matrix(Z, "Z"), sol)
+    Z = as_matrix(Z, "Z")
+    return _leverage(Z, sol.r_factor, np.eye(Z.shape[1]))
 
 
-def _exact_leverage(Z, sol):
-    """exact_leverage of a Z the caller has already validated."""
-    W = Z @ np.linalg.inv(sol.r_factor)
-    return np.einsum("ij,ij->i", W, W)
+def _leverage(Z, R, projection):
+    """Squared row norms of Z R^{-1} Pi2, Pi2 = ``projection``, for a Z and
+    R the caller has validated: exact leverage with Pi2 = I, else approximate.
+    Z R^{-1} Pi2 is formed one tile of rows at a time."""
+    X = np.linalg.solve(R, projection)
+    lev = np.empty(Z.shape[0])
+    step = max(1, _TILE_BYTES // (8 * max(1, X.shape[1])))
+    for i in range(0, Z.shape[0], step):
+        W = Z[i : i + step] @ X
+        np.einsum("ij,ij->i", W, W, out=lev[i : i + step])
+    return lev
 
 
 def influence(e, l):
@@ -89,7 +99,7 @@ def compute_diagnostics(Z, y):
 def _exact_diagnostics(Z, y):
     """compute_diagnostics of a (Z, y) the caller has already validated."""
     sol = _solve_ls(Z, y)
-    lev = _exact_leverage(Z, sol)
+    lev = _leverage(Z, sol.r_factor, np.eye(Z.shape[1]))
     d, n_clamped = influence(sol.residuals, lev)
     return DiagnosticsReport(sol.residuals, lev, d, "exact", n_clamped)
 
@@ -117,72 +127,36 @@ def loo_coefficients(Z, y, sol, i):
     return sol.coefficients - gram_inv_zi * e_i / (1.0 - l_i)
 
 
-def approx_leverage(
-    Z,
-    sketch_rows,
-    projection_cols,
-    seed,
-    *,
-    r_factor=None,
-    right_projection=None,
-):
-    """Randomized leverage scores via two projections.
+def approx_leverage(Z, r_factor, projection_cols, seed, *, right_projection=None):
+    """Randomized leverage scores from the triangular factor R of a row
+    sketch of Z, such as the R a sketched solve returns.
 
-    R is the triangular factor of a row sketch of Z (``sketch_rows`` rows,
-    >= p); leverage is read off as squared row norms of Z @ R^{-1} @ Pi2
-    where Pi2 is a p x ``projection_cols`` matrix of i.i.d.
-    +-1/sqrt(projection_cols) signs.  Z R^{-1} equals Z V Sigma^{-1} from
-    the sketch's SVD times an orthogonal p x p matrix, so the two bases
-    have the same row norms.  Cost after the sketch is
-    O(n p projection_cols).
-
-    Parameters
-    ----------
-    r_factor : ndarray, shape (p, p), optional
-        Upper-triangular factor of a row sketch of Z.  Callers that already
-        factored a sketch pass its R here and no factorization runs; the
-        R of Z itself makes the basis step exact.
-    right_projection : ndarray, optional
-        Explicit Pi2, overriding the sign draw (identity recovers plain
-        squared row norms of Z R^{-1}).
-
-    Raises
-    ------
-    SketchRankDeficientError
-        If min |r_jj| < 1e-12 max |r_jj|; increase sketch_rows.
+    Leverage is read off as squared row norms of Z R^{-1} Pi2, where Pi2 is
+    p x ``projection_cols`` i.i.d. +-1/sqrt(projection_cols) signs drawn
+    from ``seed``, or ``right_projection`` when given (the identity with Z's
+    own R gives exact leverage).  Z R^{-1} equals Z V Sigma^{-1} from the
+    sketch's SVD times a p x p rotation, so the two bases have the same row
+    norms.  Cost O(n p projection_cols).  Raises RankDeficientError when R
+    has a (near-)zero diagonal entry: the sketch lost rank.
     """
     Z = as_matrix(Z, "Z")
-    n, p = Z.shape
-    sketch_rows = int(sketch_rows)
+    p = Z.shape[1]
     projection_cols = int(projection_cols)
-    if sketch_rows < p:
-        raise InvalidInputError(f"need sketch_rows >= p, got {sketch_rows} < {p}")
     if right_projection is None and not 1 <= projection_cols <= p:
         raise InvalidInputError(f"need 1 <= projection_cols <= {p}, got {projection_cols}")
-    if r_factor is None:
-        op = build_sketch(n, sketch_rows, spawn_seed(seed, ROLE_SKETCH))
-        r_factor = np.linalg.qr(apply_sketch(op, Z), mode="r")
     R = np.asarray(r_factor, dtype=np.float64)
     if R.shape != (p, p):
         raise InvalidInputError(f"r_factor has shape {R.shape}, expected {(p, p)}")
-    d = np.abs(np.diag(R))
-    if d.max() == 0.0 or d.min() < RANK_TOL * d.max():
-        raise SketchRankDeficientError(
-            "row sketch of Z is rank deficient; increase sketch_rows"
-        )
-    return _approx_leverage(Z, R, projection_cols, seed, right_projection)
-
-
-def _approx_leverage(Z, R, projection_cols, seed, right_projection=None):
-    """approx_leverage's basis step for a validated Z and full-rank R."""
+    _check_r_factor(R)
     if right_projection is None:
-        p = R.shape[0]
-        rng = spawn_rng(seed, ROLE_PROJECTION)
-        pi2 = (rng.integers(0, 2, (p, projection_cols)) * 2 - 1) / np.sqrt(projection_cols)
-    else:
-        pi2 = np.asarray(right_projection, dtype=np.float64)
-    basis = Z @ np.linalg.solve(R, pi2)
-    return np.einsum("ij,ij->i", basis, basis)
+        right_projection = _sign_projection(p, projection_cols, seed)
+    return _leverage(Z, R, np.asarray(right_projection, dtype=np.float64))
+
+
+def _sign_projection(p, cols, seed):
+    """p x cols i.i.d. +-1/sqrt(cols) signs from seed's ROLE_PROJECTION stream."""
+    rng = spawn_rng(seed, ROLE_PROJECTION)
+    return (rng.integers(0, 2, (p, cols)) * 2 - 1) / np.sqrt(cols)
 
 
 def histogram_l1_distance(a, b, bins=DEFAULT_HISTOGRAM_BINS):

@@ -29,16 +29,12 @@ class LeverageOneError(RblsError):
     """Leave-one-out is undefined for a row with leverage ~ 1."""
 
 
-class SketchRankDeficientError(RblsError):
-    """Sketched matrix lost rank; the sketch has too few rows."""
-
-
 class DegenerateRangeError(RblsError, ValueError):
     """Pooled histogram range collapses to a single point."""
 
 
 class InvalidParamsError(RblsError, ValueError):
-    """Generator parameters are out of range."""
+    """Parameters of a generator, an estimator or its config are out of range."""
 
 
 class MissingTruthError(RblsError):

@@ -31,9 +31,9 @@ from scipy.sparse import csc_array
 
 from .diagnostics import (
     DiagnosticsReport,
-    _approx_leverage,
     _exact_diagnostics,
-    _exact_leverage,
+    _leverage,
+    _sign_projection,
     influence,
 )
 from .errors import InvalidInputError, InvalidParamsError, RankDeficientError
@@ -223,7 +223,7 @@ def fit_srht_ls(Z, y, cfg, *, sketch_op=None):
 def fit_lev_ls(Z, y, cfg):
     """Sample rows proportional to exact leverage, then unweighted LS."""
     Z, y = _inputs(Z, y, cfg)
-    lev = _exact_leverage(Z, _solve_ls(Z, y))
+    lev = _leverage(Z, _solve_ls(Z, y).r_factor, np.eye(Z.shape[1]))
     return _sample_and_refit(LEV_LS, Z, y, cfg, lev / lev.sum())
 
 
@@ -300,7 +300,8 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     else:
         e_approx = as_vector(residuals, "residuals")
     if leverages is None:
-        l_approx = _approx_leverage(Z, sol1.r_factor, math.ceil(p / 2), cfg.seed)
+        pi2 = _sign_projection(p, math.ceil(p / 2), cfg.seed)
+        l_approx = _leverage(Z, sol1.r_factor, pi2)
     else:
         l_approx = as_vector(leverages, "leverages")
     d_approx, n_clamped = influence(e_approx, l_approx)

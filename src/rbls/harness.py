@@ -121,6 +121,14 @@ def config_from_dict(raw):
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "methods" not in raw or "n_subs_grid" not in raw or "scenario" not in raw:
         raise ConfigError("config requires scenario, methods and n_subs_grid")
+    for key, value in raw.items():
+        # int fields take JSON integers, float fields any JSON number
+        kind = ExperimentConfig.__dataclass_fields__[key].type
+        allowed = {int: (int,), float: (int, float)}.get(kind)
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise ConfigError(
+                f"{key} must be a JSON number of type {kind.__name__}, got {value!r}"
+            )
     try:
         cfg = ExperimentConfig(
             **{

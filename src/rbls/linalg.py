@@ -52,12 +52,26 @@ REFINE_MAX_ITER = 100
 CHOLESKY_MAX_COND = 1e5
 
 
+def _all_finite(A):
+    """True if no entry of A is NaN or Inf.
+
+    A NaN or an Inf entry makes the sum NaN or Inf, so a finite sum proves
+    every entry finite without np.isfinite(A)'s boolean temporary (an
+    eighth of A).  Only a sum that is not finite, which an overflow of
+    finite entries can also give, pays for the elementwise scan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(A.sum()):
+            return True
+    return bool(np.isfinite(A).all())
+
+
 def as_matrix(A, name="matrix"):
     """Validate and return a 2-d float64 array with finite entries."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-d, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
+    if not _all_finite(A):
         raise InvalidInputError(f"{name} contains NaN or Inf entries")
     return A
 
@@ -67,7 +81,7 @@ def as_vector(v, name="vector"):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise InvalidInputError(f"{name} must be 1-d, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
+    if not _all_finite(v):
         raise InvalidInputError(f"{name} contains NaN or Inf entries")
     return v
 
@@ -198,8 +212,9 @@ def refine_ls(Z, y, sol):
 
     Solves min_b ||y - Z b||_2 by CGLS on min_u ||y - A u|| with
     A = Z R^{-1}, b = R^{-1} u and R = ``sol.r_factor``,
-    starting from u = R ``sol.coefficients``.  When R is the QR factor of a
-    row sketch of Z, A is well conditioned and each iteration costs two
+    starting from u = R ``sol.coefficients``.  When R is the triangular
+    factor of a row sketch of Z (such as the Cholesky R of the CountSketch
+    anchor's solve), A is well conditioned and each iteration costs two
     O(n p) products (Blendenpik; Avron, Maymounkov and Toledo 2010).  Stops
     once ||A'r|| <= REFINE_TOL ||A|| ||r||, once ||r|| <= REFINE_TOL ||y||
     (a consistent system), or after REFINE_MAX_ITER iterations.  ||A|| is

@@ -100,6 +100,14 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value", [("replications", "3"), ("n", "2000"), ("pi", "0.3")])
+    def test_number_as_string_is_config_error(self, tmp_path, config_file, capsys, key, value):
+        raw = json.loads(config_file.read_text())
+        raw[key] = value
+        config_file.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
 
 class TestFig1Command:
     def test_writes_histograms(self, tmp_path):
@@ -119,6 +127,12 @@ class TestFig1Command:
     def test_bad_pi_is_config_error(self, tmp_path):
         code = main(["fig1", "--pi", "1.5", "--n", "100", "--p", "4", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flags", [["--bins", "1", "--n", "200", "--p", "5"], ["--n", "10", "--p", "50"]]
+    )
+    def test_invalid_input_is_config_error(self, tmp_path, flags):
+        assert main(["fig1", *flags, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 class TestAirlineCommand:

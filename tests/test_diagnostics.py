@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from rbls.errors import (
     DegenerateRangeError,
     InvalidInputError,
     LeverageOneError,
-    SketchRankDeficientError,
+    RankDeficientError,
 )
 from rbls.linalg import solve_ls
 from rbls.seeding import ROLE_SKETCH, spawn_seed
@@ -26,6 +28,12 @@ from rbls.srht import apply_sketch, build_sketch
 
 def hat_diagonal_oracle(Z):
     return np.diag(Z @ np.linalg.inv(Z.T @ Z) @ Z.T)
+
+
+def sketch_r(Z, rows, seed):
+    """R of an SRHT row sketch of Z, the factor approx_leverage reads."""
+    op = build_sketch(Z.shape[0], rows, spawn_seed(seed, ROLE_SKETCH))
+    return np.linalg.qr(apply_sketch(op, Z), mode="r")
 
 
 def refit_without_row(Z, y, i):
@@ -70,13 +78,28 @@ class TestExactLeverage:
         np.testing.assert_allclose(lev, lev_b, atol=1e-10)
 
     def test_badly_scaled_columns(self):
-        # Z R^{-1} through an explicit inverse of R stays exact when the
-        # column scales span six decades
+        # Z R^{-1}, with R^{-1} from one LAPACK solve against the identity,
+        # stays exact when the column scales span six decades
         rng = np.random.default_rng(12)
         Z = rng.standard_normal((60, 5)) * np.logspace(0, 6, 5)
         lev = exact_leverage(Z, solve_ls(Z, rng.standard_normal(60)))
         np.testing.assert_allclose(lev, hat_diagonal_oracle(Z), atol=1e-10)
         assert lev.sum() == pytest.approx(5.0, abs=1e-10)
+
+    def test_peak_memory_is_a_fraction_of_the_data(self):
+        # Z R^{-1} is formed in row tiles, never as a whole n x p array
+        rng = np.random.default_rng(13)
+        Z = rng.standard_normal((20000, 50))
+        sol = solve_ls(Z, rng.standard_normal(20000))
+        tracemalloc.start()
+        try:
+            lev = exact_leverage(Z, sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two 1 MB tiles and the result read 0.29; the whole product read 1.02
+        assert peak <= 0.5 * Z.nbytes
+        assert lev.sum() == pytest.approx(50.0, abs=1e-8)
 
 
 class TestInfluence:
@@ -164,28 +187,31 @@ class TestApproxLeverage:
         Q, _ = np.linalg.qr(rng.standard_normal((24, 4)))
         sol = solve_ls(Q, rng.standard_normal(24))
         lev = exact_leverage(Q, sol)
-        approx = approx_leverage(
-            Q, 24, 4, seed=0, r_factor=sol.r_factor, right_projection=np.eye(4)
-        )
-        np.testing.assert_allclose(approx, lev, atol=1e-10)
+        approx = approx_leverage(Q, sol.r_factor, 4, seed=0, right_projection=np.eye(4))
+        # exact and approximate leverage share one kernel
+        np.testing.assert_array_equal(approx, lev)
 
     def test_r_basis_matches_sketched_svd_basis(self):
         # Z R^{-1} equals Z V Sigma^{-1} up to a p x p rotation, so the row
-        # norms agree; the sketch is rebuilt here from the same seed role
+        # norms agree
         rng = np.random.default_rng(9)
         n, p, rows, seed = 512, 6, 64, 4
         Z = rng.standard_normal((n, p)) * np.array([1.0, 10.0, 0.1, 3.0, 1.0, 100.0])
         sketch = apply_sketch(build_sketch(n, rows, spawn_seed(seed, ROLE_SKETCH)), Z)
         _, sigma, vt = np.linalg.svd(sketch, full_matrices=False)
         svd_basis = Z @ (vt.T / sigma)
-        approx = approx_leverage(Z, rows, p, seed=seed, right_projection=np.eye(p))
+        r_factor = np.linalg.qr(sketch, mode="r")
+        approx = approx_leverage(Z, r_factor, p, seed=seed, right_projection=np.eye(p))
         np.testing.assert_allclose(
             approx, np.einsum("ij,ij->i", svd_basis, svd_basis), atol=1e-10
         )
 
     def test_identity_design_sum_preserved_on_average(self):
         # a 4-row sketch of 4 rows keeps every row, so it never loses rank
-        total = sum(approx_leverage(np.eye(4), 4, 2, seed=seed).sum() for seed in range(300))
+        Z = np.eye(4)
+        total = sum(
+            approx_leverage(Z, sketch_r(Z, 4, seed), 2, seed=seed).sum() for seed in range(300)
+        )
         assert abs(total / 300 - 4.0) <= 1.0  # within 25%
 
     def test_rank_correlation_with_exact(self):
@@ -194,22 +220,22 @@ class TestApproxLeverage:
             rng = np.random.default_rng(600 + seed)
             Z = rng.standard_normal((1024, 16))
             lev = exact_leverage(Z, solve_ls(Z, rng.standard_normal(1024)))
-            approx = approx_leverage(Z, 256, 8, seed=seed)
+            approx = approx_leverage(Z, sketch_r(Z, 256, seed), 8, seed=seed)
             cors.append(spearmanr(lev, approx).statistic)
         assert np.mean(cors) >= 0.5
 
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
         Z = rng.standard_normal((128, 8))
-        assert np.all(approx_leverage(Z, 64, 4, seed=1) >= 0)
+        assert np.all(approx_leverage(Z, sketch_r(Z, 64, 1), 4, seed=1) >= 0)
 
     def test_rank_deficient_sketch_detected(self):
         # duplicated column makes every sketch of Z singular
         rng = np.random.default_rng(8)
         Z = rng.standard_normal((64, 4))
         Z[:, 3] = Z[:, 0]
-        with pytest.raises(SketchRankDeficientError):
-            approx_leverage(Z, 32, 2, seed=3)
+        with pytest.raises(RankDeficientError):
+            approx_leverage(Z, sketch_r(Z, 32, 3), 2, seed=3)
 
 
 class TestApproxInfluence:
@@ -240,7 +266,7 @@ class TestApproxInfluence:
 
         sketched_sol = _sketched(prob.Z, prob.y, 256, seed=9)
         e_approx = prob.y - prob.Z @ sketched_sol.coefficients
-        l_approx = approx_leverage(prob.Z, 256, 8, seed=9)
+        l_approx = approx_leverage(prob.Z, sketch_r(prob.Z, 256, 9), 8, seed=9)
         approx_d, _ = influence(e_approx, l_approx)
         assert approx_d[mask].mean() > approx_d[~mask].mean()
 
@@ -296,7 +322,7 @@ class TestInputChecks:
         with pytest.raises(InvalidInputError):
             exact_leverage(Z, sol)
         with pytest.raises(InvalidInputError):
-            approx_leverage(Z, 8, 2, seed=0, r_factor=sol.r_factor)
+            approx_leverage(Z, sol.r_factor, 2, seed=0)
         with pytest.raises(InvalidInputError):
             compute_diagnostics(Z, np.zeros(40))
 

@@ -220,6 +220,33 @@ class TestRefineLs:
             refine_ls(np.ones((40, 3)), np.full(40, np.inf), sol)
 
 
+class TestFiniteScan:
+    def test_peak_memory_is_a_sliver_of_the_data(self):
+        # np.isfinite(Z) held an n x p boolean array, an eighth of Z
+        Z = np.random.default_rng(25).standard_normal((20000, 50))
+        tracemalloc.start()
+        try:
+            rbls.linalg.as_matrix(Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * Z.nbytes
+
+    def test_overflowing_sum_of_finite_entries_accepted(self):
+        A = np.full((4, 2), 1e308)
+        np.testing.assert_array_equal(rbls.linalg.as_matrix(A), A)
+        np.testing.assert_array_equal(rbls.linalg.as_vector(A[:, 0]), A[:, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        A = np.ones((6, 3))
+        A[4, 1] = bad
+        with pytest.raises(InvalidInputError):
+            rbls.linalg.as_matrix(A)
+        with pytest.raises(InvalidInputError):
+            rbls.linalg.as_vector(A[:, 1])
+
+
 class TestApplyGramInverse:
     def test_scaled_identity(self):
         sol = solve_ls(2.0 * np.eye(2), np.zeros(2))

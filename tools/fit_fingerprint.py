@@ -1,4 +1,4 @@
-"""Save or compare the coefficients of all seven estimators on six desk problems.
+"""Save or compare the fits of all seven estimators on six desk problems.
 
 A refactor that should not change the numbers is checked by saving the
 fits of the code before it and comparing the code after it:
@@ -12,11 +12,15 @@ sigma_w=0.4, sigma_eps=0.1, seed=100 + k), fitted with
 EstimatorConfig(method, n_subs=400, seed=1000 k + 7).  The SHA-256 of each
 problem's Z and y bytes is saved beside the fits, so a change to data
 generation is shown to keep the data, not only inferred from the fits.
-So is AIWS_LS's anchor_iterations per problem (the CGLS steps of its
-anchor), so a change to the anchor shows its step count beside the fits.
+So are the sampling probabilities of the four row samplers (LEV_LS,
+IWS_LS, AIWS_LS, ARWS_LS), so a change to the leverage and score layer is
+checked where it acts, not only through the refit coefficients, and
+AIWS_LS's anchor_iterations per problem (the CGLS steps of its anchor), so
+a change to the anchor shows its step count beside the fits.
 --compare prints, per method, how many of the six fits are bit-identical,
 the largest absolute coefficient difference and the largest relative one
-(max |diff| over max |saved coefficient|, per fit), then how many of the
+(max |diff| over max |saved coefficient|, per fit), then per sampler how
+many of the six probability vectors are bit-identical, then how many of the
 six problems have bit-identical data, then the six anchor step counts
 saved -> now, and exits 1 if anything is missing.
 """
@@ -27,13 +31,15 @@ import sys
 
 import numpy as np
 
-from rbls import AIWS_LS, METHOD_NAMES, EstimatorConfig, fit, gen_corrupted
+from rbls import AIWS_LS, ARWS_LS, IWS_LS, LEV_LS, METHOD_NAMES, EstimatorConfig, fit, gen_corrupted
 
 PROBLEMS = 6
+SAMPLERS = (LEV_LS, IWS_LS, AIWS_LS, ARWS_LS)
 
 
 def fingerprint():
-    """{"<method>/<k>": coefficients, "data/<k>": SHA-256 of Z and y,
+    """{"<method>/<k>": coefficients, "probabilities/<sampler>/<k>":
+    sampling probabilities, "data/<k>": SHA-256 of Z and y,
     "anchor_iterations/<k>": AIWS_LS's CGLS steps} for every method and
     desk problem."""
     fits = {}
@@ -45,6 +51,8 @@ def fingerprint():
             cfg = EstimatorConfig(method, n_subs=400, seed=1000 * k + 7)
             result = fit(problem, cfg)
             fits[f"{method}/{k}"] = result.coefficients
+            if method in SAMPLERS:
+                fits[f"probabilities/{method}/{k}"] = result.sampling_probabilities
             if method == AIWS_LS:
                 fits[f"anchor_iterations/{k}"] = np.array(result.diagnostics.anchor_iterations)
     return fits
@@ -66,6 +74,14 @@ def compare(saved, fits):
             f"{method:8s} {same}/{PROBLEMS} bit-identical, "
             f"max |diff| {max(diffs):.3g}, max rel diff {rel:.3g}"
         )
+    for method in SAMPLERS:
+        keys = [f"probabilities/{method}/{k}" for k in range(PROBLEMS)]
+        if any(key not in saved for key in keys):
+            print(f"probs    {method} missing from the saved file")
+            complete = False
+            continue
+        same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
+        print(f"probs    {method:8s} {same}/{PROBLEMS} bit-identical")
     keys = [f"data/{k}" for k in range(PROBLEMS)]
     if any(key not in saved for key in keys):
         print("data     missing from the saved file")
@@ -85,7 +101,7 @@ def compare(saved, fits):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--save", metavar="FILE.npz", help="fit and save the coefficients")
+    mode.add_argument("--save", metavar="FILE.npz", help="fit and save the fingerprint")
     mode.add_argument("--compare", metavar="FILE.npz", help="fit and compare with a saved file")
     args = parser.parse_args(argv)
     fits = fingerprint()
@@ -93,8 +109,8 @@ def main(argv=None):
         np.savez(args.save, **fits)
         fit_count = PROBLEMS * len(METHOD_NAMES)
         print(
-            f"saved {fit_count} fits, {PROBLEMS} data digests and "
-            f"{PROBLEMS} anchor step counts to {args.save}"
+            f"saved {fit_count} fits, {PROBLEMS * len(SAMPLERS)} probability vectors, "
+            f"{PROBLEMS} data digests and {PROBLEMS} anchor step counts to {args.save}"
         )
         return 0
     with np.load(args.compare) as saved:
