@@ -112,6 +112,8 @@ def _cmd_run(args):
 
 
 def _cmd_fig1(args):
+    if args.bins < 2:
+        raise ConfigError(f"need --bins >= 2, got {args.bins}")
     out_dir = args.out or "."
     problem = gen_corrupted(
         args.n, args.p, args.pi, args.sigma_x, args.sigma_w, args.sigma_eps,

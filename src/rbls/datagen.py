@@ -175,10 +175,6 @@ class OneHotPairEncoder:
                 self.index[pair] = len(self.index)
         return self
 
-    @property
-    def n_pairs(self):
-        return len(self.index)
-
     def transform(self, pairs):
         out = np.zeros((len(pairs), len(self.index)))
         for row, pair in enumerate(pairs):
@@ -186,15 +182,6 @@ class OneHotPairEncoder:
             if col is not None:
                 out[row, col] = 1.0
         return out
-
-    def to_dict(self):
-        return dict(self.index)
-
-    @classmethod
-    def from_dict(cls, mapping):
-        enc = cls()
-        enc.index = dict(mapping)
-        return enc
 
 
 AIRLINE_REQUIRED_COLUMNS = ("Origin", "Dest", "Distance", "ArrDelay")

@@ -41,7 +41,7 @@ class DiagnosticsReport:
     mode is "exact" or "approximate"; leverage_clamp_count is the number of
     rows whose leverage was clamped to [0, 1 - 1e-6] before the influence
     formula was applied; anchor_iterations is the number of CGLS iterations
-    that refined the residuals (0 when a direct solve or a caller gave them).
+    that refined the residuals (0 when a direct solve gave them).
     """
 
     residuals: np.ndarray
@@ -127,30 +127,27 @@ def loo_coefficients(Z, y, sol, i):
     return sol.coefficients - gram_inv_zi * e_i / (1.0 - l_i)
 
 
-def approx_leverage(Z, r_factor, projection_cols, seed, *, right_projection=None):
+def approx_leverage(Z, r_factor, projection_cols, seed):
     """Randomized leverage scores from the triangular factor R of a row
     sketch of Z, such as the R a sketched solve returns.
 
     Leverage is read off as squared row norms of Z R^{-1} Pi2, where Pi2 is
     p x ``projection_cols`` i.i.d. +-1/sqrt(projection_cols) signs drawn
-    from ``seed``, or ``right_projection`` when given (the identity with Z's
-    own R gives exact leverage).  Z R^{-1} equals Z V Sigma^{-1} from the
-    sketch's SVD times a p x p rotation, so the two bases have the same row
-    norms.  Cost O(n p projection_cols).  Raises RankDeficientError when R
-    has a (near-)zero diagonal entry: the sketch lost rank.
+    from ``seed``.  Z R^{-1} equals Z V Sigma^{-1} from the sketch's SVD
+    times a p x p rotation, so the two bases have the same row norms.  Cost
+    O(n p projection_cols).  Raises RankDeficientError when R has a
+    (near-)zero diagonal entry: the sketch lost rank.
     """
     Z = as_matrix(Z, "Z")
     p = Z.shape[1]
     projection_cols = int(projection_cols)
-    if right_projection is None and not 1 <= projection_cols <= p:
+    if not 1 <= projection_cols <= p:
         raise InvalidInputError(f"need 1 <= projection_cols <= {p}, got {projection_cols}")
     R = np.asarray(r_factor, dtype=np.float64)
     if R.shape != (p, p):
         raise InvalidInputError(f"r_factor has shape {R.shape}, expected {(p, p)}")
     _check_r_factor(R)
-    if right_projection is None:
-        right_projection = _sign_projection(p, projection_cols, seed)
-    return _leverage(Z, R, np.asarray(right_projection, dtype=np.float64))
+    return _leverage(Z, R, _sign_projection(p, projection_cols, seed))
 
 
 def _sign_projection(p, cols, seed):

@@ -14,9 +14,9 @@ ARWS_LS        rows sampled proportional to 1/e_i^2 (one-shot residuals of
 
 SRHT_LS and ULURU, the paper's baselines, solve an SRHT sketch; AIWS_LS and
 ARWS_LS share one CountSketch anchor solve.  The four sampling estimators
-differ only in how they score rows.  Each turns its scores into
-probabilities and ends in one shared step that draws n_subs rows with
-replacement and solves unweighted least squares on them.
+differ only in their scorer (``_SCORERS``): each fit checks its input,
+turns rows into probabilities with ``score``, and ends in ``draw``, which
+draws n_subs rows with replacement and solves unweighted LS on them.
 All estimators are deterministic given (data, config): each randomized
 ingredient draws from a role-tagged child stream of ``config.seed``, so e.g.
 AIWS_LS and IWS_LS share the row-sampling stream but not the sketch stream.
@@ -36,8 +36,8 @@ from .diagnostics import (
     _sign_projection,
     influence,
 )
-from .errors import InvalidInputError, InvalidParamsError, RankDeficientError
-from .linalg import _refine_ls, _solve_ls, apply_gram_inverse, as_matrix, as_vector, solve_ls
+from .errors import InvalidParamsError, RankDeficientError
+from .linalg import _ls_inputs, _refine_ls, _solve_ls, apply_gram_inverse, solve_ls
 from .sampling import inverse_score_probabilities
 from .seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng, spawn_seed
 from .srht import apply_sketch_pair, build_sketch
@@ -81,14 +81,11 @@ ANCHOR_ROWS_PER_COLUMN = 32
 class EstimatorConfig:
     """Configuration shared by all estimators.
 
-    n_subs is the number of drawn rows (duplicates possible).  sketch_rows
-    sizes the CountSketch anchor of AIWS_LS and ARWS_LS; it must lie in
-    [p, n] and defaults to min(n, max(ANCHOR_ROWS_PER_COLUMN p, n_subs)).
+    n_subs is the number of drawn rows (duplicates possible).
     """
 
     method: str
     n_subs: int | None = None
-    sketch_rows: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -122,85 +119,111 @@ def _inputs(Z, y, cfg, bounded_by_n=True):
     from them (a sketch, a subsample) still go through the checked
     ``solve_ls``.
     """
-    Z = as_matrix(Z, "Z")
-    y = as_vector(y, "y")
+    Z, y = _ls_inputs(Z, y)
     n, p = Z.shape
-    if y.shape[0] != n:
-        raise InvalidInputError(f"y has length {y.shape[0]}, expected {n}")
     if cfg.n_subs is None:
         raise InvalidParamsError(f"{cfg.method} requires n_subs")
     if cfg.n_subs < p:
         raise InvalidParamsError(f"need n_subs >= p, got {cfg.n_subs} < {p}")
     if bounded_by_n and cfg.n_subs > n:
         raise InvalidParamsError(f"need n_subs <= n, got {cfg.n_subs} > {n}")
-    if cfg.sketch_rows is not None and not p <= cfg.sketch_rows <= n:
-        raise InvalidParamsError(
-            f"need p <= sketch_rows <= n, got {cfg.sketch_rows} with p = {p}, n = {n}"
-        )
     return Z, y
 
 
-def _sample_and_refit(method, Z, y, cfg, probs, fallback=False, report=None):
-    """Draw cfg.n_subs rows i.i.d. from ``probs`` and refit them by plain LS.
-
-    Every sampling estimator ends here; the draw uses the ROLE_SAMPLING
-    child stream of cfg.seed.
-    """
+def draw(Z, y, cfg, probs, fallback, report):
+    """Draw stage of the row samplers, after ``score``: draw cfg.n_subs rows
+    i.i.d. from ``probs`` on the ROLE_SAMPLING child stream of cfg.seed and
+    refit them by plain LS."""
     idx = spawn_rng(cfg.seed, ROLE_SAMPLING).choice(Z.shape[0], int(cfg.n_subs), p=probs)
-    try:
-        sol = solve_ls(Z[idx], y[idx])
-    except RankDeficientError as err:
-        raise RankDeficientError(
-            f"subsample of {cfg.n_subs} rows lost rank ({err}); increase n_subs"
-        ) from err
+    sol = _solve_small(Z[idx], y[idx], f"subsample of {cfg.n_subs} rows")
     return FitResult(
-        method, sol.coefficients, idx, probs, diagnostics=report, uniform_fallback=fallback
+        cfg.method, sol.coefficients, idx, probs, diagnostics=report, uniform_fallback=fallback
     )
 
 
-def _solve_sketch(Zs, ys):
-    """solve_ls on a sketched system; a rank loss names the sketch."""
+def _solve_small(Zs, ys, what):
+    """solve_ls on a sketch or subsample; a rank loss names ``what``."""
     try:
         return solve_ls(Zs, ys)
     except RankDeficientError as err:
-        raise RankDeficientError(
-            f"sketch with {Zs.shape[0]} rows lost rank ({err}); increase n_subs"
-        ) from err
+        raise RankDeficientError(f"{what} lost rank ({err}); increase n_subs") from err
 
 
-def _sketched_solve(Z, y, rows, seed, op=None):
+def _sketched_solve(Z, y, rows, seed):
     """Sketch [Z | y] with one SRHT operator and solve the sketched system."""
-    if op is None:
-        op = build_sketch(Z.shape[0], rows, spawn_seed(seed, ROLE_SKETCH))
-    return _solve_sketch(*apply_sketch_pair(op, Z, y))
+    op = build_sketch(Z.shape[0], rows, spawn_seed(seed, ROLE_SKETCH))
+    return _solve_small(*apply_sketch_pair(op, Z, y), f"sketch with {rows} rows")
 
 
-def _count_sketch(n, rows, seed):
-    """CountSketch S (rows x n) as a sparse matrix: column i holds one sign.
+def _anchor(Z, y, rows, seed):
+    """Solve the CountSketch anchor system (S Z, S y), S of ``rows`` x n.
 
-    Row i of the data lands in bucket h_i with sign s_i, drawn in that order
-    from the ROLE_SKETCH child stream of ``seed`` (Clarkson and Woodruff,
-    STOC 2013).  S @ Z is a sparse product, O(n p) with no BLAS call.
+    Column i of S holds one sign: row i of the data lands in bucket h_i with
+    sign s_i, drawn in that order from the ROLE_SKETCH child stream of
+    ``seed`` (Clarkson and Woodruff, STOC 2013).  S @ Z is a sparse
+    product, O(n p) with no BLAS call.
     """
+    n = Z.shape[0]
     rng = spawn_rng(seed, ROLE_SKETCH)
     buckets = rng.integers(0, rows, n)
     signs = rng.integers(0, 2, n) * 2.0 - 1.0
-    return csc_array((signs, buckets, np.arange(n + 1)), shape=(rows, n))
+    S = csc_array((signs, buckets, np.arange(n + 1)), shape=(rows, n))
+    return _solve_small(S @ Z, S @ y, f"sketch with {rows} rows")
 
 
-def _anchor(Z, y, cfg):
-    """Solve the CountSketch anchor system (S Z, S y) that AIWS_LS and
-    ARWS_LS share.
+def _anchor_rows(Z, cfg):
+    """Rows of the anchor that AIWS_LS and ARWS_LS share."""
+    return min(Z.shape[0], max(ANCHOR_ROWS_PER_COLUMN * Z.shape[1], cfg.n_subs))
 
-    S is ``_count_sketch(n, rows, cfg.seed)`` with rows = cfg.sketch_rows,
-    or min(n, max(ANCHOR_ROWS_PER_COLUMN p, n_subs)) when that is unset.
-    """
-    n, p = Z.shape
-    rows = cfg.sketch_rows
-    if rows is None:
-        rows = min(n, max(ANCHOR_ROWS_PER_COLUMN * p, cfg.n_subs))
-    S = _count_sketch(n, rows, cfg.seed)
-    return _solve_sketch(S @ Z, S @ y)
+
+def _lev_scores(Z, y, cfg):
+    lev = _leverage(Z, _solve_ls(Z, y).r_factor, np.eye(Z.shape[1]))
+    return lev / lev.sum(), False, None
+
+
+def _iws_scores(Z, y, cfg):
+    report = _exact_diagnostics(Z, y)
+    return (*inverse_score_probabilities(report.influences), report)
+
+
+def _aiws_scores(Z, y, cfg):
+    p = Z.shape[1]
+    sol1 = _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed)
+    refined = _refine_ls(Z, y, sol1)
+    pi2 = _sign_projection(p, math.ceil(p / 2), cfg.seed)
+    lev = _leverage(Z, sol1.r_factor, pi2)
+    d, n_clamped = influence(refined.residuals, lev)
+    report = DiagnosticsReport(
+        refined.residuals, lev, d, "approximate", n_clamped, refined.iterations
+    )
+    return (*inverse_score_probabilities(d), report)
+
+
+def _arws_scores(Z, y, cfg):
+    sol1 = _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed)
+    e_approx = y - Z @ sol1.coefficients
+    return (*inverse_score_probabilities(e_approx**2), None)
+
+
+_SCORERS = {
+    LEV_LS: _lev_scores,
+    IWS_LS: _iws_scores,
+    AIWS_LS: _aiws_scores,
+    ARWS_LS: _arws_scores,
+}
+
+
+def score(Z, y, cfg):
+    """Scoring stage of the row sampler cfg.method, on the fit's validated
+    (Z, y): (probabilities, uniform_fallback, report) for ``draw``."""
+    return _SCORERS[cfg.method](Z, y, cfg)
+
+
+def _sampled_fit(method, Z, y, cfg):
+    """The one pipeline of the row samplers: validate, score, draw."""
+    cfg = replace(cfg, method=method)
+    Z, y = _inputs(Z, y, cfg)
+    return draw(Z, y, cfg, *score(Z, y, cfg))
 
 
 def fit_ols(Z, y):
@@ -209,22 +232,16 @@ def fit_ols(Z, y):
     return FitResult(OLS, sol.coefficients)
 
 
-def fit_srht_ls(Z, y, cfg, *, sketch_op=None):
-    """Least squares on an SRHT sketch with cfg.n_subs rows.
-
-    ``sketch_op`` substitutes a prebuilt operator (test hook; a full-sample
-    operator makes the sketch orthonormal and the fit equal to OLS).
-    """
+def fit_srht_ls(Z, y, cfg):
+    """Least squares on an SRHT sketch with cfg.n_subs rows."""
     Z, y = _inputs(Z, y, cfg, bounded_by_n=False)
-    sol = _sketched_solve(Z, y, cfg.n_subs, cfg.seed, op=sketch_op)
+    sol = _sketched_solve(Z, y, cfg.n_subs, cfg.seed)
     return FitResult(SRHT_LS, sol.coefficients)
 
 
 def fit_lev_ls(Z, y, cfg):
     """Sample rows proportional to exact leverage, then unweighted LS."""
-    Z, y = _inputs(Z, y, cfg)
-    lev = _leverage(Z, _solve_ls(Z, y).r_factor, np.eye(Z.shape[1]))
-    return _sample_and_refit(LEV_LS, Z, y, cfg, lev / lev.sum())
+    return _sampled_fit(LEV_LS, Z, y, cfg)
 
 
 def fit_uluru(Z, y, cfg):
@@ -261,22 +278,17 @@ def fit_uluru(Z, y, cfg):
     return FitResult(ULURU, sol1.coefficients + correction)
 
 
-def fit_iws_ls(Z, y, cfg, *, influences=None):
+def fit_iws_ls(Z, y, cfg):
     """Influence-weighted subsampling with exact diagnostics.
 
     Full OLS gives residuals and leverages; rows are then drawn with
     probability proportional to 1/d_i (floored, see
     ``sampling.WEIGHT_FLOOR_RATIO``) and the subsample is refit.
-    ``influences`` overrides the computed influence vector (test hook).
     """
-    Z, y = _inputs(Z, y, cfg)
-    report = _exact_diagnostics(Z, y)
-    scores = report.influences if influences is None else as_vector(influences, "influences")
-    probs, fallback = inverse_score_probabilities(scores)
-    return _sample_and_refit(IWS_LS, Z, y, cfg, probs, fallback, report)
+    return _sampled_fit(IWS_LS, Z, y, cfg)
 
 
-def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
+def fit_aiws_ls(Z, y, cfg):
     """Influence-weighted subsampling with sketched diagnostics.
 
     The CountSketch anchor it shares with ARWS_LS (``_anchor``) and its
@@ -286,30 +298,9 @@ def fit_aiws_ls(Z, y, cfg, *, residuals=None, leverages=None):
     ``linalg.REFINE_TOL`` at O(n p) per iteration.  Leverages: Z R^{-1} is
     the basis for randomized leverage scores with ceil(p / 2) sign columns
     (``diagnostics.approx_leverage``), which stay approximate.  Sampling
-    then mirrors IWS_LS with the approximate influence.  ``residuals`` /
-    ``leverages`` override the sketched estimates (test hooks).
+    then mirrors IWS_LS with the approximate influence.
     """
-    Z, y = _inputs(Z, y, cfg)
-    p = Z.shape[1]
-    anchor_iterations = 0
-    if residuals is None or leverages is None:
-        sol1 = _anchor(Z, y, cfg)
-    if residuals is None:
-        refined = _refine_ls(Z, y, sol1)
-        e_approx, anchor_iterations = refined.residuals, refined.iterations
-    else:
-        e_approx = as_vector(residuals, "residuals")
-    if leverages is None:
-        pi2 = _sign_projection(p, math.ceil(p / 2), cfg.seed)
-        l_approx = _leverage(Z, sol1.r_factor, pi2)
-    else:
-        l_approx = as_vector(leverages, "leverages")
-    d_approx, n_clamped = influence(e_approx, l_approx)
-    report = DiagnosticsReport(
-        e_approx, l_approx, d_approx, "approximate", n_clamped, anchor_iterations
-    )
-    probs, fallback = inverse_score_probabilities(d_approx)
-    return _sample_and_refit(AIWS_LS, Z, y, cfg, probs, fallback, report)
+    return _sampled_fit(AIWS_LS, Z, y, cfg)
 
 
 def fit_arws_ls(Z, y, cfg):
@@ -319,11 +310,7 @@ def fit_arws_ls(Z, y, cfg):
     it shares with AIWS_LS (``_anchor``), without AIWS_LS's refinement; the
     floor keeps exactly-fit rows from receiving unbounded weight.
     """
-    Z, y = _inputs(Z, y, cfg)
-    sol1 = _anchor(Z, y, cfg)
-    e_approx = y - Z @ sol1.coefficients
-    probs, fallback = inverse_score_probabilities(e_approx**2)
-    return _sample_and_refit(ARWS_LS, Z, y, cfg, probs, fallback)
+    return _sampled_fit(ARWS_LS, Z, y, cfg)
 
 
 _DISPATCH = {
@@ -342,3 +329,31 @@ def fit(problem, cfg):
     t0 = time.perf_counter()
     result = _DISPATCH[cfg.method](problem.Z, problem.y, cfg)
     return replace(result, wall_time_s=time.perf_counter() - t0)
+
+
+def _problem_fits(problem):
+    """``fit`` for many configs of one problem.  OLS's fit and the scores of
+    LEV_LS and IWS_LS read neither n_subs nor the seed, so they run once;
+    each fit that reuses them is charged their time, so wall_time_s still
+    means a fit from scratch, and still checks its own n_subs."""
+    shared = {}
+
+    def fit_config(cfg):
+        method = cfg.method
+        if method == OLS:
+            if OLS not in shared:
+                shared[OLS] = fit(problem, cfg)
+            return shared[OLS]
+        if method not in (LEV_LS, IWS_LS):
+            return fit(problem, cfg)
+        t0 = time.perf_counter()
+        Z, y = _inputs(problem.Z, problem.y, cfg)
+        scores, score_s = shared.get(method, (None, 0.0))
+        if scores is None:
+            t1 = time.perf_counter()
+            scores = score(Z, y, cfg)
+            shared[method] = scores, time.perf_counter() - t1
+        result = draw(Z, y, cfg, *scores)
+        return replace(result, wall_time_s=time.perf_counter() - t0 + score_s)
+
+    return fit_config

@@ -3,9 +3,9 @@
 Within a replication every method and grid point sees the same generated
 problem (paired comparison); data are regenerated per replication.  Each fit
 draws its seed from hash(base_seed, method, n_subs, replication), recorded
-in the output, so any single row can be reproduced in isolation.  OLS
-ignores n_subs and the seed, so it is fitted once per replication and its
-rows repeat that fit.
+in the output, so any single row can be reproduced in isolation.  What a
+method computes without reading n_subs or the seed runs once per
+replication (``estimators._problem_fits``).
 """
 
 import csv
@@ -31,7 +31,7 @@ from .diagnostics import (
     histogram_l1_distance,
 )
 from .errors import ConfigError, MissingCorruptedError, MissingTruthError, RblsError
-from .estimators import EstimatorConfig, METHOD_CODES, fit
+from .estimators import EstimatorConfig, METHOD_CODES
 from .seeding import ROLE_DATA, spawn_seed
 
 CORRUPTED = "corrupted"
@@ -81,7 +81,9 @@ class ExperimentConfig:
             raise ConfigError("replications must be >= 1")
         if self.n_test < 1:
             raise ConfigError("n_test must be >= 1")
-        grid = tuple(int(g) for g in self.n_subs_grid)
+        grid = self.n_subs_grid
+        if any(isinstance(g, bool) or not isinstance(g, (int, np.integer)) for g in grid):
+            raise ConfigError(f"n_subs_grid entries must be integers, got {list(grid)!r}")
         if not grid:
             raise ConfigError("n_subs_grid is empty")
         if list(grid) != sorted(grid):
@@ -134,7 +136,7 @@ def config_from_dict(raw):
             **{
                 **raw,
                 "methods": tuple(raw["methods"]),
-                "n_subs_grid": tuple(int(g) for g in raw["n_subs_grid"]),
+                "n_subs_grid": tuple(raw["n_subs_grid"]),
             }
         )
     except (TypeError, ValueError) as err:
@@ -162,17 +164,13 @@ def _run_replication(cfg, replication, split):
     train, test = split.train, split.test
     beta = train.truth.beta if train.truth is not None else None
     out = []
-    ols = None
+    fit = estimators._problem_fits(train)
     for method in cfg.methods:
         for n_subs in cfg.n_subs_grid:
             fit_seed = spawn_seed(cfg.base_seed, METHOD_CODES[method], n_subs, replication)
             est_cfg = EstimatorConfig(method=method, n_subs=int(n_subs), seed=fit_seed)
             try:
-                if method == estimators.OLS and ols is not None:
-                    # OLS ignores n_subs and the seed: one fit serves the grid
-                    result = ols
-                else:
-                    result = fit(train, est_cfg)
+                result = fit(est_cfg)
             except RblsError as err:
                 out.append(
                     ExperimentResult(
@@ -181,8 +179,6 @@ def _run_replication(cfg, replication, split):
                     )
                 )
                 continue
-            if method == estimators.OLS:
-                ols = result
             coef = result.coefficients
             est_error = float(np.linalg.norm(coef - beta)) if beta is not None else None
             rmse = float(np.sqrt(np.mean((test.y - test.Z @ coef) ** 2)))

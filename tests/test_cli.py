@@ -134,6 +134,17 @@ class TestFig1Command:
     def test_invalid_input_is_config_error(self, tmp_path, flags):
         assert main(["fig1", *flags, "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_bins_checked_before_generating(self, tmp_path, monkeypatch):
+        import rbls.cli
+
+        def no_generation(*args):
+            raise AssertionError("fig1 generated a problem before checking --bins")
+
+        monkeypatch.setattr(rbls.cli, "gen_corrupted", no_generation)
+        out = tmp_path / "fig1"
+        assert main(["fig1", "--bins", "1", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestAirlineCommand:
     def test_ols_round_trip(self, tmp_path):

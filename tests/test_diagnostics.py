@@ -8,6 +8,7 @@ from scipy.stats import spearmanr
 
 from rbls.datagen import gen_corrupted
 from rbls.diagnostics import (
+    _leverage,
     approx_leverage,
     compute_diagnostics,
     exact_leverage,
@@ -187,9 +188,9 @@ class TestApproxLeverage:
         Q, _ = np.linalg.qr(rng.standard_normal((24, 4)))
         sol = solve_ls(Q, rng.standard_normal(24))
         lev = exact_leverage(Q, sol)
-        approx = approx_leverage(Q, sol.r_factor, 4, seed=0, right_projection=np.eye(4))
-        # exact and approximate leverage share one kernel
-        np.testing.assert_array_equal(approx, lev)
+        # exact and approximate leverage share one kernel: with the identity
+        # as its projection it reads exact leverage
+        np.testing.assert_array_equal(_leverage(Q, sol.r_factor, np.eye(4)), lev)
 
     def test_r_basis_matches_sketched_svd_basis(self):
         # Z R^{-1} equals Z V Sigma^{-1} up to a p x p rotation, so the row
@@ -201,7 +202,7 @@ class TestApproxLeverage:
         _, sigma, vt = np.linalg.svd(sketch, full_matrices=False)
         svd_basis = Z @ (vt.T / sigma)
         r_factor = np.linalg.qr(sketch, mode="r")
-        approx = approx_leverage(Z, r_factor, p, seed=seed, right_projection=np.eye(p))
+        approx = _leverage(Z, r_factor, np.eye(p))
         np.testing.assert_allclose(
             approx, np.einsum("ij,ij->i", svd_basis, svd_basis), atol=1e-10
         )

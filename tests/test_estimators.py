@@ -20,6 +20,8 @@ from rbls.estimators import (
     SRHT_LS,
     ULURU,
     EstimatorConfig,
+    _anchor,
+    draw,
     fit,
     fit_aiws_ls,
     fit_arws_ls,
@@ -29,11 +31,10 @@ from rbls.estimators import (
     fit_srht_ls,
     fit_uluru,
 )
-from rbls.linalg import REFINE_MAX_ITER, solve_ls
+from rbls.linalg import REFINE_MAX_ITER, _refine_ls, solve_ls
 from rbls.sampling import WEIGHT_FLOOR_RATIO, inverse_score_probabilities
 from rbls.seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng
 from rbls.datagen import RegressionProblem
-from test_srht import full_sample_operator
 
 # Corrupted benchmark shared across the ordering tests: 30% of rows carry
 # additive covariate noise, which biases the full least-squares fit.
@@ -182,11 +183,12 @@ class TestDispatcher:
 
 class TestSrhtLs:
     def test_full_sample_operator_recovers_ols(self):
+        # keeping all 32 rows of the padded Hadamard domain makes the sketch
+        # orthonormal, so the fit equals OLS
         Z, y, _ = gaussian_problem(24, 3, seed=3)
         ols = fit_ols(Z, y).coefficients
-        op = full_sample_operator(24, seed=5)
-        cfg = EstimatorConfig(method=SRHT_LS, n_subs=op.n_subs, seed=0)
-        sketched = fit_srht_ls(Z, y, cfg, sketch_op=op).coefficients
+        cfg = EstimatorConfig(method=SRHT_LS, n_subs=32, seed=0)
+        sketched = fit_srht_ls(Z, y, cfg).coefficients
         np.testing.assert_allclose(sketched, ols, atol=1e-8)
 
     def test_noiseless_consistent_system_recovered(self):
@@ -271,7 +273,8 @@ class TestIwsLs:
     def test_equal_influences_give_uniform_sampling(self):
         Z, y, _ = gaussian_problem(60, 4, seed=7)
         cfg = EstimatorConfig(method=IWS_LS, n_subs=20, seed=5)
-        result = fit_iws_ls(Z, y, cfg, influences=np.full(60, 3.14))
+        probs, fallback = inverse_score_probabilities(np.full(60, 3.14))
+        result = draw(Z, y, cfg, probs, fallback, None)
         np.testing.assert_allclose(result.sampling_probabilities, 1 / 60, atol=1e-15)
 
     def test_gross_outlier_rarely_sampled(self):
@@ -300,7 +303,8 @@ class TestIwsLs:
     def test_reduction_to_uniform_subsampling(self):
         Z, y, _ = gaussian_problem(80, 4, seed=10)
         cfg = EstimatorConfig(method=IWS_LS, n_subs=25, seed=21)
-        result = fit_iws_ls(Z, y, cfg, influences=np.ones(80))
+        probs, fallback = inverse_score_probabilities(np.ones(80))
+        result = draw(Z, y, cfg, probs, fallback, None)
         uniform_idx = spawn_rng(21, ROLE_SAMPLING).choice(80, 25, p=np.full(80, 1 / 80))
         assert np.array_equal(result.sampled_row_indices, uniform_idx)
 
@@ -323,9 +327,8 @@ class TestAiwsLs:
         cfg_aiws = EstimatorConfig(method=AIWS_LS, n_subs=50, seed=33)
         iws = fit_iws_ls(Z, y, cfg_iws)
         sol = solve_ls(Z, y)
-        aiws = fit_aiws_ls(
-            Z, y, cfg_aiws, residuals=sol.residuals, leverages=exact_leverage(Z, sol)
-        )
+        d, _ = influence(sol.residuals, exact_leverage(Z, sol))
+        aiws = draw(Z, y, cfg_aiws, *inverse_score_probabilities(d), None)
         assert np.array_equal(aiws.sampled_row_indices, iws.sampled_row_indices)
         np.testing.assert_allclose(aiws.coefficients, iws.coefficients, atol=1e-10)
 
@@ -337,17 +340,17 @@ class TestAiwsLs:
         medians, _ = corrupted_benchmark
         assert abs(medians[AIWS_LS] - medians[IWS_LS]) <= 0.25 * medians[IWS_LS]
 
-    @pytest.mark.parametrize("sketch_rows", [16, 17, 32, 128])
-    def test_refined_anchor_matches_exact_residuals(self, sketch_rows):
-        # p = 16, so sketch_rows = 16 is the smallest sketch that can hold
-        # rank; each CountSketch row sums ~128 gaussian rows, so any seed can
+    @pytest.mark.parametrize("rows", [16, 17, 32, 128])
+    def test_refined_anchor_matches_exact_residuals(self, rows):
+        # AIWS_LS's residuals: CGLS from the anchor.  p = 16, so a 16-row
+        # anchor is the smallest sketch that can hold rank; each CountSketch
+        # row sums ~128 gaussian rows, so any seed can
         Z, y, _ = gaussian_problem(2048, 16, seed=1200)
-        cfg = EstimatorConfig(method=AIWS_LS, n_subs=64, sketch_rows=sketch_rows, seed=0)
-        report = fit_aiws_ls(Z, y, cfg).diagnostics
+        refined = _refine_ls(Z, y, _anchor(Z, y, rows, seed=0))
         exact = solve_ls(Z, y).residuals
-        rel_err = np.linalg.norm(report.residuals - exact) / np.linalg.norm(exact)
+        rel_err = np.linalg.norm(refined.residuals - exact) / np.linalg.norm(exact)
         assert rel_err <= 1e-5
-        assert 0 < report.anchor_iterations < REFINE_MAX_ITER
+        assert 0 < refined.iterations < REFINE_MAX_ITER
 
     def test_anchor_preconditions_cgls_in_few_steps(self):
         # a 32p-row CountSketch anchor takes 11-12 steps here, an SRHT of
@@ -453,18 +456,14 @@ class TestArwsPilot:
         assert np.array_equal(first.sampled_row_indices, second.sampled_row_indices)
         assert not np.array_equal(Zs1, Zs3)
 
-    @pytest.mark.parametrize("sketch_rows", [None, 40])
-    def test_both_samplers_solve_one_anchor(self, monkeypatch, sketch_rows):
+    def test_both_samplers_solve_one_anchor(self, monkeypatch):
         Z, y, _ = gaussian_problem(2048, 8, seed=18)
         systems = [
-            anchor_system(
-                monkeypatch, Z, y,
-                EstimatorConfig(method=method, n_subs=64, sketch_rows=sketch_rows, seed=3),
-            )[0]
+            anchor_system(monkeypatch, Z, y, EstimatorConfig(method=method, n_subs=64, seed=3))[0]
             for method in ANCHORED
         ]
         (Zs_arws, ys_arws), (Zs_aiws, ys_aiws) = systems
-        assert Zs_arws.shape[0] == (sketch_rows or ANCHOR_ROWS_PER_COLUMN * 8)
+        assert Zs_arws.shape[0] == ANCHOR_ROWS_PER_COLUMN * 8
         assert np.array_equal(Zs_arws, Zs_aiws)
         assert np.array_equal(ys_arws, ys_aiws)
 
@@ -477,12 +476,3 @@ class TestArwsPilot:
         monkeypatch.setattr(rbls.estimators, "apply_sketch_pair", no_srht)
         Z, y, _ = gaussian_problem(512, 8, seed=19)
         ANCHORED[method](Z, y, EstimatorConfig(method=method, n_subs=64, seed=2))
-
-    @pytest.mark.parametrize("method", [ARWS_LS, AIWS_LS])
-    @pytest.mark.parametrize("sketch_rows", [0, 7, 513])
-    def test_sketch_rows_outside_p_to_n_rejected(self, method, sketch_rows):
-        # p = 8, n = 512
-        Z, y, _ = gaussian_problem(512, 8, seed=20)
-        cfg = EstimatorConfig(method=method, n_subs=64, sketch_rows=sketch_rows, seed=1)
-        with pytest.raises(InvalidParamsError, match="sketch_rows"):
-            ANCHORED[method](Z, y, cfg)

@@ -7,6 +7,7 @@ from rbls.estimators import (
     AIWS_LS,
     ARWS_LS,
     IWS_LS,
+    LEV_LS,
     METHOD_CODES,
     OLS,
     SRHT_LS,
@@ -78,10 +79,11 @@ class TestRunExperiment:
     def test_splits_generated_lazily_per_replication(self, monkeypatch):
         # a sweep holds one split per worker: replication k + 1 is generated
         # only after every fit of replication k
+        import rbls.estimators
         import rbls.harness as harness
 
         log = []
-        generate, fit_one = harness._generate_split, harness.fit
+        generate, fit_one = harness._generate_split, rbls.estimators.fit
 
         def logged_generate(cfg, rep):
             log.append(("generate", rep))
@@ -92,41 +94,59 @@ class TestRunExperiment:
             return fit_one(problem, est_cfg)
 
         monkeypatch.setattr(harness, "_generate_split", logged_generate)
-        monkeypatch.setattr(harness, "fit", logged_fit)
+        monkeypatch.setattr(rbls.estimators, "fit", logged_fit)
         run_experiment(tiny_config(replications=3), threads=1)
         fits_per_rep = [("fit", OLS), ("fit", SRHT_LS)]
         assert log == [("generate", 0), *fits_per_rep,
                        ("generate", 1), *fits_per_rep,
                        ("generate", 2), *fits_per_rep]
 
-    def test_ols_fitted_once_per_replication(self, monkeypatch):
-        # OLS ignores n_subs and the seed: one fit serves every grid point,
-        # and each row keeps its own per-fit seed and its own scores
+    @pytest.mark.parametrize("method", [OLS, LEV_LS, IWS_LS])
+    def test_seed_free_stages_run_once_per_replication(self, monkeypatch, method):
+        # OLS's fit and the scores of LEV_LS and IWS_LS read neither n_subs
+        # nor the seed: one exact solve per replication serves the grid, and
+        # each row keeps its own per-fit seed and its own draw
+        import rbls.diagnostics
+        import rbls.estimators
         import rbls.harness as harness
+        import rbls.linalg
 
-        calls = []
-        fit_one = harness.fit
+        full_solves = []
+        solve = rbls.linalg._solve_ls
 
-        def counted_fit(problem, est_cfg):
-            calls.append(est_cfg.method)
-            return fit_one(problem, est_cfg)
+        def counted(Z, y):
+            if Z.shape[0] == cfg.n:
+                full_solves.append(Z.shape)
+            return solve(Z, y)
 
         grid = (20, 40, 80)
-        cfg = tiny_config(methods=(OLS,), n_subs_grid=grid, replications=2)
-        monkeypatch.setattr(harness, "fit", counted_fit)
+        cfg = tiny_config(methods=(method,), n_subs_grid=grid, replications=2)
+        for module in (rbls.linalg, rbls.estimators, rbls.diagnostics):
+            monkeypatch.setattr(module, "_solve_ls", counted)
         results = run_experiment(cfg)
-        assert calls == [OLS, OLS]
-        for rep in range(2):
+        assert len(full_solves) == cfg.replications
+        monkeypatch.undo()
+        for rep in range(cfg.replications):
             split = harness._generate_split(cfg, rep)
-            coef = fit_one(split.train, EstimatorConfig(OLS)).coefficients
-            est_error = float(np.linalg.norm(coef - split.train.truth.beta))
-            rmse = float(np.sqrt(np.mean((split.test.y - split.test.Z @ coef) ** 2)))
             rows = [r for r in results if r.replication == rep]
             assert [r.n_subs for r in rows] == list(grid)
-            assert [r.seed for r in rows] == [
-                spawn_seed(cfg.base_seed, METHOD_CODES[OLS], g, rep) for g in grid
-            ]
-            assert all(r.est_error == est_error and r.rmse == rmse for r in rows)
+            for row, g in zip(rows, grid):
+                assert row.seed == spawn_seed(cfg.base_seed, METHOD_CODES[method], g, rep)
+                est_cfg = EstimatorConfig(method, n_subs=g, seed=row.seed)
+                coef = rbls.estimators.fit(split.train, est_cfg).coefficients
+                assert row.est_error == float(np.linalg.norm(coef - split.train.truth.beta))
+                rmse = float(np.sqrt(np.mean((split.test.y - split.test.Z @ coef) ** 2)))
+                assert row.rmse == rmse
+                assert row.wall_time_ms > 0
+
+    def test_n_subs_checked_at_every_grid_point(self):
+        # the scores serve the whole grid; the bound n_subs <= n is still
+        # checked at each grid point
+        cfg = tiny_config(methods=(LEV_LS, IWS_LS), n_subs_grid=(20, 400), replications=1)
+        results = run_experiment(cfg)
+        assert [(r.n_subs, r.error.split(":")[0]) for r in results] == [
+            (20, ""), (400, "InvalidParamsError"), (20, ""), (400, "InvalidParamsError")
+        ]
 
     def test_per_fit_seeds_unique(self):
         results = run_experiment(tiny_config(n_subs_grid=(20, 40), replications=3))
@@ -278,6 +298,9 @@ class TestConfigFromDict:
             {"n_test": 0},
             {"bogus_key": 1},
             {"n": 4, "p": 10},
+            {"n_subs_grid": ["20"]},
+            {"n_subs_grid": [40.7]},
+            {"n_subs_grid": [True]},
         ],
     )
     def test_invalid_configs_rejected(self, patch):

@@ -16,25 +16,50 @@ So are the sampling probabilities of the four row samplers (LEV_LS,
 IWS_LS, AIWS_LS, ARWS_LS), so a change to the leverage and score layer is
 checked where it acts, not only through the refit coefficients, and
 AIWS_LS's anchor_iterations per problem (the CGLS steps of its anchor), so
-a change to the anchor shows its step count beside the fits.
+a change to the anchor shows its step count beside the fits.  So is the
+SHA-256 of the deterministic results.csv and aggregates.csv of one small
+all-method sweep (SWEEP: configs/gaussian_desk.json's shape at 3
+replications), so a harness change is shown to keep every row byte for
+byte.
 --compare prints, per method, how many of the six fits are bit-identical,
 the largest absolute coefficient difference and the largest relative one
 (max |diff| over max |saved coefficient|, per fit), then per sampler how
 many of the six probability vectors are bit-identical, then how many of the
 six problems have bit-identical data, then the six anchor step counts
-saved -> now, and exits 1 if anything is missing.
+saved -> now, then whether each sweep CSV is byte-identical, and exits 1 if
+anything is missing.
 """
 
 import argparse
 import hashlib
+import os
 import sys
+import tempfile
 
 import numpy as np
 
 from rbls import AIWS_LS, ARWS_LS, IWS_LS, LEV_LS, METHOD_NAMES, EstimatorConfig, fit, gen_corrupted
+from rbls.harness import (
+    aggregate,
+    config_from_dict,
+    run_experiment,
+    write_aggregates_csv,
+    write_results_csv,
+)
 
 PROBLEMS = 6
 SAMPLERS = (LEV_LS, IWS_LS, AIWS_LS, ARWS_LS)
+SWEEP = {
+    "scenario": "gaussian",
+    "n": 4096,
+    "p": 16,
+    "n_test": 500,
+    "methods": list(METHOD_NAMES),
+    "n_subs_grid": [32, 64, 128, 256],
+    "replications": 3,
+    "base_seed": 1,
+}
+SWEEP_FILES = ("results.csv", "aggregates.csv")
 
 
 def fingerprint():
@@ -56,6 +81,21 @@ def fingerprint():
             if method == AIWS_LS:
                 fits[f"anchor_iterations/{k}"] = np.array(result.diagnostics.anchor_iterations)
     return fits
+
+
+def sweep_digests():
+    """{"sweep/<file>": SHA-256 of the file} for the deterministic CSVs of SWEEP."""
+    results = run_experiment(config_from_dict(SWEEP))
+    with tempfile.TemporaryDirectory() as out:
+        paths = [os.path.join(out, name) for name in SWEEP_FILES]
+        write_results_csv(results, paths[0], deterministic=True)
+        write_aggregates_csv(aggregate(results), paths[1], deterministic=True)
+        digests = {}
+        for name, path in zip(SWEEP_FILES, paths):
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).digest()
+            digests[f"sweep/{name}"] = np.frombuffer(digest, dtype=np.uint8)
+    return digests
 
 
 def compare(saved, fits):
@@ -95,6 +135,14 @@ def compare(saved, fits):
     before = " ".join(str(int(saved[key])) for key in keys)
     after = " ".join(str(int(fits[key])) for key in keys)
     print(f"anchor   {AIWS_LS} CGLS steps {before} -> {after}")
+    for name in SWEEP_FILES:
+        key = f"sweep/{name}"
+        if key not in saved:
+            print(f"sweep    {name} missing from the saved file")
+            complete = False
+            continue
+        same = np.array_equal(saved[key], fits[key])
+        print(f"sweep    {name} {'byte-identical' if same else 'differs'}")
     return complete
 
 
@@ -104,13 +152,14 @@ def main(argv=None):
     mode.add_argument("--save", metavar="FILE.npz", help="fit and save the fingerprint")
     mode.add_argument("--compare", metavar="FILE.npz", help="fit and compare with a saved file")
     args = parser.parse_args(argv)
-    fits = fingerprint()
+    fits = {**fingerprint(), **sweep_digests()}
     if args.save:
         np.savez(args.save, **fits)
         fit_count = PROBLEMS * len(METHOD_NAMES)
         print(
             f"saved {fit_count} fits, {PROBLEMS * len(SAMPLERS)} probability vectors, "
-            f"{PROBLEMS} data digests and {PROBLEMS} anchor step counts to {args.save}"
+            f"{PROBLEMS} data digests, {PROBLEMS} anchor step counts and "
+            f"{len(SWEEP_FILES)} sweep CSV digests to {args.save}"
         )
         return 0
     with np.load(args.compare) as saved:
