@@ -4,7 +4,9 @@ rbls run --config <json>   sweep methods x n_subs x replications, write CSVs
 rbls fig1 ...              leverage/influence histograms on a corrupted draw
 rbls airline --train <csv> fit methods to an airline-delay file
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success; 2 configuration error (a bad config, flag or input
+array); 3 data error: an unreadable or malformed file, or data no fit can
+use, such as a rank-deficient design or a draw with no corrupted rows.
 """
 
 import argparse
@@ -13,19 +15,10 @@ import os
 import sys
 
 from .datagen import gen_corrupted
-from .errors import (
-    ConfigError,
-    InvalidInputError,
-    InvalidParamsError,
-    MissingCorruptedError,
-    MissingTruthError,
-    ParseError,
-    SchemaError,
-)
+from .errors import ConfigError, InvalidInputError, InvalidParamsError, RblsError
 from .estimators import OLS
 from .harness import (
     AIRLINE,
-    ExperimentConfig,
     aggregate,
     config_from_dict,
     emit_fig1_data,
@@ -39,8 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
-_DATA_ERRORS = (ParseError, SchemaError, MissingTruthError, MissingCorruptedError, OSError)
-
 
 def _build_parser():
     parser = argparse.ArgumentParser(prog="rbls", description=__doc__.splitlines()[0])
@@ -48,7 +39,7 @@ def _build_parser():
 
     run = sub.add_parser("run", help="run an experiment sweep from a JSON config")
     run.add_argument("--config", required=True, help="path to a JSON config file")
-    _common_flags(run)
+    _sweep_flags(run)
 
     fig1 = sub.add_parser("fig1", help="emit leverage/influence histogram data")
     fig1.add_argument("--n", type=int, default=20000)
@@ -58,7 +49,7 @@ def _build_parser():
     fig1.add_argument("--sigma-w", type=float, default=0.4)
     fig1.add_argument("--sigma-eps", type=float, default=0.1)
     fig1.add_argument("--bins", type=int, default=50)
-    _common_flags(fig1)
+    _seed_out_flags(fig1)
 
     air = sub.add_parser("airline", help="fit estimators to an airline-delay CSV")
     air.add_argument("--train", required=True, help="path to the CSV file")
@@ -67,30 +58,40 @@ def _build_parser():
     air.add_argument("--methods", nargs="+", default=[OLS])
     air.add_argument("--n-subs", type=int, nargs="+", default=None)
     air.add_argument("--replications", type=int, default=1)
-    _common_flags(air)
+    _sweep_flags(air)
     return parser
 
 
-def _common_flags(sub):
+def _seed_out_flags(sub):
     sub.add_argument("--seed", type=int, default=None, help="override the base seed")
+    sub.add_argument("--out", default=None, help="output directory")
+
+
+def _sweep_flags(sub):
+    _seed_out_flags(sub)
     sub.add_argument("--deterministic", action="store_true",
                      help="byte-stable outputs: no timestamp, zeroed wall times")
-    sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--threads", type=int, default=1,
                      help="replications run concurrently")
     sub.add_argument("--gnuplot", action="store_true", help="also write plot.gp")
 
 
-def _threads(args):
-    return max(1, args.threads)
-
-
-def _write_outputs(cfg, results, out_dir, deterministic, gnuplot):
-    os.makedirs(out_dir, exist_ok=True)
-    write_results_csv(results, os.path.join(out_dir, "results.csv"), deterministic)
-    write_aggregates_csv(aggregate(results), os.path.join(out_dir, "aggregates.csv"), deterministic)
-    if gnuplot:
-        write_gnuplot_script(cfg.methods, os.path.join(out_dir, "plot.gp"))
+def _sweep(raw, args):
+    """Run the sweep of a raw config dict with --seed and --out applied, and
+    write results.csv, aggregates.csv and, under --gnuplot, plot.gp."""
+    if args.seed is not None:
+        raw["base_seed"] = args.seed
+    if args.out is not None:
+        raw["output_dir"] = args.out
+    cfg = config_from_dict(raw)
+    results = run_experiment(cfg, threads=args.threads)
+    out = cfg.output_dir
+    os.makedirs(out, exist_ok=True)
+    write_results_csv(results, os.path.join(out, "results.csv"), args.deterministic)
+    write_aggregates_csv(aggregate(results), os.path.join(out, "aggregates.csv"), args.deterministic)
+    if args.gnuplot:
+        write_gnuplot_script(cfg.methods, os.path.join(out, "plot.gp"))
+    return EXIT_OK
 
 
 def _cmd_run(args):
@@ -101,14 +102,9 @@ def _cmd_run(args):
         raise ConfigError(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    if args.seed is not None:
-        raw["base_seed"] = args.seed
-    if args.out is not None:
-        raw["output_dir"] = args.out
-    cfg = config_from_dict(raw)
-    results = run_experiment(cfg, threads=_threads(args))
-    _write_outputs(cfg, results, cfg.output_dir, args.deterministic, args.gnuplot)
-    return EXIT_OK
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    return _sweep(raw, args)
 
 
 def _cmd_fig1(args):
@@ -126,23 +122,17 @@ def _cmd_fig1(args):
 
 
 def _cmd_airline(args):
-    grid = args.n_subs
-    if grid is None:
-        grid = [args.n_train]  # OLS-only default needs no subsample size
-    cfg = ExperimentConfig(
-        scenario=AIRLINE,
-        methods=tuple(args.methods),
-        n_subs_grid=tuple(sorted(int(g) for g in grid)),
-        replications=args.replications,
-        n=args.n_train,
-        n_test=args.n_test,
-        base_seed=args.seed if args.seed is not None else 0,
-        output_dir=args.out or ".",
-        airline_path=args.train,
-    )
-    results = run_experiment(cfg, threads=_threads(args))
-    _write_outputs(cfg, results, cfg.output_dir, args.deterministic, args.gnuplot)
-    return EXIT_OK
+    raw = {
+        "scenario": AIRLINE,
+        "methods": args.methods,
+        # the OLS-only default needs no subsample size
+        "n_subs_grid": sorted(args.n_subs or [args.n_train]),
+        "replications": args.replications,
+        "n": args.n_train,
+        "n_test": args.n_test,
+        "airline_path": args.train,
+    }
+    return _sweep(raw, args)
 
 
 def main(argv=None):
@@ -154,7 +144,7 @@ def main(argv=None):
     except (ConfigError, InvalidParamsError, InvalidInputError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except _DATA_ERRORS as err:
+    except (RblsError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -59,7 +59,18 @@ def exact_leverage(Z, sol):
     total.  For a full-rank design 0 <= l_i <= 1 and sum(l) = p.
     """
     Z = as_matrix(Z, "Z")
-    return _leverage(Z, sol.r_factor, np.eye(Z.shape[1]))
+    p = Z.shape[1]
+    return _leverage(Z, _checked_r_factor(sol.r_factor, p), np.eye(p))
+
+
+def _checked_r_factor(r_factor, p):
+    """r_factor as a float p x p array; InvalidInputError for another shape,
+    RankDeficientError for a (near-)zero diagonal entry."""
+    R = np.asarray(r_factor, dtype=np.float64)
+    if R.shape != (p, p):
+        raise InvalidInputError(f"r_factor has shape {R.shape}, expected {(p, p)}")
+    _check_r_factor(R)
+    return R
 
 
 def _leverage(Z, R, projection):
@@ -143,10 +154,7 @@ def approx_leverage(Z, r_factor, projection_cols, seed):
     projection_cols = int(projection_cols)
     if not 1 <= projection_cols <= p:
         raise InvalidInputError(f"need 1 <= projection_cols <= {p}, got {projection_cols}")
-    R = np.asarray(r_factor, dtype=np.float64)
-    if R.shape != (p, p):
-        raise InvalidInputError(f"r_factor has shape {R.shape}, expected {(p, p)}")
-    _check_r_factor(R)
+    R = _checked_r_factor(r_factor, p)
     return _leverage(Z, R, _sign_projection(p, projection_cols, seed))
 
 
@@ -163,17 +171,28 @@ def histogram_l1_distance(a, b, bins=DEFAULT_HISTOGRAM_BINS):
     pooled min/max; each histogram is normalized to total mass 1, so the
     distance lies in [0, 2] (2 = disjoint supports).
     """
+    return _histogram_pair(a, b, bins)[3]
+
+
+def _check_bins(bins):
+    """InvalidInputError unless ``bins`` >= 2."""
+    if bins < 2:
+        raise InvalidInputError(f"need bins >= 2, got {bins}")
+
+
+def _histogram_pair(a, b, bins):
+    """(edges, mass of a, mass of b, L1 distance) of histogram_l1_distance."""
     a = as_vector(a, "a")
     b = as_vector(b, "b")
     if a.size == 0 or b.size == 0:
         raise InvalidInputError("histogram inputs must be non-empty")
-    if bins < 2:
-        raise InvalidInputError(f"need bins >= 2, got {bins}")
+    _check_bins(bins)
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
     if lo == hi:
         raise DegenerateRangeError("pooled sample range is a single point")
-    ha, _ = np.histogram(a, bins=bins, range=(lo, hi))
+    ha, edges = np.histogram(a, bins=bins, range=(lo, hi))
     hb, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    ma, mb = ha / ha.sum(), hb / hb.sum()
     # rounding in the normalized sums can spill a few ulp past the bound
-    return float(min(2.0, np.abs(ha / ha.sum() - hb / hb.sum()).sum()))
+    return edges, ma, mb, float(min(2.0, np.abs(ma - mb).sum()))

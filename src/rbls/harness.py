@@ -14,7 +14,7 @@ import io
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,11 +25,7 @@ from .datagen import (
     gen_regime_split,
     load_airline_csv,
 )
-from .diagnostics import (
-    DEFAULT_HISTOGRAM_BINS,
-    compute_diagnostics,
-    histogram_l1_distance,
-)
+from .diagnostics import DEFAULT_HISTOGRAM_BINS, _check_bins, _histogram_pair, compute_diagnostics
 from .errors import ConfigError, MissingCorruptedError, MissingTruthError, RblsError
 from .estimators import EstimatorConfig, METHOD_CODES
 from .seeding import ROLE_DATA, spawn_seed
@@ -40,8 +36,9 @@ SCENARIOS = (CORRUPTED,) + REGIMES + (AIRLINE,)
 
 RESULTS_HEADER = "method,n_subs,replication,seed,est_error,rmse,wall_time_ms,error"
 
-# Exact influence costs O(n p^2); refuse configs where that is unreasonable.
-IWS_EXACT_BUDGET = 10**9
+# Types a number field accepts: numpy scalars too, so configs built in code
+# keep working, but never bool, although bool subclasses int.
+_NUMBER_TYPES = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
 
 
 @dataclass(frozen=True)
@@ -70,6 +67,13 @@ class ExperimentConfig:
     airline_path: str | None = None
 
     def validate(self):
+        """Raise ConfigError for the first invalid field; return self."""
+        for field in fields(self):
+            value, allowed = getattr(self, field.name), _NUMBER_TYPES.get(field.type)
+            if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+                raise ConfigError(
+                    f"{field.name} must be a number of type {field.type.__name__}, got {value!r}"
+                )
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if not self.methods:
@@ -93,11 +97,6 @@ class ExperimentConfig:
                 raise ConfigError(f"need n > p, got n={self.n}, p={self.p}")
             if any(g < self.p for g in grid):
                 raise ConfigError(f"every n_subs grid value must be >= p = {self.p}")
-            if estimators.IWS_LS in self.methods and self.n * self.p**2 > IWS_EXACT_BUDGET:
-                raise ConfigError(
-                    f"IWS_LS needs n * p^2 <= {IWS_EXACT_BUDGET:g}; "
-                    f"got {self.n * self.p ** 2:g} (use AIWS_LS/ARWS_LS at this scale)"
-                )
         if self.scenario == AIRLINE and not self.airline_path:
             raise ConfigError("airline scenario requires airline_path")
         return self
@@ -123,14 +122,6 @@ def config_from_dict(raw):
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "methods" not in raw or "n_subs_grid" not in raw or "scenario" not in raw:
         raise ConfigError("config requires scenario, methods and n_subs_grid")
-    for key, value in raw.items():
-        # int fields take JSON integers, float fields any JSON number
-        kind = ExperimentConfig.__dataclass_fields__[key].type
-        allowed = {int: (int,), float: (int, float)}.get(kind)
-        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
-            raise ConfigError(
-                f"{key} must be a JSON number of type {kind.__name__}, got {value!r}"
-            )
     try:
         cfg = ExperimentConfig(
             **{
@@ -168,26 +159,19 @@ def _run_replication(cfg, replication, split):
     for method in cfg.methods:
         for n_subs in cfg.n_subs_grid:
             fit_seed = spawn_seed(cfg.base_seed, METHOD_CODES[method], n_subs, replication)
-            est_cfg = EstimatorConfig(method=method, n_subs=int(n_subs), seed=fit_seed)
             try:
-                result = fit(est_cfg)
+                result = fit(EstimatorConfig(method=method, n_subs=int(n_subs), seed=fit_seed))
             except RblsError as err:
-                out.append(
-                    ExperimentResult(
-                        method, int(n_subs), replication, fit_seed, None, None, None,
-                        f"{type(err).__name__}: {err}",
-                    )
+                metrics = (None, None, None, f"{type(err).__name__}: {err}")
+            else:
+                coef = result.coefficients
+                metrics = (
+                    float(np.linalg.norm(coef - beta)) if beta is not None else None,
+                    float(np.sqrt(np.mean((test.y - test.Z @ coef) ** 2))),
+                    result.wall_time_s * 1000.0,
+                    "",
                 )
-                continue
-            coef = result.coefficients
-            est_error = float(np.linalg.norm(coef - beta)) if beta is not None else None
-            rmse = float(np.sqrt(np.mean((test.y - test.Z @ coef) ** 2)))
-            out.append(
-                ExperimentResult(
-                    method, int(n_subs), replication, fit_seed,
-                    est_error, rmse, result.wall_time_s * 1000.0,
-                )
-            )
+            out.append(ExperimentResult(method, int(n_subs), replication, fit_seed, *metrics))
     return out
 
 
@@ -349,8 +333,10 @@ def emit_fig1_data(problem, out_dir, bins=DEFAULT_HISTOGRAM_BINS):
 
     Writes ``fig1_histograms.csv`` (metric, group, bin edges, mass) and
     ``fig1_distances.csv`` (the two pooled-bin L1 distances) under
-    ``out_dir`` and returns the distances as a dict.
+    ``out_dir`` and returns the distances as a dict.  Nothing is written
+    unless every histogram could be made.
     """
+    _check_bins(bins)
     if problem.truth is None:
         raise MissingTruthError("fig1 needs a simulated problem with stored truth")
     mask = problem.truth.corruption_mask
@@ -359,28 +345,23 @@ def emit_fig1_data(problem, out_dir, bins=DEFAULT_HISTOGRAM_BINS):
     if mask.all():
         raise MissingCorruptedError("no clean rows; distances are undefined")
     report = compute_diagnostics(problem.Z, problem.y)
-    metrics = {"leverage": report.leverages, "influence": report.influences}
-    distances = {}
+    tables = {
+        name: _histogram_pair(values[mask], values[~mask], bins)
+        for name, values in (("leverage", report.leverages), ("influence", report.influences))
+    }
     os.makedirs(out_dir, exist_ok=True)
     with open(
         os.path.join(out_dir, "fig1_histograms.csv"), "w", encoding="utf-8", newline=""
     ) as fh:
         fh.write("metric,group,bin_left,bin_right,mass\n")
         writer = csv.writer(fh, lineterminator="\n")
-        for name, values in metrics.items():
-            corrupted = values[mask]
-            clean = values[~mask]
-            distances[name] = histogram_l1_distance(corrupted, clean, bins)
-            lo = float(min(corrupted.min(), clean.min()))
-            hi = float(max(corrupted.max(), clean.max()))
-            edges = np.linspace(lo, hi, bins + 1)
-            for group, sample in (("corrupted", corrupted), ("clean", clean)):
-                hist, _ = np.histogram(sample, bins=bins, range=(lo, hi))
-                masses = hist / hist.sum()
+        for name, (edges, corrupted, clean, _) in tables.items():
+            for group, masses in (("corrupted", corrupted), ("clean", clean)):
                 for k in range(bins):
                     writer.writerow(
                         [name, group, repr(edges[k]), repr(edges[k + 1]), repr(masses[k])]
                     )
+    distances = {name: table[3] for name, table in tables.items()}
     with open(
         os.path.join(out_dir, "fig1_distances.csv"), "w", encoding="utf-8", newline=""
     ) as fh:

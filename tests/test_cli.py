@@ -100,6 +100,12 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_config_not_an_object_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(["scenario", "methods", "n_subs_grid"]))
+        assert main(["run", "--config", str(cfg), "--seed", "1"]) == EXIT_CONFIG
+        assert "JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [("replications", "3"), ("n", "2000"), ("pi", "0.3")])
     def test_number_as_string_is_config_error(self, tmp_path, config_file, capsys, key, value):
         raw = json.loads(config_file.read_text())
@@ -133,6 +139,21 @@ class TestFig1Command:
     )
     def test_invalid_input_is_config_error(self, tmp_path, flags):
         assert main(["fig1", *flags, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_rank_deficient_design_is_data_error(self, tmp_path, capsys):
+        # sigma_x = sigma_w = 0 gives an all-zero design
+        out = tmp_path / "fig1"
+        flags = ["--n", "50", "--p", "5", "--sigma-x", "0", "--sigma-w", "0"]
+        assert main(["fig1", *flags, "--out", str(out)]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--deterministic"], ["--gnuplot"]])
+    def test_sweep_flags_rejected(self, tmp_path, flag):
+        # fig1 writes no sweep: argparse refuses the flags it would ignore
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig1", "--n", "200", "--p", "5", "--out", str(tmp_path), *flag])
+        assert exit_info.value.code == EXIT_CONFIG
 
     def test_bins_checked_before_generating(self, tmp_path, monkeypatch):
         import rbls.cli
@@ -182,3 +203,25 @@ class TestAirlineCommand:
         bad.write_text(AIRLINE_HEADER + "\n2000,1,1,US,A,B,xyz,3\n")
         code = main(["airline", "--train", str(bad), "--n-train", "1", "--n-test", "1"])
         assert code == EXIT_DATA
+
+    def test_same_sweep_as_run(self, tmp_path):
+        # airline builds the config dict that rbls run would read from JSON;
+        # its grid is sorted before validation
+        csv_path = airline_file(tmp_path)
+        methods = ["OLS", "LEV_LS", "ARWS_LS"]
+        cfg = tmp_path / "airline.json"
+        cfg.write_text(json.dumps({
+            "scenario": "airline", "methods": methods, "n_subs_grid": [48, 96],
+            "replications": 2, "n": 400, "n_test": 100, "airline_path": str(csv_path),
+            "base_seed": 9,
+        }))
+        out_run, out_air = tmp_path / "run", tmp_path / "air"
+        assert main(["run", "--config", str(cfg), "--out", str(out_run),
+                     "--deterministic", "--gnuplot"]) == EXIT_OK
+        assert main(["airline", "--train", str(csv_path), "--n-train", "400", "--n-test", "100",
+                     "--methods", *methods, "--n-subs", "96", "48", "--replications", "2",
+                     "--seed", "9", "--out", str(out_air), "--deterministic",
+                     "--gnuplot"]) == EXIT_OK
+        for name in ("results.csv", "aggregates.csv", "plot.gp"):
+            assert (out_run / name).read_bytes() == (out_air / name).read_bytes()
+        assert len((out_air / "results.csv").read_text().splitlines()) == 1 + 3 * 2 * 2

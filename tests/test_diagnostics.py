@@ -327,6 +327,18 @@ class TestInputChecks:
         with pytest.raises(InvalidInputError):
             compute_diagnostics(Z, np.zeros(40))
 
+    @pytest.mark.parametrize("cols", [3, 5])
+    def test_r_factor_of_another_width_rejected(self, cols):
+        # a solution of a narrower or wider design: both leverage functions
+        # reject its R by the same shape check
+        rng = np.random.default_rng(31)
+        sol = solve_ls(rng.standard_normal((40, cols)), rng.standard_normal(40))
+        Z = rng.standard_normal((40, 4))
+        with pytest.raises(InvalidInputError, match="r_factor has shape"):
+            exact_leverage(Z, sol)
+        with pytest.raises(InvalidInputError, match="r_factor has shape"):
+            approx_leverage(Z, sol.r_factor, 2, seed=0)
+
     def test_compute_diagnostics_checks_shapes(self):
         with pytest.raises(InvalidInputError):
             compute_diagnostics(np.ones((2, 3)), np.zeros(2))

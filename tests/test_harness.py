@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from rbls.datagen import gen_corrupted, RegressionProblem
-from rbls.errors import ConfigError, MissingCorruptedError, MissingTruthError
+from rbls.diagnostics import DiagnosticsReport
+from rbls.errors import (
+    ConfigError,
+    DegenerateRangeError,
+    InvalidInputError,
+    MissingCorruptedError,
+    MissingTruthError,
+)
 from rbls.estimators import (
     AIWS_LS,
     ARWS_LS,
@@ -317,6 +324,8 @@ class TestConfigFromDict:
             config_from_dict(raw)
 
     def test_exact_influence_budget_guard(self):
+        # exact IWS_LS has no size budget: like LEV_LS and OLS it costs one
+        # O(n p^2) solve per replication
         raw = {
             "scenario": "corrupted",
             "methods": [IWS_LS],
@@ -325,8 +334,35 @@ class TestConfigFromDict:
             "n": 200_000,
             "p": 500,
         }
-        with pytest.raises(ConfigError):
-            config_from_dict(raw)
+        assert config_from_dict(raw).methods == (IWS_LS,)
+
+
+class TestValidate:
+    # configs built in code pass the same checks as configs read from JSON
+    @pytest.mark.parametrize(
+        "patch",
+        [{"replications": 2.5}, {"replications": True}, {"pi": "0.3"}, {"n": "2000"},
+         {"sigma_w": None}, {"base_seed": np.float64(3.0)}],
+        ids=["replications-float", "replications-bool", "pi-str", "n-str", "sigma_w-none",
+             "base_seed-float"],
+    )
+    def test_wrong_number_types_rejected(self, patch):
+        key = next(iter(patch))
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(tiny_config(**patch))
+
+    def test_numpy_numbers_accepted(self):
+        cfg = tiny_config(
+            methods=(OLS,), n=np.int64(100), pi=np.float32(0.3), replications=np.int32(1)
+        )
+        row, = run_experiment(cfg)
+        assert not row.error and row.est_error >= 0
+
+    def test_json_integer_accepted_as_float(self):
+        assert config_from_dict(
+            {"scenario": "corrupted", "methods": [OLS], "n_subs_grid": [20], "replications": 1,
+             "n": 100, "p": 4, "pi": 0, "sigma_x": 2}
+        ).pi == 0
 
 
 class TestFig1:
@@ -346,6 +382,34 @@ class TestFig1:
         prob = gen_corrupted(500, 5, 0.0, 1.0, 0.4, 0.1, seed=0)
         with pytest.raises(MissingCorruptedError):
             emit_fig1_data(prob, tmp_path)
+
+    def test_bins_checked_before_diagnostics(self, tmp_path, monkeypatch):
+        import rbls.harness as harness
+
+        def no_diagnostics(*args):
+            raise AssertionError("emit_fig1_data solved before checking bins")
+
+        monkeypatch.setattr(harness, "compute_diagnostics", no_diagnostics)
+        prob = gen_corrupted(200, 5, 0.3, 1.0, 0.4, 0.1, seed=0)
+        with pytest.raises(InvalidInputError):
+            emit_fig1_data(prob, tmp_path, bins=1)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_file_written_when_a_histogram_fails(self, tmp_path, monkeypatch):
+        # constant leverages collapse the pooled range; the influence
+        # histogram is fine, and still nothing may be written
+        import rbls.harness as harness
+
+        prob = gen_corrupted(200, 5, 0.3, 1.0, 0.4, 0.1, seed=0)
+        report = harness.compute_diagnostics(prob.Z, prob.y)
+        flat = DiagnosticsReport(
+            report.residuals, np.full(200, 0.025), report.influences, "exact", 0
+        )
+        monkeypatch.setattr(harness, "compute_diagnostics", lambda Z, y: flat)
+        out = tmp_path / "fig1"
+        with pytest.raises(DegenerateRangeError):
+            emit_fig1_data(prob, out)
+        assert not out.exists()
 
     def test_problem_without_truth_rejected(self, tmp_path):
         prob = gen_corrupted(500, 5, 0.3, 1.0, 0.4, 0.1, seed=0)

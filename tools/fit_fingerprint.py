@@ -20,25 +20,43 @@ a change to the anchor shows its step count beside the fits.  So is the
 SHA-256 of the deterministic results.csv and aggregates.csv of one small
 all-method sweep (SWEEP: configs/gaussian_desk.json's shape at 3
 replications), so a harness change is shown to keep every row byte for
-byte.
+byte.  So are the SHA-256 of the files the front end writes, each run
+through ``rbls.cli.main`` only (FRONT_END): the fig1 CSVs of two small
+problems, one with --bins 17, and one ``rbls airline --deterministic
+--gnuplot`` run (4 methods, 2 grid points, 2 replications) over a flight
+CSV generated from a fixed seed, so a CLI or harness refactor is shown to
+keep every output byte for byte.
 --compare prints, per method, how many of the six fits are bit-identical,
 the largest absolute coefficient difference and the largest relative one
 (max |diff| over max |saved coefficient|, per fit), then per sampler how
 many of the six probability vectors are bit-identical, then how many of the
 six problems have bit-identical data, then the six anchor step counts
-saved -> now, then whether each sweep CSV is byte-identical, and exits 1 if
-anything is missing.
+saved -> now, then whether each sweep CSV and each front-end file is
+byte-identical, and exits 1 if anything is missing.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from rbls import AIWS_LS, ARWS_LS, IWS_LS, LEV_LS, METHOD_NAMES, EstimatorConfig, fit, gen_corrupted
+from rbls import (
+    AIWS_LS,
+    ARWS_LS,
+    IWS_LS,
+    LEV_LS,
+    METHOD_NAMES,
+    OLS,
+    EstimatorConfig,
+    fit,
+    gen_corrupted,
+)
+from rbls.cli import main as rbls_main
 from rbls.harness import (
     aggregate,
     config_from_dict,
@@ -60,6 +78,20 @@ SWEEP = {
     "base_seed": 1,
 }
 SWEEP_FILES = ("results.csv", "aggregates.csv")
+FIG1_FILES = ("fig1_histograms.csv", "fig1_distances.csv")
+AIRLINE_FILES = SWEEP_FILES + ("plot.gp",)
+# (name, rbls arguments without --out, files written); "{flights}" is the
+# generated flight CSV
+FRONT_END = (
+    ("fig1", ["fig1", "--n", "2000", "--p", "10", "--seed", "1"], FIG1_FILES),
+    ("fig1-bins17", ["fig1", "--n", "3000", "--p", "8", "--pi", "0.2", "--sigma-w", "0.6",
+                     "--seed", "5", "--bins", "17"], FIG1_FILES),
+    ("airline", ["airline", "--train", "{flights}", "--n-train", "400", "--n-test", "100",
+                 "--methods", OLS, LEV_LS, AIWS_LS, ARWS_LS, "--n-subs", "128", "64",
+                 "--replications", "2", "--seed", "4", "--deterministic", "--gnuplot"],
+     AIRLINE_FILES),
+)
+FLIGHTS_HEADER = "Year,Month,DayofMonth,UniqueCarrier,Origin,Dest,Distance,ArrDelay"
 
 
 def fingerprint():
@@ -90,11 +122,42 @@ def sweep_digests():
         paths = [os.path.join(out, name) for name in SWEEP_FILES]
         write_results_csv(results, paths[0], deterministic=True)
         write_aggregates_csv(aggregate(results), paths[1], deterministic=True)
-        digests = {}
-        for name, path in zip(SWEEP_FILES, paths):
-            with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).digest()
-            digests[f"sweep/{name}"] = np.frombuffer(digest, dtype=np.uint8)
+        return {f"sweep/{name}": _sha256(path) for name, path in zip(SWEEP_FILES, paths)}
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return np.frombuffer(hashlib.sha256(fh.read()).digest(), dtype=np.uint8)
+
+
+def _write_flights(path, rows=600, seed=0):
+    """A Data Expo-shaped flight CSV: 6 routes, random distances and delays."""
+    rng = np.random.default_rng(seed)
+    routes = [("JFK", "LAX"), ("SFO", "ORD"), ("BOS", "DCA"),
+              ("PHL", "CLT"), ("PIT", "MSP"), ("SEA", "DEN")]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(FLIGHTS_HEADER + "\n")
+        for i in range(rows):
+            origin, dest = routes[rng.integers(0, len(routes))]
+            distance, delay = rng.integers(100, 2600), rng.normal(8, 20)
+            fh.write(f"2000,1,{1 + i % 28},US,{origin},{dest},{distance},{delay:.1f}\n")
+
+
+def front_end_digests():
+    """{"front_end/<name>/<file>": SHA-256 of the file} for every FRONT_END run."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        flights = os.path.join(tmp, "flights.csv")
+        _write_flights(flights)
+        for name, argv, files in FRONT_END:
+            out = os.path.join(tmp, name)
+            args = [flights if a == "{flights}" else a for a in argv] + ["--out", out]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = rbls_main(args)
+            if code != 0:
+                raise SystemExit(f"rbls {' '.join(args)} exited {code}")
+            for file in files:
+                digests[f"front_end/{name}/{file}"] = _sha256(os.path.join(out, file))
     return digests
 
 
@@ -135,14 +198,13 @@ def compare(saved, fits):
     before = " ".join(str(int(saved[key])) for key in keys)
     after = " ".join(str(int(fits[key])) for key in keys)
     print(f"anchor   {AIWS_LS} CGLS steps {before} -> {after}")
-    for name in SWEEP_FILES:
-        key = f"sweep/{name}"
+    for key in sorted(k for k in fits if k.startswith(("sweep/", "front_end/"))):
         if key not in saved:
-            print(f"sweep    {name} missing from the saved file")
+            print(f"file     {key} missing from the saved file")
             complete = False
             continue
         same = np.array_equal(saved[key], fits[key])
-        print(f"sweep    {name} {'byte-identical' if same else 'differs'}")
+        print(f"file     {key} {'byte-identical' if same else 'differs'}")
     return complete
 
 
@@ -152,14 +214,15 @@ def main(argv=None):
     mode.add_argument("--save", metavar="FILE.npz", help="fit and save the fingerprint")
     mode.add_argument("--compare", metavar="FILE.npz", help="fit and compare with a saved file")
     args = parser.parse_args(argv)
-    fits = {**fingerprint(), **sweep_digests()}
+    fits = {**fingerprint(), **sweep_digests(), **front_end_digests()}
     if args.save:
         np.savez(args.save, **fits)
         fit_count = PROBLEMS * len(METHOD_NAMES)
         print(
             f"saved {fit_count} fits, {PROBLEMS * len(SAMPLERS)} probability vectors, "
             f"{PROBLEMS} data digests, {PROBLEMS} anchor step counts and "
-            f"{len(SWEEP_FILES)} sweep CSV digests to {args.save}"
+            f"{len(SWEEP_FILES)} sweep CSV and "
+            f"{sum(len(files) for _, _, files in FRONT_END)} front-end file digests to {args.save}"
         )
         return 0
     with np.load(args.compare) as saved:
