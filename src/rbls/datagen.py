@@ -203,11 +203,12 @@ def _parse_airline_rows(path):
             if delay in ("", "NA") or distance in ("", "NA"):
                 continue  # rows without a usable response or distance are dropped
             try:
-                rows.append(
-                    (record["Origin"], record["Dest"], float(distance), float(delay))
-                )
+                values = float(distance), float(delay)
+                if not np.isfinite(values).all():  # float() reads "nan" and "inf"
+                    raise ValueError(f"non-finite Distance {distance!r} or ArrDelay {delay!r}")
             except ValueError as err:
                 raise ParseError(f"line {line_no}: {err}", line_no) from err
+            rows.append((record["Origin"], record["Dest"], *values))
     return rows
 
 

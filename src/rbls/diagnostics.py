@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DegenerateRangeError, InvalidInputError, LeverageOneError
-from .linalg import _check_r_factor, _ls_inputs, _solve_ls, as_matrix, as_vector
+from .linalg import _check_r_factor, as_matrix, as_vector, solve_ls
 from .seeding import ROLE_PROJECTION, spawn_rng
 
 # l_i -> 1 makes the influence denominator explode; clamp and count.
@@ -60,17 +60,7 @@ def exact_leverage(Z, sol):
     """
     Z = as_matrix(Z, "Z")
     p = Z.shape[1]
-    return _leverage(Z, _checked_r_factor(sol.r_factor, p), np.eye(p))
-
-
-def _checked_r_factor(r_factor, p):
-    """r_factor as a float p x p array; InvalidInputError for another shape,
-    RankDeficientError for a (near-)zero diagonal entry."""
-    R = np.asarray(r_factor, dtype=np.float64)
-    if R.shape != (p, p):
-        raise InvalidInputError(f"r_factor has shape {R.shape}, expected {(p, p)}")
-    _check_r_factor(R)
-    return R
+    return _leverage(Z, _check_r_factor(sol.r_factor, p), np.eye(p))
 
 
 def _leverage(Z, R, projection):
@@ -104,12 +94,8 @@ def influence(e, l):
 
 def compute_diagnostics(Z, y):
     """Full exact diagnostics for (Z, y): one OLS solve plus leverages."""
-    return _exact_diagnostics(*_ls_inputs(Z, y))
-
-
-def _exact_diagnostics(Z, y):
-    """compute_diagnostics of a (Z, y) the caller has already validated."""
-    sol = _solve_ls(Z, y)
+    sol = solve_ls(Z, y)
+    Z = np.asarray(Z, dtype=np.float64)
     lev = _leverage(Z, sol.r_factor, np.eye(Z.shape[1]))
     d, n_clamped = influence(sol.residuals, lev)
     return DiagnosticsReport(sol.residuals, lev, d, "exact", n_clamped)
@@ -126,7 +112,7 @@ def loo_coefficients(Z, y, sol, i):
     i = int(i)
     if not 0 <= i < Z.shape[0]:
         raise InvalidInputError(f"row index {i} out of range for n={Z.shape[0]}")
-    R = sol.r_factor
+    R = _check_r_factor(sol.r_factor, Z.shape[1])
     w = solve_triangular(R, Z[i], trans="T")
     l_i = float(w @ w)
     if l_i >= LOO_LEVERAGE_LIMIT:
@@ -154,7 +140,7 @@ def approx_leverage(Z, r_factor, projection_cols, seed):
     projection_cols = int(projection_cols)
     if not 1 <= projection_cols <= p:
         raise InvalidInputError(f"need 1 <= projection_cols <= {p}, got {projection_cols}")
-    R = _checked_r_factor(r_factor, p)
+    R = _check_r_factor(r_factor, p)
     return _leverage(Z, R, _sign_projection(p, projection_cols, seed))
 
 

@@ -31,13 +31,13 @@ from scipy.sparse import csc_array
 
 from .diagnostics import (
     DiagnosticsReport,
-    _exact_diagnostics,
     _leverage,
     _sign_projection,
+    compute_diagnostics,
     influence,
 )
 from .errors import InvalidParamsError, RankDeficientError
-from .linalg import _ls_inputs, _refine_ls, _solve_ls, apply_gram_inverse, solve_ls
+from .linalg import _ls_inputs, _refine_ls, apply_gram_inverse, solve_ls
 from .sampling import inverse_score_probabilities
 from .seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng, spawn_seed
 from .srht import apply_sketch_pair, build_sketch
@@ -109,15 +109,15 @@ class FitResult:
 
 
 def _inputs(Z, y, cfg, bounded_by_n=True):
-    """Validated (Z, y) for a fit that keeps cfg.n_subs rows.
+    """float64 (Z, y) for a fit that keeps cfg.n_subs rows.
 
     Row samplers draw from the n rows, so their n_subs is bounded by n;
     sketches draw from the padded Hadamard domain, which build_sketch bounds.
-    This is the one finiteness scan of the full data in a fit: the
-    estimators pass the validated arrays to the unchecked kernels behind
-    the public linalg and diagnostics functions.  The small systems built
-    from them (a sketch, a subsample) still go through the checked
-    ``solve_ls``.
+    Only Z's shape and y's entries (through their sum) are checked here:
+    ``solve_ls`` checks Z's entries through the diagonal of the first Gram
+    matrix a fit forms, of Z or of a sketch in which every row of Z has a
+    +-1 or +-scale coefficient.  So no fit passes over Z for the check, and
+    a bad n_subs is reported before a NaN in Z.
     """
     Z, y = _ls_inputs(Z, y)
     n, p = Z.shape
@@ -177,12 +177,12 @@ def _anchor_rows(Z, cfg):
 
 
 def _lev_scores(Z, y, cfg):
-    lev = _leverage(Z, _solve_ls(Z, y).r_factor, np.eye(Z.shape[1]))
+    lev = _leverage(Z, solve_ls(Z, y).r_factor, np.eye(Z.shape[1]))
     return lev / lev.sum(), False, None
 
 
 def _iws_scores(Z, y, cfg):
-    report = _exact_diagnostics(Z, y)
+    report = compute_diagnostics(Z, y)
     return (*inverse_score_probabilities(report.influences), report)
 
 
@@ -214,8 +214,9 @@ _SCORERS = {
 
 
 def score(Z, y, cfg):
-    """Scoring stage of the row sampler cfg.method, on the fit's validated
-    (Z, y): (probabilities, uniform_fallback, report) for ``draw``."""
+    """Scoring stage of the row sampler cfg.method, on the (Z, y) of
+    ``_inputs``: (probabilities, uniform_fallback, report) for ``draw``.
+    Each scorer checks Z's entries through the first product it forms."""
     return _SCORERS[cfg.method](Z, y, cfg)
 
 

@@ -359,7 +359,7 @@ def emit_fig1_data(problem, out_dir, bins=DEFAULT_HISTOGRAM_BINS):
             for group, masses in (("corrupted", corrupted), ("clean", clean)):
                 for k in range(bins):
                     writer.writerow(
-                        [name, group, repr(edges[k]), repr(edges[k + 1]), repr(masses[k])]
+                        [name, group, _fmt(edges[k]), _fmt(edges[k + 1]), _fmt(masses[k])]
                     )
     distances = {name: table[3] for name, table in tables.items()}
     with open(

@@ -14,6 +14,13 @@ numpy.  scipy ships a second OpenBLAS with its own thread pool, so scipy is
 only handed 1-d right-hand sides (level-2 triangular solves): a 2-d one
 wakes that pool, whose spinning threads then slow numpy's BLAS on a small
 host.
+
+NaN and Inf are caught by ``_check_through``.  :func:`solve_ls` checks Z
+through the diagonal of the Gram matrix it forms anyway, and y, like
+:func:`as_matrix` and :func:`as_vector`, through its own sum.  The first
+products of :func:`refine_ls` and the diagnostics (Z b, Z R^{-1}) can give
+an entry an exact zero coefficient, which a BLAS may skip, so they scan Z
+with :func:`as_matrix`.
 """
 
 from dataclasses import dataclass
@@ -34,7 +41,7 @@ REFINE_TOL = 1e-10
 # With a sketch of 2p or more rows cond(A) is below ~10 and CGLS meets
 # REFINE_TOL in 15-20 iterations; the cap bounds the cost when it is not.
 REFINE_MAX_ITER = 100
-# _solve_ls keeps the Cholesky factor R of Z'Z only while LAPACK's estimate
+# solve_ls keeps the Cholesky factor R of Z'Z only while LAPACK's estimate
 # of its 1-norm condition number (dtrcon, O(p^2)) is at most
 # CHOLESKY_MAX_COND, and uses Householder QR otherwise.  R'R carries an
 # error of about eps cond(Z)^2 that CGLS removes from the coefficients but
@@ -52,38 +59,37 @@ REFINE_MAX_ITER = 100
 CHOLESKY_MAX_COND = 1e5
 
 
-def _all_finite(A):
-    """True if no entry of A is NaN or Inf.
-
-    A NaN or an Inf entry makes the sum NaN or Inf, so a finite sum proves
-    every entry finite without np.isfinite(A)'s boolean temporary (an
-    eighth of A).  Only a sum that is not finite, which an overflow of
-    finite entries can also give, pays for the elementwise scan.
-    """
+def _check_through(product, A, name):
+    """InvalidInputError if an entry of A is NaN or Inf, decided through the
+    sum of ``product``, in which every entry of A has a nonzero coefficient
+    (A itself, the diagonal of A'A): a NaN or Inf entry makes it NaN or Inf,
+    so a finite sum proves A finite with no pass over A.  Only a sum that is
+    not finite, which finite entries can also give by overflow, pays for the
+    elementwise scan."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(A.sum()):
-            return True
-    return bool(np.isfinite(A).all())
+        total = product.sum()
+    if not np.isfinite(total) and not np.isfinite(A).all():
+        raise InvalidInputError(f"{name} contains NaN or Inf entries")
+
+
+def _as_array(A, ndim, name, check_entries=True):
+    """A as float64 with ``ndim`` axes, and by default with finite entries."""
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != ndim:
+        raise InvalidInputError(f"{name} must be {ndim}-d, got ndim={A.ndim}")
+    if check_entries:
+        _check_through(A, A, name)
+    return A
 
 
 def as_matrix(A, name="matrix"):
     """Validate and return a 2-d float64 array with finite entries."""
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise InvalidInputError(f"{name} must be 2-d, got ndim={A.ndim}")
-    if not _all_finite(A):
-        raise InvalidInputError(f"{name} contains NaN or Inf entries")
-    return A
+    return _as_array(A, 2, name)
 
 
 def as_vector(v, name="vector"):
     """Validate and return a 1-d float64 array with finite entries."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise InvalidInputError(f"{name} must be 1-d, got ndim={v.ndim}")
-    if not _all_finite(v):
-        raise InvalidInputError(f"{name} contains NaN or Inf entries")
-    return v
+    return _as_array(v, 1, name)
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,12 @@ class LeastSquaresSolution:
     iterations: int = 0
 
 
-def _check_r_factor(R):
+def _check_r_factor(r_factor, p):
+    """r_factor as a float p x p array; InvalidInputError for another shape,
+    RankDeficientError for a (near-)zero diagonal entry."""
+    R = np.asarray(r_factor, dtype=np.float64)
+    if R.shape != (p, p):
+        raise InvalidInputError(f"r_factor has shape {R.shape}, expected {(p, p)}")
     d = np.abs(np.diag(R))
     dmax = d.max() if d.size else 0.0
     if dmax == 0.0 or d.min() < RANK_TOL * dmax:
@@ -121,6 +132,7 @@ def _check_r_factor(R):
             "triangular factor has a (near-)zero diagonal entry; "
             "the design is collinear or the subsample lost rank"
         )
+    return R
 
 
 def solve_ls(Z, y):
@@ -152,29 +164,17 @@ def solve_ls(Z, y):
         If the fallback's Householder R has |r_jj| < 1e-12 * max_k |r_kk|
         for some diagonal entry.
     InvalidInputError
-        On NaN/Inf entries or inconsistent shapes.
+        On NaN/Inf entries (Z's checked through its Gram matrix before
+        anything acts on it) or inconsistent shapes.
     """
-    return _solve_ls(*_ls_inputs(Z, y))
-
-
-def _ls_inputs(Z, y):
-    """Validated float64 (Z, y) of a least-squares problem with n >= p."""
-    Z = as_matrix(Z, "Z")
-    y = as_vector(y, "y")
-    n, p = Z.shape
-    if n < p:
-        raise InvalidInputError(f"need n >= p, got n={n}, p={p}")
-    if y.shape[0] != n:
-        raise InvalidInputError(f"y has length {y.shape[0]}, expected {n}")
-    return Z, y
-
-
-def _solve_ls(Z, y):
-    """solve_ls on inputs the caller has already validated."""
+    Z, y = _ls_inputs(Z, y)
     # One layout for the Gram product, so that R does not depend on Z's.
     Z = np.ascontiguousarray(Z)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is checked next
+        gram = Z.T @ Z
+    _check_through(np.diagonal(gram), Z, "Z")
     try:
-        R = np.linalg.cholesky(Z.T @ Z).T
+        R = np.linalg.cholesky(gram).T
     except np.linalg.LinAlgError:
         return _householder_ls(Z, y)
     # rcond = 1 / (estimated cond); written so that an empty R or a NaN
@@ -191,8 +191,21 @@ def _solve_ls(Z, y):
     return sol
 
 
+def _ls_inputs(Z, y):
+    """float64 (Z, y) of a least-squares problem with n >= p, y's entries
+    checked through their sum; Z's are left to the kernel's first product."""
+    Z = _as_array(Z, 2, "Z", check_entries=False)
+    y = as_vector(y, "y")
+    n, p = Z.shape
+    if n < p:
+        raise InvalidInputError(f"need n >= p, got n={n}, p={p}")
+    if y.shape[0] != n:
+        raise InvalidInputError(f"y has length {y.shape[0]}, expected {n}")
+    return Z, y
+
+
 def _householder_ls(Z, y):
-    """Householder QR of [Z | y]: the fallback of _solve_ls."""
+    """Householder QR of [Z | y]: the fallback of solve_ls."""
     n, p = Z.shape
     # LAPACK factors column-major arrays: numpy's qr copies a Fortran-ordered
     # [Z | y] contiguously, where a row-major one costs a transposing copy.
@@ -201,8 +214,7 @@ def _householder_ls(Z, y):
     aug[:, :p] = Z
     aug[:, p] = y
     r_aug = np.linalg.qr(aug, mode="r")
-    R = r_aug[:p, :p]
-    _check_r_factor(R)
+    R = _check_r_factor(r_aug[:p, :p], p)
     coef = solve_triangular(R, r_aug[:p, p])
     return LeastSquaresSolution(coef, y - Z @ coef, R)
 
@@ -231,9 +243,8 @@ def refine_ls(Z, y, sol):
 
 
 def _refine_ls(Z, y, sol):
-    """refine_ls on inputs the caller has already validated."""
-    R = sol.r_factor
-    _check_r_factor(R)
+    """refine_ls on a Z and y whose entries the caller has checked."""
+    R = _check_r_factor(sol.r_factor, Z.shape[1])
     # level-2 triangular solves (dtrsv: no wrapper checks, no threads).
     # Forming R^{-1} with scipy instead (a p x p right-hand side) made whole
     # AIWS_LS fits 1.2-1.7x slower on a 2-core host: the 2-d solve wakes
@@ -269,9 +280,9 @@ def _refine_ls(Z, y, sol):
 def apply_gram_inverse(sol, v):
     """Return (Z'Z)^{-1} v using two triangular solves with the stored R."""
     v = as_vector(v, "v")
-    R = sol.r_factor
-    if v.shape[0] != R.shape[0]:
-        raise InvalidInputError(f"v has length {v.shape[0]}, expected {R.shape[0]}")
-    _check_r_factor(R)
+    p = len(sol.r_factor)
+    if v.shape[0] != p:
+        raise InvalidInputError(f"v has length {v.shape[0]}, expected {p}")
+    R = _check_r_factor(sol.r_factor, p)
     w = solve_triangular(R, v, trans="T")
     return solve_triangular(R, w)

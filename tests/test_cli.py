@@ -204,6 +204,19 @@ class TestAirlineCommand:
         code = main(["airline", "--train", str(bad), "--n-train", "1", "--n-test", "1"])
         assert code == EXIT_DATA
 
+    def test_non_finite_distance_is_data_error(self, tmp_path):
+        # float() reads "nan": such a row made every fit fail while the
+        # command still exited 0
+        csv_path = airline_file(tmp_path, n_rows=60)
+        lines = csv_path.read_text().splitlines()
+        fields = lines[10].split(",")
+        fields[6] = "nan"
+        lines[10] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        code = main(["airline", "--train", str(csv_path), "--n-train", "40", "--n-test", "20",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+
     def test_same_sweep_as_run(self, tmp_path):
         # airline builds the config dict that rbls run would read from JSON;
         # its grid is sorted before validation

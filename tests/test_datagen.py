@@ -233,6 +233,17 @@ class TestAirlineLoader:
             load_airline_csv(f, 1, 0)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "row", ["2000,1,2,US,A,B,nan,3", "2000,1,2,US,A,B,100,inf", "2000,1,2,US,A,B,-Infinity,3"]
+    )
+    def test_non_finite_value_is_parse_error(self, tmp_path, row):
+        # float() reads these; no fit could use the row
+        f = tmp_path / "flights.csv"
+        write_airline_csv(f, ["2000,1,1,US,A,B,100,1", row])
+        with pytest.raises(ParseError) as exc:
+            load_airline_csv(f, 1, 0)
+        assert exc.value.line_number == 3
+
     def test_schema_error_lists_missing_columns(self, tmp_path):
         f = tmp_path / "flights.csv"
         f.write_text("Year,Origin,Dest\n2000,A,B\n")

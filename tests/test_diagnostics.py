@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,8 +315,8 @@ class TestHistogramL1Distance:
 
 
 class TestInputChecks:
-    # the estimators skip these checks after validating once; the public
-    # functions keep them
+    # the fits check Z through their first Gram matrix; these public
+    # functions keep their own checks
     def test_nan_design_rejected(self):
         Z = np.random.default_rng(30).standard_normal((40, 3))
         sol = solve_ls(Z, np.zeros(40))
@@ -329,8 +330,8 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("cols", [3, 5])
     def test_r_factor_of_another_width_rejected(self, cols):
-        # a solution of a narrower or wider design: both leverage functions
-        # reject its R by the same shape check
+        # a solution of a narrower or wider design: the leverage functions
+        # and loo_coefficients reject its R by the same shape check
         rng = np.random.default_rng(31)
         sol = solve_ls(rng.standard_normal((40, cols)), rng.standard_normal(40))
         Z = rng.standard_normal((40, 4))
@@ -338,6 +339,19 @@ class TestInputChecks:
             exact_leverage(Z, sol)
         with pytest.raises(InvalidInputError, match="r_factor has shape"):
             approx_leverage(Z, sol.r_factor, 2, seed=0)
+        with pytest.raises(InvalidInputError, match="r_factor has shape"):
+            loo_coefficients(Z, np.zeros(40), sol, 0)
+
+    def test_zero_diagonal_r_factor_rejected(self):
+        rng = np.random.default_rng(33)
+        Z, y = rng.standard_normal((40, 4)), rng.standard_normal(40)
+        sol = solve_ls(Z, y)
+        R = sol.r_factor.copy()
+        R[2, 2] = 0.0
+        with pytest.raises(RankDeficientError):
+            exact_leverage(Z, replace(sol, r_factor=R))
+        with pytest.raises(RankDeficientError):
+            loo_coefficients(Z, y, replace(sol, r_factor=R), 0)
 
     def test_compute_diagnostics_checks_shapes(self):
         with pytest.raises(InvalidInputError):

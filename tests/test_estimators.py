@@ -76,6 +76,31 @@ def gaussian_problem(n, p, seed, sigma_eps=0.1):
     return Z, y, beta
 
 
+class TestNonFiniteInputs:
+    # y is checked through its sum before anything else; Z through the
+    # first product each fit forms from it
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array", ["Z", "y"])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_non_finite_entry_rejected(self, method, array, bad):
+        prob = gen_corrupted(512, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
+        Z, y = prob.Z.copy(), prob.y.copy()
+        (Z if array == "Z" else y).flat[77] = bad
+        with pytest.raises(InvalidInputError, match=f"^{array} contains NaN or Inf entries$"):
+            fit(RegressionProblem(Z, y), EstimatorConfig(method, n_subs=64, seed=7))
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_finite_entries_whose_gram_overflows_accepted(self, method):
+        # entries near 1e160 square past the largest double, so the Gram's
+        # diagonal is Inf; the scan then finds Z finite and the solve falls
+        # back to Householder QR
+        prob = gen_corrupted(512, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
+        Z = prob.Z * 1e160
+        assert np.abs(Z).max() > np.sqrt(np.finfo(np.float64).max)
+        result = fit(RegressionProblem(Z, prob.y), EstimatorConfig(method, n_subs=64, seed=7))
+        assert np.all(np.isfinite(result.coefficients))
+
+
 class TestDispatcher:
     def test_ols_identity_design(self):
         prob = RegressionProblem(np.eye(4), np.array([1.0, -2.0, 0.5, 3.0]))
@@ -132,28 +157,35 @@ class TestDispatcher:
             result = fit(prob, EstimatorConfig(method=method, n_subs=64, seed=3))
             assert np.all(np.isfinite(result.coefficients))
 
-    def test_full_design_scanned_once_per_fit(self, monkeypatch):
-        # each finiteness scan of Z is a full pass over the data; a fit
-        # validates Z once and hands it to the unchecked kernels
+    def test_full_design_never_scanned_by_a_fit(self, monkeypatch):
+        # each fit checks Z's entries through the first product it forms
+        # from Z (a Gram diagonal or a sketch), so a fit on finite data makes
+        # no elementwise pass over Z: neither as_matrix nor np.isfinite sees
+        # an array of Z's size
         import sys
 
         import rbls.linalg
 
-        shapes = []
-        check = rbls.linalg.as_matrix
+        passes = []
+        check, isfinite = rbls.linalg.as_matrix, np.isfinite
 
-        def recording(A, *args, **kwargs):
-            shapes.append(np.shape(A))
-            return check(A, *args, **kwargs)
+        def recording(scan):
+            def shim(A, *args, **kwargs):
+                if np.size(A) >= 512 * 8:
+                    passes.append((scan.__name__, np.shape(A)))
+                return scan(A, *args, **kwargs)
+
+            return shim
 
         for name, module in list(sys.modules.items()):
             if name.startswith("rbls") and getattr(module, "as_matrix", None) is check:
-                monkeypatch.setattr(module, "as_matrix", recording)
+                monkeypatch.setattr(module, "as_matrix", recording(check))
+        monkeypatch.setattr(np, "isfinite", recording(isfinite))
         prob = gen_corrupted(512, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
         for method in METHOD_NAMES:
-            shapes.clear()
+            passes.clear()
             fit(prob, EstimatorConfig(method=method, n_subs=64, seed=3))
-            assert shapes.count((512, 8)) == 1, (method, shapes)
+            assert passes == [], (method, passes)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParamsError):

@@ -119,7 +119,7 @@ class TestRunExperiment:
         import rbls.linalg
 
         full_solves = []
-        solve = rbls.linalg._solve_ls
+        solve = rbls.linalg.solve_ls
 
         def counted(Z, y):
             if Z.shape[0] == cfg.n:
@@ -129,7 +129,7 @@ class TestRunExperiment:
         grid = (20, 40, 80)
         cfg = tiny_config(methods=(method,), n_subs_grid=grid, replications=2)
         for module in (rbls.linalg, rbls.estimators, rbls.diagnostics):
-            monkeypatch.setattr(module, "_solve_ls", counted)
+            monkeypatch.setattr(module, "solve_ls", counted)
         results = run_experiment(cfg)
         assert len(full_solves) == cfg.replications
         monkeypatch.undo()
@@ -377,6 +377,16 @@ class TestFig1:
         assert len(hist) == 1 + 2 * 2 * 50
         dist_lines = (tmp_path / "fig1_distances.csv").read_text().splitlines()
         assert dist_lines[0] == "metric,l1_distance"
+
+    def test_every_numeric_cell_parses_as_a_float(self, tmp_path):
+        # numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
+        emit_fig1_data(gen_corrupted(2000, 10, 0.3, 1.0, 0.4, 0.1, seed=1), tmp_path, bins=7)
+        for name, first_numeric in (("fig1_histograms.csv", 2), ("fig1_distances.csv", 1)):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            assert rows
+            for row in rows:
+                for cell in row.split(",")[first_numeric:]:
+                    float(cell)
 
     def test_uncorrupted_problem_rejected(self, tmp_path):
         prob = gen_corrupted(500, 5, 0.0, 1.0, 0.4, 0.1, seed=0)

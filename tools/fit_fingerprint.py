@@ -25,14 +25,19 @@ through ``rbls.cli.main`` only (FRONT_END): the fig1 CSVs of two small
 problems, one with --bins 17, and one ``rbls airline --deterministic
 --gnuplot`` run (4 methods, 2 grid points, 2 replications) over a flight
 CSV generated from a fixed seed, so a CLI or harness refactor is shown to
-keep every output byte for byte.
+keep every output byte for byte.  So is, per method, the type and message
+of the error a fit raises on one small problem (BAD_INPUTS: Z with a NaN,
+Z with +Inf, y with a NaN), so a change to the input checks is shown to
+keep what each fit reports.
 --compare prints, per method, how many of the six fits are bit-identical,
 the largest absolute coefficient difference and the largest relative one
 (max |diff| over max |saved coefficient|, per fit), then per sampler how
 many of the six probability vectors are bit-identical, then how many of the
 six problems have bit-identical data, then the six anchor step counts
 saved -> now, then whether each sweep CSV and each front-end file is
-byte-identical, and exits 1 if anything is missing.
+byte-identical, then per method how many of its error records are
+identical (with saved -> now for each that is not), and exits 1 if
+anything is missing.
 """
 
 import argparse
@@ -53,6 +58,7 @@ from rbls import (
     METHOD_NAMES,
     OLS,
     EstimatorConfig,
+    RegressionProblem,
     fit,
     gen_corrupted,
 )
@@ -91,6 +97,8 @@ FRONT_END = (
                  "--replications", "2", "--seed", "4", "--deterministic", "--gnuplot"],
      AIRLINE_FILES),
 )
+# (case, array, value): one entry of the problem's Z or y set to value
+BAD_INPUTS = (("Z_nan", "Z", np.nan), ("Z_inf", "Z", np.inf), ("y_nan", "y", np.nan))
 FLIGHTS_HEADER = "Year,Month,DayofMonth,UniqueCarrier,Origin,Dest,Distance,ArrDelay"
 
 
@@ -113,6 +121,25 @@ def fingerprint():
             if method == AIWS_LS:
                 fits[f"anchor_iterations/{k}"] = np.array(result.diagnostics.anchor_iterations)
     return fits
+
+
+def error_records():
+    """{"errors/<method>/<case>": "<type>: <message>" of the error the fit
+    raises, or "no error"} for every method and BAD_INPUTS case, on
+    gen_corrupted(512, 8, ...) with entry 77 of Z or y set."""
+    problem = gen_corrupted(512, 8, pi=0.3, sigma_x=1.0, sigma_w=0.4, sigma_eps=0.1, seed=4)
+    records = {}
+    for case, array, value in BAD_INPUTS:
+        Z, y = problem.Z.copy(), problem.y.copy()
+        (Z if array == "Z" else y).flat[77] = value
+        for method in METHOD_NAMES:
+            try:
+                fit(RegressionProblem(Z, y), EstimatorConfig(method, n_subs=64, seed=7))
+                text = "no error"
+            except Exception as err:
+                text = f"{type(err).__name__}: {err}"
+            records[f"errors/{method}/{case}"] = np.array(text)
+    return records
 
 
 def sweep_digests():
@@ -205,6 +232,16 @@ def compare(saved, fits):
             continue
         same = np.array_equal(saved[key], fits[key])
         print(f"file     {key} {'byte-identical' if same else 'differs'}")
+    for method in METHOD_NAMES:
+        keys = [f"errors/{method}/{case}" for case, _, _ in BAD_INPUTS]
+        if any(key not in saved for key in keys):
+            print(f"errors   {method} missing from the saved file")
+            complete = False
+            continue
+        changed = [key for key in keys if str(saved[key]) != str(fits[key])]
+        print(f"errors   {method:8s} {len(keys) - len(changed)}/{len(keys)} identical")
+        for key in changed:
+            print(f"         {key}: {saved[key]} -> {fits[key]}")
     return complete
 
 
@@ -214,7 +251,7 @@ def main(argv=None):
     mode.add_argument("--save", metavar="FILE.npz", help="fit and save the fingerprint")
     mode.add_argument("--compare", metavar="FILE.npz", help="fit and compare with a saved file")
     args = parser.parse_args(argv)
-    fits = {**fingerprint(), **sweep_digests(), **front_end_digests()}
+    fits = {**fingerprint(), **sweep_digests(), **front_end_digests(), **error_records()}
     if args.save:
         np.savez(args.save, **fits)
         fit_count = PROBLEMS * len(METHOD_NAMES)
@@ -222,7 +259,8 @@ def main(argv=None):
             f"saved {fit_count} fits, {PROBLEMS * len(SAMPLERS)} probability vectors, "
             f"{PROBLEMS} data digests, {PROBLEMS} anchor step counts and "
             f"{len(SWEEP_FILES)} sweep CSV and "
-            f"{sum(len(files) for _, _, files in FRONT_END)} front-end file digests to {args.save}"
+            f"{sum(len(files) for _, _, files in FRONT_END)} front-end file digests and "
+            f"{len(BAD_INPUTS) * len(METHOD_NAMES)} error records to {args.save}"
         )
         return 0
     with np.load(args.compare) as saved:
