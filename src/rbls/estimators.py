@@ -1,7 +1,8 @@
 """The seven regression estimators behind one ``fit`` interface.
 
-OLS            exact least squares on all rows: Cholesky of Z'Z plus CGLS
-               refinement, Householder QR when Z'Z is ill-conditioned.
+OLS            exact least squares on all rows: Cholesky of Z'Z, refined by
+               CGLS only while its stop test fails, Householder QR when
+               Z'Z is ill-conditioned.
 SRHT_LS        least squares on a randomized Hadamard sketch of (Z, y).
 LEV_LS         rows sampled proportional to exact leverage, then LS.
 ULURU          sketched solve plus a bias correction that regresses the
@@ -27,6 +28,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.sparse import csc_array
 
 from .diagnostics import (
@@ -37,7 +39,14 @@ from .diagnostics import (
     influence,
 )
 from .errors import InvalidParamsError, RankDeficientError
-from .linalg import _ls_inputs, _refine_ls, apply_gram_inverse, solve_ls
+from .linalg import (
+    _gram_factor,
+    _householder_ls,
+    _ls_inputs,
+    _refine_ls,
+    apply_gram_inverse,
+    solve_ls,
+)
 from .sampling import inverse_score_probabilities
 from .seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng, spawn_seed
 from .srht import apply_sketch_pair, build_sketch
@@ -114,8 +123,8 @@ def _inputs(Z, y, cfg, bounded_by_n=True):
     Row samplers draw from the n rows, so their n_subs is bounded by n;
     sketches draw from the padded Hadamard domain, which build_sketch bounds.
     Only Z's shape and y's entries (through their sum) are checked here:
-    ``solve_ls`` checks Z's entries through the diagonal of the first Gram
-    matrix a fit forms, of Z or of a sketch in which every row of Z has a
+    ``linalg._gram_factor`` checks Z's entries through the diagonal of the
+    first Gram matrix a fit forms, of Z or of a sketch in which every row of Z has a
     +-1 or +-scale coefficient.  So no fit passes over Z for the check, and
     a bad n_subs is reported before a NaN in Z.
     """
@@ -177,7 +186,15 @@ def _anchor_rows(Z, cfg):
 
 
 def _lev_scores(Z, y, cfg):
-    lev = _leverage(Z, solve_ls(Z, y).r_factor, np.eye(Z.shape[1]))
+    """Exact leverages from R alone, with no solve: ``_gram_factor``'s
+    Cholesky R, or on its fallback the Householder R that ``solve_ls``
+    returns.  The probabilities are those of
+    ``exact_leverage(Z, solve_ls(Z, y))`` unless solve_ls falls back
+    because its refinement reached REFINE_MAX_ITER."""
+    R, _ = _gram_factor(np.ascontiguousarray(Z))
+    if R is None:
+        R = _householder_ls(Z, y).r_factor
+    lev = _leverage(Z, R, np.eye(Z.shape[1]))
     return lev / lev.sum(), False, None
 
 
@@ -275,7 +292,17 @@ def fit_uluru(Z, y, cfg):
     Z, y = _inputs(Z, y, cfg, bounded_by_n=False)
     sol1 = _sketched_solve(Z, y, cfg.n_subs, cfg.seed)
     residual = y - Z @ sol1.coefficients
-    correction = apply_gram_inverse(sol1, Z.T @ residual)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is handled next
+        gradient = Z.T @ residual
+    if np.isfinite(gradient).all():
+        correction = apply_gram_inverse(sol1, gradient)
+    else:
+        # the sketch's solve checked Z and _inputs checked y, so Z'r
+        # overflowed: solve R^{-1} (s R^{-T} Z'(r / s)) with a power of two
+        # s >= max|Z|, which keeps every intermediate in range
+        scale = 2.0 ** min(1023, math.ceil(math.log2(np.abs(Z).max())))
+        w = solve_triangular(sol1.r_factor, Z.T @ (residual / scale), trans="T")
+        correction = solve_triangular(sol1.r_factor, scale * w)
     return FitResult(ULURU, sol1.coefficients + correction)
 
 

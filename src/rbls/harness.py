@@ -181,9 +181,11 @@ def run_experiment(cfg, threads=1):
     Fit failures are recorded in the row's ``error`` field and the run
     continues.  Rows come back sorted by (method, n_subs, replication)
     whatever the execution order, and the derived per-fit seeds are checked
-    for collisions.
+    for collisions.  ``threads`` below 1 is a ConfigError.
     """
     cfg.validate()
+    if threads < 1:
+        raise ConfigError(f"need threads >= 1, got {threads}")
     reps = range(cfg.replications)
     if cfg.scenario == AIRLINE:
         shared = load_airline_csv(cfg.airline_path, cfg.n, cfg.n_test)

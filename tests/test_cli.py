@@ -76,6 +76,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_file), "--out", str(out),
                      "--threads", "2"]) == EXIT_OK
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_config_error(self, tmp_path, config_file, threads):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--out", str(out),
+                     "--threads", threads]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 

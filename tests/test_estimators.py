@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chisquare
 
 import rbls.estimators
+import rbls.linalg
 import rbls.srht
 from rbls.datagen import gen_corrupted
 from rbls.diagnostics import exact_leverage, influence
@@ -266,6 +267,22 @@ class TestLevLs:
         assert result.sampling_probabilities.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(result.sampling_probabilities >= 0)
 
+    @pytest.mark.parametrize("path", ["cholesky", "householder"])
+    def test_probabilities_are_the_normalized_exact_leverages(self, path):
+        # the scorer reads R alone; it must be the R that solve_ls returns
+        if path == "cholesky":
+            Z, y, _ = gaussian_problem(2000, 20, seed=31)
+        else:  # singular values log-spaced down to 1e-6: Cholesky is refused
+            rng = np.random.default_rng(32)
+            U = np.linalg.qr(rng.standard_normal((2000, 20)))[0]
+            V = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+            Z = (U * np.logspace(0, -6, 20)) @ V.T
+            y = U @ rng.standard_normal(20) + 0.01 * rng.standard_normal(2000)
+        assert (rbls.linalg._gram_factor(Z)[0] is None) == (path == "householder")
+        lev = exact_leverage(Z, solve_ls(Z, y))
+        result = fit_lev_ls(Z, y, EstimatorConfig(method=LEV_LS, n_subs=100, seed=2))
+        assert np.array_equal(result.sampling_probabilities, lev / lev.sum())
+
     def test_full_draw_tracks_ols(self):
         ratios = []
         for seed in range(20):
@@ -295,6 +312,19 @@ class TestUluru:
             uluru_errs.append(np.linalg.norm(fit_uluru(Z, y, cfg_u).coefficients - beta))
             srht_errs.append(np.linalg.norm(fit_srht_ls(Z, y, cfg_s).coefficients - beta))
         assert np.median(uluru_errs) <= np.median(srht_errs)
+
+    def test_finite_data_whose_gradient_overflows(self):
+        # Z'r overflows at this scale; the fit must still match the
+        # unscaled problem's, whose coefficients are 1e306 times larger
+        prob = gen_corrupted(4096, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
+        Z = prob.Z * 1e306
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(Z.T @ (prob.y - Z @ np.zeros(8))).all()
+        cfg = EstimatorConfig(method=ULURU, n_subs=64, seed=7)
+        coef = fit_uluru(Z, prob.y, cfg).coefficients
+        np.testing.assert_allclose(
+            coef * 1e306, fit_uluru(prob.Z, prob.y, cfg).coefficients, rtol=1e-12
+        )
 
     def test_corrupted_bias_keeps_uluru_at_ols_level(self, corrupted_benchmark):
         medians, _ = corrupted_benchmark

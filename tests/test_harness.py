@@ -108,30 +108,35 @@ class TestRunExperiment:
                        ("generate", 1), *fits_per_rep,
                        ("generate", 2), *fits_per_rep]
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            run_experiment(tiny_config(), threads=threads)
+
     @pytest.mark.parametrize("method", [OLS, LEV_LS, IWS_LS])
     def test_seed_free_stages_run_once_per_replication(self, monkeypatch, method):
         # OLS's fit and the scores of LEV_LS and IWS_LS read neither n_subs
-        # nor the seed: one exact solve per replication serves the grid, and
-        # each row keeps its own per-fit seed and its own draw
-        import rbls.diagnostics
+        # nor the seed: one factor of the full Gram matrix per replication
+        # serves the grid, and each row keeps its own per-fit seed and its
+        # own draw
         import rbls.estimators
         import rbls.harness as harness
         import rbls.linalg
 
-        full_solves = []
-        solve = rbls.linalg.solve_ls
+        full_factors = []
+        factor = rbls.linalg._gram_factor
 
-        def counted(Z, y):
+        def counted(Z):
             if Z.shape[0] == cfg.n:
-                full_solves.append(Z.shape)
-            return solve(Z, y)
+                full_factors.append(Z.shape)
+            return factor(Z)
 
         grid = (20, 40, 80)
         cfg = tiny_config(methods=(method,), n_subs_grid=grid, replications=2)
-        for module in (rbls.linalg, rbls.estimators, rbls.diagnostics):
-            monkeypatch.setattr(module, "solve_ls", counted)
+        for module in (rbls.linalg, rbls.estimators):
+            monkeypatch.setattr(module, "_gram_factor", counted)
         results = run_experiment(cfg)
-        assert len(full_solves) == cfg.replications
+        assert len(full_factors) == cfg.replications
         monkeypatch.undo()
         for rep in range(cfg.replications):
             split = harness._generate_split(cfg, rep)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rbls.linalg
+from rbls.datagen import gen_corrupted
 from rbls.diagnostics import exact_leverage
 from rbls.errors import InvalidInputError, RankDeficientError
 from rbls.linalg import apply_gram_inverse, refine_ls, solve_ls
@@ -96,6 +97,10 @@ class TestSolveLs:
             solve_ls(np.ones((2, 3)), np.zeros(2))
 
 
+def no_householder(Z, y):
+    raise AssertionError("fell back to Householder QR")
+
+
 def graded_design(cond, seed):
     """2000 x 20 design with singular values log-spaced from 1 to 1/cond.
 
@@ -136,13 +141,41 @@ class TestCholeskySolve:
 
     @pytest.mark.parametrize("cond", [1e2, 1e4])
     def test_well_conditioned_designs_take_the_cholesky_path(self, cond, monkeypatch):
-        def householder(Z, y):
-            raise AssertionError("fell back to Householder QR")
-
-        monkeypatch.setattr(rbls.linalg, "_householder_ls", householder)
+        monkeypatch.setattr(rbls.linalg, "_householder_ls", no_householder)
         for seed in range(5):
             Z, y, _ = graded_design(cond, seed)
-            assert solve_ls(Z, y).iterations >= 1
+            sol = solve_ls(Z, y)
+            oracle = np.linalg.lstsq(Z, y, rcond=None)[0]
+            assert np.linalg.norm(sol.coefficients - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("case", ["graded", "desk"])
+    def test_a_start_that_meets_the_tolerance_takes_no_step(self, case):
+        if case == "graded":
+            problems = [graded_design(1e2, seed)[:2] for seed in range(5)]
+        else:
+            prob = gen_corrupted(20000, 50, pi=0.3, sigma_x=1.0, sigma_w=0.4,
+                                 sigma_eps=0.1, seed=100)
+            problems = [(prob.Z, prob.y)]
+        for Z, y in problems:
+            sol = solve_ls(Z, y)
+            assert sol.iterations == 0
+            assert np.array_equal(sol.residuals, y - Z @ sol.coefficients)
+            oracle = np.linalg.lstsq(Z, y, rcond=None)[0]
+            assert np.linalg.norm(sol.coefficients - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_a_start_that_misses_the_tolerance_is_refined(self, monkeypatch):
+        # at cond 1e4 the start's ||A'r|| / (||A|| ||r||) is above REFINE_TOL,
+        # so the exit is the stop rule after a step, not the start test
+        monkeypatch.setattr(rbls.linalg, "_householder_ls", no_householder)
+        for seed in range(5):
+            Z, y, _ = graded_design(1e4, seed)
+            R, _ = rbls.linalg._gram_factor(Z)
+            start = np.linalg.solve(R, np.linalg.solve(R.T, Z.T @ y))
+            r = y - Z @ start
+            A = Z @ np.linalg.inv(R)
+            ratio = np.linalg.norm(A.T @ r) / (np.linalg.norm(A, 2) * np.linalg.norm(r))
+            assert ratio > rbls.linalg.REFINE_TOL
+            assert 1 <= solve_ls(Z, y).iterations < rbls.linalg.REFINE_MAX_ITER
 
     @pytest.mark.parametrize("p, c", [(50, 0.4), (40, 0.4), (50, 0.3)])
     def test_kahan_designs_match_lstsq_and_the_hat_diagonal(self, p, c):

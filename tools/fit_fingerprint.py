@@ -14,7 +14,8 @@ problem's Z and y bytes is saved beside the fits, so a change to data
 generation is shown to keep the data, not only inferred from the fits.
 So are the sampling probabilities of the four row samplers (LEV_LS,
 IWS_LS, AIWS_LS, ARWS_LS), so a change to the leverage and score layer is
-checked where it acts, not only through the refit coefficients, and
+checked where it acts, not only through the refit coefficients, their
+drawn row indices, so a change that should keep the draws shows it, and
 AIWS_LS's anchor_iterations per problem (the CGLS steps of its anchor), so
 a change to the anchor shows its step count beside the fits.  So is the
 SHA-256 of the deterministic results.csv and aggregates.csv of one small
@@ -25,25 +26,30 @@ through ``rbls.cli.main`` only (FRONT_END): the fig1 CSVs of two small
 problems, one with --bins 17, and one ``rbls airline --deterministic
 --gnuplot`` run (4 methods, 2 grid points, 2 replications) over a flight
 CSV generated from a fixed seed, so a CLI or harness refactor is shown to
-keep every output byte for byte.  So is, per method, the type and message
-of the error a fit raises on one small problem (BAD_INPUTS: Z with a NaN,
-Z with +Inf, y with a NaN), so a change to the input checks is shown to
-keep what each fit reports.
+keep every output byte for byte.  Each sweep and front-end file is also
+saved as text, so a change that moves their numbers shows by how much.  So
+is, per method, the type and message of the error a fit raises on one
+small problem (BAD_INPUTS: Z with a NaN, Z with +Inf, y with a NaN), so a
+change to the input checks is shown to keep what each fit reports.
 --compare prints, per method, how many of the six fits are bit-identical,
 the largest absolute coefficient difference and the largest relative one
 (max |diff| over max |saved coefficient|, per fit), then per sampler how
-many of the six probability vectors are bit-identical, then how many of the
-six problems have bit-identical data, then the six anchor step counts
-saved -> now, then whether each sweep CSV and each front-end file is
-byte-identical, then per method how many of its error records are
+many of the six probability vectors and of the six draws are
+bit-identical, then how many of the six problems have bit-identical data,
+then the six anchor step counts saved -> now, then whether each sweep CSV
+and each front-end file is byte-identical (for a CSV that differs, the
+largest relative difference over its numeric cells and whether every other
+cell is identical), then per method how many of its error records are
 identical (with saved -> now for each that is not), and exits 1 if
 anything is missing.
 """
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -104,7 +110,8 @@ FLIGHTS_HEADER = "Year,Month,DayofMonth,UniqueCarrier,Origin,Dest,Distance,ArrDe
 
 def fingerprint():
     """{"<method>/<k>": coefficients, "probabilities/<sampler>/<k>":
-    sampling probabilities, "data/<k>": SHA-256 of Z and y,
+    sampling probabilities, "draws/<sampler>/<k>": drawn row indices,
+    "data/<k>": SHA-256 of Z and y,
     "anchor_iterations/<k>": AIWS_LS's CGLS steps} for every method and
     desk problem."""
     fits = {}
@@ -118,6 +125,7 @@ def fingerprint():
             fits[f"{method}/{k}"] = result.coefficients
             if method in SAMPLERS:
                 fits[f"probabilities/{method}/{k}"] = result.sampling_probabilities
+                fits[f"draws/{method}/{k}"] = result.sampled_row_indices
             if method == AIWS_LS:
                 fits[f"anchor_iterations/{k}"] = np.array(result.diagnostics.anchor_iterations)
     return fits
@@ -143,18 +151,47 @@ def error_records():
 
 
 def sweep_digests():
-    """{"sweep/<file>": SHA-256 of the file} for the deterministic CSVs of SWEEP."""
+    """{"sweep/<file>": SHA-256 of the file, "text/sweep/<file>": its text}
+    for the deterministic CSVs of SWEEP."""
     results = run_experiment(config_from_dict(SWEEP))
+    digests = {}
     with tempfile.TemporaryDirectory() as out:
         paths = [os.path.join(out, name) for name in SWEEP_FILES]
         write_results_csv(results, paths[0], deterministic=True)
         write_aggregates_csv(aggregate(results), paths[1], deterministic=True)
-        return {f"sweep/{name}": _sha256(path) for name, path in zip(SWEEP_FILES, paths)}
+        for name, path in zip(SWEEP_FILES, paths):
+            digests.update(_file_record(f"sweep/{name}", path))
+    return digests
 
 
-def _sha256(path):
+def _file_record(key, path):
+    """{key: SHA-256 of the file, "text/<key>": its text}."""
     with open(path, "rb") as fh:
-        return np.frombuffer(hashlib.sha256(fh.read()).digest(), dtype=np.uint8)
+        data = fh.read()
+    digest = np.frombuffer(hashlib.sha256(data).digest(), dtype=np.uint8)
+    return {key: digest, f"text/{key}": np.array(data.decode("utf-8"))}
+
+
+def csv_cell_diff(saved_text, text):
+    """(largest relative difference over the cells that parse as numbers in
+    both texts, whether every other cell is identical) of two CSV texts;
+    the relative difference of a and b is |a - b| / max(|a|, |b|), 0 for
+    two zeros or two NaNs.  Texts with different row or cell counts have
+    (nan, False)."""
+    rows_a = list(csv.reader(io.StringIO(saved_text)))
+    rows_b = list(csv.reader(io.StringIO(text)))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return float("nan"), False
+    worst, others_same = 0.0, True
+    for cell_a, cell_b in zip(itertools.chain(*rows_a), itertools.chain(*rows_b)):
+        try:
+            a, b = float(cell_a), float(cell_b)
+        except ValueError:
+            others_same &= cell_a == cell_b
+            continue
+        if a != b and not (np.isnan(a) and np.isnan(b)):
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+    return worst, others_same
 
 
 def _write_flights(path, rows=600, seed=0):
@@ -171,7 +208,8 @@ def _write_flights(path, rows=600, seed=0):
 
 
 def front_end_digests():
-    """{"front_end/<name>/<file>": SHA-256 of the file} for every FRONT_END run."""
+    """{"front_end/<name>/<file>": SHA-256 of the file, "text/front_end/<name>/<file>":
+    its text} for every FRONT_END run."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         flights = os.path.join(tmp, "flights.csv")
@@ -184,7 +222,7 @@ def front_end_digests():
             if code != 0:
                 raise SystemExit(f"rbls {' '.join(args)} exited {code}")
             for file in files:
-                digests[f"front_end/{name}/{file}"] = _sha256(os.path.join(out, file))
+                digests.update(_file_record(f"front_end/{name}/{file}", os.path.join(out, file)))
     return digests
 
 
@@ -212,6 +250,14 @@ def compare(saved, fits):
             continue
         same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
         print(f"probs    {method:8s} {same}/{PROBLEMS} bit-identical")
+    for method in SAMPLERS:
+        keys = [f"draws/{method}/{k}" for k in range(PROBLEMS)]
+        if any(key not in saved for key in keys):
+            print(f"draws    {method} missing from the saved file")
+            complete = False
+            continue
+        same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
+        print(f"draws    {method:8s} {same}/{PROBLEMS} identical")
     keys = [f"data/{k}" for k in range(PROBLEMS)]
     if any(key not in saved for key in keys):
         print("data     missing from the saved file")
@@ -232,6 +278,18 @@ def compare(saved, fits):
             continue
         same = np.array_equal(saved[key], fits[key])
         print(f"file     {key} {'byte-identical' if same else 'differs'}")
+        text_key = f"text/{key}"
+        if same or not key.endswith(".csv"):
+            continue
+        if text_key not in saved:
+            print(f"         {text_key} missing from the saved file")
+            complete = False
+            continue
+        worst, others_same = csv_cell_diff(str(saved[text_key]), str(fits[text_key]))
+        print(
+            f"         max rel diff {worst:.3g} over numeric cells, other cells "
+            f"{'identical' if others_same else 'differ'}"
+        )
     for method in METHOD_NAMES:
         keys = [f"errors/{method}/{case}" for case, _, _ in BAD_INPUTS]
         if any(key not in saved for key in keys):
@@ -256,7 +314,8 @@ def main(argv=None):
         np.savez(args.save, **fits)
         fit_count = PROBLEMS * len(METHOD_NAMES)
         print(
-            f"saved {fit_count} fits, {PROBLEMS * len(SAMPLERS)} probability vectors, "
+            f"saved {fit_count} fits, {PROBLEMS * len(SAMPLERS)} probability vectors "
+            f"and draws, "
             f"{PROBLEMS} data digests, {PROBLEMS} anchor step counts and "
             f"{len(SWEEP_FILES)} sweep CSV and "
             f"{sum(len(files) for _, _, files in FRONT_END)} front-end file digests and "
