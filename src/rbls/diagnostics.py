@@ -14,7 +14,7 @@ JMLR 2012).  Both read their row norms through one kernel, ``_leverage``.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsv
 
 from .errors import DegenerateRangeError, InvalidInputError, LeverageOneError
 from .linalg import _check_r_factor, as_matrix, as_vector, solve_ls
@@ -96,9 +96,15 @@ def compute_diagnostics(Z, y):
     """Full exact diagnostics for (Z, y): one OLS solve plus leverages."""
     sol = solve_ls(Z, y)
     Z = np.asarray(Z, dtype=np.float64)
-    lev = _leverage(Z, sol.r_factor, np.eye(Z.shape[1]))
+    return _influence_report(Z, sol, np.eye(Z.shape[1]), "exact")
+
+
+def _influence_report(Z, sol, projection, mode):
+    """DiagnosticsReport of sol's residuals and CGLS steps, and of leverages
+    read from its R through ``projection`` (``_leverage``), for a checked Z."""
+    lev = _leverage(Z, sol.r_factor, projection)
     d, n_clamped = influence(sol.residuals, lev)
-    return DiagnosticsReport(sol.residuals, lev, d, "exact", n_clamped)
+    return DiagnosticsReport(sol.residuals, lev, d, mode, n_clamped, sol.iterations)
 
 
 def loo_coefficients(Z, y, sol, i):
@@ -113,15 +119,13 @@ def loo_coefficients(Z, y, sol, i):
     if not 0 <= i < Z.shape[0]:
         raise InvalidInputError(f"row index {i} out of range for n={Z.shape[0]}")
     R = _check_r_factor(sol.r_factor, Z.shape[1])
-    w = solve_triangular(R, Z[i], trans="T")
+    w = dtrsv(R, Z[i], trans=1)
     l_i = float(w @ w)
     if l_i >= LOO_LEVERAGE_LIMIT:
         raise LeverageOneError(
             f"row {i} has leverage {l_i:.12f}; it fully determines its own fit"
         )
-    gram_inv_zi = solve_triangular(R, w)
-    e_i = float(sol.residuals[i])
-    return sol.coefficients - gram_inv_zi * e_i / (1.0 - l_i)
+    return sol.coefficients - dtrsv(R, w) * float(sol.residuals[i]) / (1.0 - l_i)
 
 
 def approx_leverage(Z, r_factor, projection_cols, seed):

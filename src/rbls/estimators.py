@@ -28,25 +28,18 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsv
 from scipy.sparse import csc_array
 
 from .diagnostics import (
     DiagnosticsReport,
+    _influence_report,
     _leverage,
     _sign_projection,
     compute_diagnostics,
-    influence,
 )
 from .errors import InvalidParamsError, RankDeficientError
-from .linalg import (
-    _gram_factor,
-    _householder_ls,
-    _ls_inputs,
-    _refine_ls,
-    apply_gram_inverse,
-    solve_ls,
-)
+from .linalg import _gradient, _gram_factor, _householder_ls, _ls_inputs, _refine_ls, solve_ls
 from .sampling import inverse_score_probabilities
 from .seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng, spawn_seed
 from .srht import apply_sketch_pair, build_sketch
@@ -186,11 +179,10 @@ def _anchor_rows(Z, cfg):
 
 
 def _lev_scores(Z, y, cfg):
-    """Exact leverages from R alone, with no solve: ``_gram_factor``'s
-    Cholesky R, or on its fallback the Householder R that ``solve_ls``
-    returns.  The probabilities are those of
-    ``exact_leverage(Z, solve_ls(Z, y))`` unless solve_ls falls back
-    because its refinement reached REFINE_MAX_ITER."""
+    """Exact leverages from R alone, with no solve: the Cholesky factor of
+    Z'Z from ``_gram_factor`` or, on its fallback, ``_householder_ls``.  The
+    probabilities are those of ``exact_leverage(Z, solve_ls(Z, y))`` unless
+    solve_ls falls back because its refinement reached REFINE_MAX_ITER."""
     R, _ = _gram_factor(np.ascontiguousarray(Z))
     if R is None:
         R = _householder_ls(Z, y).r_factor
@@ -205,15 +197,10 @@ def _iws_scores(Z, y, cfg):
 
 def _aiws_scores(Z, y, cfg):
     p = Z.shape[1]
-    sol1 = _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed)
-    refined = _refine_ls(Z, y, sol1)
+    refined = _refine_ls(Z, y, _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed))
     pi2 = _sign_projection(p, math.ceil(p / 2), cfg.seed)
-    lev = _leverage(Z, sol1.r_factor, pi2)
-    d, n_clamped = influence(refined.residuals, lev)
-    report = DiagnosticsReport(
-        refined.residuals, lev, d, "approximate", n_clamped, refined.iterations
-    )
-    return (*inverse_score_probabilities(d), report)
+    report = _influence_report(Z, refined, pi2, "approximate")
+    return (*inverse_score_probabilities(report.influences), report)
 
 
 def _arws_scores(Z, y, cfg):
@@ -265,10 +252,10 @@ def fit_lev_ls(Z, y, cfg):
 def fit_uluru(Z, y, cfg):
     """Two-step sketched estimator: sketched solve plus bias correction.
 
-    Step two regresses the full residual r = y - Z b1 onto Z through the
-    step-one sketched Gram factor, i.e. solves (Pi Z)'(Pi Z) c = Z'r, and
-    returns b1 + c.  On a consistent system r = 0 and the correction
-    vanishes.
+    Step two is one gradient step from the sketched b1, preconditioned by
+    the sketch's Gram factor R: b1 + c with c = R^{-1} R^{-T} Z'r, r = y - Z b1,
+    which solves (Pi Z)'(Pi Z) c = Z'r (``linalg._gradient``, as in CGLS).
+    On a consistent system r = 0 and the correction vanishes.
 
     Relation to ULURU as published (Dhillon, Lu, Foster and Ungar, NIPS
     2013).  There, n_subs rows of the Hadamard-domain data H D Z are drawn
@@ -291,19 +278,9 @@ def fit_uluru(Z, y, cfg):
     """
     Z, y = _inputs(Z, y, cfg, bounded_by_n=False)
     sol1 = _sketched_solve(Z, y, cfg.n_subs, cfg.seed)
-    residual = y - Z @ sol1.coefficients
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is handled next
-        gradient = Z.T @ residual
-    if np.isfinite(gradient).all():
-        correction = apply_gram_inverse(sol1, gradient)
-    else:
-        # the sketch's solve checked Z and _inputs checked y, so Z'r
-        # overflowed: solve R^{-1} (s R^{-T} Z'(r / s)) with a power of two
-        # s >= max|Z|, which keeps every intermediate in range
-        scale = 2.0 ** min(1023, math.ceil(math.log2(np.abs(Z).max())))
-        w = solve_triangular(sol1.r_factor, Z.T @ (residual / scale), trans="T")
-        correction = solve_triangular(sol1.r_factor, scale * w)
-    return FitResult(ULURU, sol1.coefficients + correction)
+    with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
+        gradient, _ = _gradient(sol1.r_factor, Z, y - Z @ sol1.coefficients)
+    return FitResult(ULURU, sol1.coefficients + dtrsv(sol1.r_factor, gradient))
 
 
 def fit_iws_ls(Z, y, cfg):

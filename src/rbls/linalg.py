@@ -9,28 +9,30 @@ steps only while the test fails.  The result meets ``REFINE_TOL``: on
 well-conditioned designs it is the first solution itself, accurate to
 about 1e-13 relative at cond(Z) 1e2 and 1e-11 at 1e3.  Designs whose Gram
 matrix is too ill-conditioned for Cholesky fall back to Householder QR of
-[Z | y].  Callers that need only the factor (exact leverages) take it from
-``_gram_factor`` with no solve; diagnostics reuse the triangular factor
-through :func:`apply_gram_inverse`.
+[Z | y], with rows signed so that its R is the same Cholesky factor.
+Callers that need only the factor (exact leverages) take it from
+``_gram_factor`` with no solve.  ``_gradient`` forms R^{-T} Z'r for the
+solve's start, each CGLS step and ULURU's correction, and survives an
+overflow of Z'r.
 
-Dense level-3 work (Gram products, Cholesky, QR, inverses of R) runs in
-numpy.  scipy ships a second OpenBLAS with its own thread pool, so scipy is
-only handed 1-d right-hand sides (level-2 triangular solves): a 2-d one
-wakes that pool, whose spinning threads then slow numpy's BLAS on a small
-host.
+Dense level-3 work (Gram products, Cholesky, QR, the leverages' R^{-1} Pi2)
+runs in numpy.  scipy ships a second OpenBLAS with its own thread pool, so
+its only solver here is the level-2 ``dtrsv`` (1-d right-hand sides, no
+wrapper checks): a 2-d one wakes that pool, whose spinning threads then
+slow numpy's BLAS on a small host.
 
 NaN and Inf are caught by ``_check_through``.  :func:`solve_ls` checks Z
 through the diagonal of the Gram matrix it forms anyway, and y, like
 :func:`as_matrix` and :func:`as_vector`, through its own sum.  The first
 products of :func:`refine_ls` and the diagnostics (Z b, Z R^{-1}) can give
 an entry an exact zero coefficient, which a BLAS may skip, so they scan Z
-with :func:`as_matrix`.
+with :func:`as_matrix`.  A stored R is checked by ``_check_r_factor``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dtrcon
 
@@ -107,11 +109,10 @@ class LeastSquaresSolution:
     residuals : ndarray, shape (n,)
         y - Z @ coefficients.
     r_factor : ndarray, shape (p, p)
-        Upper-triangular R with R'R = Z'Z, so that
-        (Z'Z)^{-1} = R^{-1} R^{-T}: the Cholesky factor of Z'Z, which is
-        the Householder R of Z up to the signs of its rows (or that R
-        itself when :func:`solve_ls` fell back to QR).  After
-        :func:`refine_ls` it is the preconditioner's factor, not Z's.
+        Upper-triangular R with R'R = Z'Z and a positive diagonal, so that
+        (Z'Z)^{-1} = R^{-1} R^{-T}: the Cholesky factor of Z'Z, on either of
+        :func:`solve_ls`'s paths.  After :func:`refine_ls` it is the
+        preconditioner's factor, not Z's.
     iterations : int
         CGLS refinement steps taken: 0 for the Householder fallback, and
         when the starting point already meets the stop test, as the
@@ -125,11 +126,14 @@ class LeastSquaresSolution:
 
 
 def _check_r_factor(r_factor, p):
-    """r_factor as a float p x p array; InvalidInputError for another shape,
-    RankDeficientError for a (near-)zero diagonal entry."""
+    """r_factor as a float p x p array; InvalidInputError for another shape or
+    a NaN or Inf entry (dtrsv checks none), RankDeficientError for a
+    (near-)zero diagonal entry."""
     R = np.asarray(r_factor, dtype=np.float64)
     if R.shape != (p, p):
         raise InvalidInputError(f"r_factor has shape {R.shape}, expected {(p, p)}")
+    if not np.isfinite(R).all():
+        raise InvalidInputError("r_factor contains NaN or Inf entries")
     d = np.abs(np.diag(R))
     dmax = d.max() if d.size else 0.0
     if dmax == 0.0 or d.min() < RANK_TOL * dmax:
@@ -189,9 +193,9 @@ def solve_ls(Z, y):
     R, col_norms = _gram_factor(Z)
     if R is None:
         return _householder_ls(Z, y)
-    coef = dtrsv(R, dtrsv(R, Z.T @ y, trans=1))
     a_norm = np.max(col_norms / np.linalg.norm(R, axis=0))
-    sol = _refine_ls(Z, y, LeastSquaresSolution(coef, None, R), a_norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
+        sol = _cgls(Z, y, dtrsv(R, _gradient(R, Z, y)[0]), R, a_norm)
     # 0 or 1 step on the graded designs that _gram_factor accepts; hitting
     # the cap means R is not the factor of Z'Z it should be
     if sol.iterations >= REFINE_MAX_ITER:
@@ -244,8 +248,10 @@ def _householder_ls(Z, y):
     aug[:, :p] = Z
     aug[:, p] = y
     r_aug = np.linalg.qr(aug, mode="r")
+    # rows signed to a positive diagonal: the Cholesky factor _gram_factor gives
+    r_aug[:p] *= np.copysign(1.0, np.diagonal(r_aug)[:p])[:, None]
     R = _check_r_factor(r_aug[:p, :p], p)
-    coef = solve_triangular(R, r_aug[:p, p])
+    coef = dtrsv(R, r_aug[:p, p])
     return LeastSquaresSolution(coef, y - Z @ coef, R)
 
 
@@ -272,22 +278,22 @@ def refine_ls(Z, y, sol):
     return _refine_ls(as_matrix(Z, "Z"), as_vector(y, "y"), sol)
 
 
-def _refine_ls(Z, y, sol, a_norm=0.0):
-    """refine_ls on a Z and y whose entries the caller has checked.  A
-    positive ``a_norm``, a lower bound on ||A||, also applies the stop test
-    to the start; a start that meets it comes back with 0 iterations and
-    the residual the test computed."""
+def _refine_ls(Z, y, sol):
+    """refine_ls on a Z and y whose entries the caller has checked."""
     R = _check_r_factor(sol.r_factor, Z.shape[1])
-    # level-2 triangular solves (dtrsv: no wrapper checks, no threads).
-    # Forming R^{-1} with scipy instead (a p x p right-hand side) made whole
-    # AIWS_LS fits 1.2-1.7x slower on a 2-core host: the 2-d solve wakes
-    # scipy's own OpenBLAS threads, which keep spinning beside numpy's
+    with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
+        return _cgls(Z, y, np.array(sol.coefficients, dtype=np.float64), R, 0.0)
+
+
+def _cgls(Z, y, coef, R, a_norm):
+    """CGLS right-preconditioned by a checked R from ``coef`` (updated in
+    place), under the caller's errstate for ``_gradient``.  A positive
+    ``a_norm``, a lower bound on ||A||, also puts the start to the stop test;
+    a start that passes comes back with 0 steps and the test's residual."""
     r_fortran = np.asfortranarray(R)
-    coef = np.array(sol.coefficients, dtype=np.float64)
     r = y - Z @ coef
     y_norm = np.linalg.norm(y)
-    s = dtrsv(r_fortran, Z.T @ r, trans=1)
-    gamma = s @ s
+    s, gamma = _gradient(r_fortran, Z, r)
     if a_norm > 0.0 and _stops(r, gamma, y_norm, a_norm):
         return LeastSquaresSolution(coef, r, R, 0)
     d = s
@@ -301,13 +307,27 @@ def _refine_ls(Z, y, sol, a_norm=0.0):
         coef += alpha * t
         r -= alpha * q
         it += 1
-        s = dtrsv(r_fortran, Z.T @ r, trans=1)
-        gamma_next = s @ s
+        s, gamma_next = _gradient(r_fortran, Z, r)
         if _stops(r, gamma_next, y_norm, a_norm):
             break
         d = s + (gamma_next / gamma) * d
         gamma = gamma_next
     return LeastSquaresSolution(coef, y - Z @ coef, R, it)
+
+
+def _gradient(R, Z, r):
+    """(g, g'g), g = R^{-T} Z'r the preconditioned gradient of CGLS and ULURU,
+    for a checked Z, under np.errstate(over="ignore", invalid="ignore").  If
+    g'g is not finite, Z'r overflowed: g is then s R^{-T} Z'(r / s), s the
+    power of two >= max|Z| (at most 2^1023), whose steps all stay in range
+    unless r alone makes Z'r overflow."""
+    g = dtrsv(R, Z.T @ r, trans=1)
+    gamma = g @ g
+    if not math.isfinite(gamma):
+        scale = 2.0 ** min(1023, math.ceil(math.log2(np.abs(Z).max())))
+        g = scale * dtrsv(R, Z.T @ (r / scale), trans=1)
+        gamma = g @ g
+    return g, gamma
 
 
 def _stops(r, gamma, y_norm, a_norm):
@@ -324,5 +344,4 @@ def apply_gram_inverse(sol, v):
     if v.shape[0] != p:
         raise InvalidInputError(f"v has length {v.shape[0]}, expected {p}")
     R = _check_r_factor(sol.r_factor, p)
-    w = solve_triangular(R, v, trans="T")
-    return solve_triangular(R, w)
+    return dtrsv(R, dtrsv(R, v, trans=1))

@@ -221,8 +221,9 @@ def test_criterion_7_fast_path_beats_exact_path():
     prob = gen_corrupted(2**17, 64, pi=0.3, sigma_x=1.0, sigma_w=0.4,
                          sigma_eps=0.1, seed=77)
     n_subs = 16 * 64
-    # one untimed fit of each at full size: the first 2^17-row transform
-    # pays a one-off cost (~0.15 s) that only ARWS_LS would otherwise carry
+    # one untimed fit of each at full size first, so that neither timed fit
+    # carries a one-off cost of the first fit at this size (fresh pages for
+    # its large buffers, BLAS start-up)
     for method in (ARWS_LS, IWS_LS):
         fit(prob, EstimatorConfig(method=method, n_subs=n_subs, seed=0))
     fast = fit(prob, EstimatorConfig(method=ARWS_LS, n_subs=n_subs, seed=5))

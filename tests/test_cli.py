@@ -25,14 +25,14 @@ def config_file(tmp_path):
     return path
 
 
-def airline_file(tmp_path, n_rows=500, seed=0):
+def airline_file(tmp_path, n_rows=500, seed=0, delay=lambda d: f"{d:.1f}"):
     rng = np.random.default_rng(seed)
     pairs = [("JFK", "LAX"), ("SFO", "ORD"), ("BOS", "DCA"), ("PHL", "CLT"), ("PIT", "MSP")]
     rows = []
     for i in range(n_rows):
         o, d = pairs[rng.integers(0, len(pairs))]
         rows.append(
-            f"2000,1,{1 + i % 28},US,{o},{d},{rng.integers(100, 2600)},{rng.normal(8, 20):.1f}"
+            f"2000,1,{1 + i % 28},US,{o},{d},{rng.integers(100, 2600)},{delay(rng.normal(8, 20))}"
         )
     path = tmp_path / "flights.csv"
     path.write_text(AIRLINE_HEADER + "\n" + "\n".join(rows) + "\n")
@@ -201,6 +201,20 @@ class TestAirlineCommand:
         assert code == EXIT_OK
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 4
+
+    def test_huge_finite_delays_keep_every_row(self, tmp_path):
+        # delays near 1e306 make Z'r overflow in ULURU's correction; the
+        # sweep must still exit 0 with one row per method
+        csv_path = airline_file(tmp_path, delay=lambda d: repr(float(d) * 1e306))
+        methods = ["OLS", "SRHT_LS", "LEV_LS", "ULURU", "IWS_LS", "AIWS_LS", "ARWS_LS"]
+        out = tmp_path / "out"
+        code = main(
+            ["airline", "--train", str(csv_path), "--n-train", "400", "--n-test", "100",
+             "--methods", *methods, "--n-subs", "64", "--out", str(out), "--deterministic"]
+        )
+        assert code == EXIT_OK
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == methods
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["airline", "--train", str(tmp_path / "gone.csv")]) == EXIT_DATA

@@ -174,6 +174,17 @@ class TestLooCoefficients:
                 loo_coefficients(Z, y, sol, i), refit_without_row(Z, y, i), atol=1e-9
             )
 
+    def test_non_finite_factor_rejected(self):
+        # the downdate's triangular solves (dtrsv) check nothing themselves
+        rng = np.random.default_rng(5)
+        Z = rng.standard_normal((10, 3))
+        y = rng.standard_normal(10)
+        sol = solve_ls(Z, y)
+        R = sol.r_factor.copy()
+        R[1, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="r_factor contains NaN or Inf"):
+            loo_coefficients(Z, y, replace(sol, r_factor=R), 4)
+
     def test_self_determining_row_raises(self):
         # row 0 alone carries the first coordinate, so its leverage is 1
         Z = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])

@@ -101,6 +101,25 @@ class TestNonFiniteInputs:
         result = fit(RegressionProblem(Z, prob.y), EstimatorConfig(method, n_subs=64, seed=7))
         assert np.all(np.isfinite(result.coefficients))
 
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_finite_data_whose_gradient_overflows(self, method):
+        # Z'r overflows at this scale, in ULURU's correction and in every
+        # CGLS step; the fit must still match the unscaled problem's, whose
+        # coefficients are 1e306 times larger, and AIWS_LS's anchor must
+        # take the same CGLS steps
+        prob = gen_corrupted(4096, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
+        Z = prob.Z * 1e306
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(Z.T @ (prob.y - Z @ np.zeros(8))).all()
+        cfg = EstimatorConfig(method, n_subs=64, seed=7)
+        scaled = fit(RegressionProblem(Z, prob.y), cfg)
+        unscaled = fit(prob, cfg)
+        np.testing.assert_allclose(
+            scaled.coefficients * 1e306, unscaled.coefficients, rtol=1e-12
+        )
+        if method == AIWS_LS:
+            assert scaled.diagnostics.anchor_iterations == unscaled.diagnostics.anchor_iterations
+
 
 class TestDispatcher:
     def test_ols_identity_design(self):
@@ -140,21 +159,34 @@ class TestDispatcher:
 
     def test_scipy_gets_only_vector_right_hand_sides(self, monkeypatch):
         # scipy bundles its own OpenBLAS; a 2-d right-hand side wakes that
-        # library's thread pool, which then slows numpy's BLAS in later calls
-        import rbls.diagnostics
-        import rbls.linalg
+        # library's thread pool, which then slows numpy's BLAS in later
+        # calls.  dtrsv takes vectors only, so every solve with R goes
+        # through it and no module binds scipy's solve_triangular.
+        import importlib
+        import pkgutil
+
+        import scipy.linalg
+
+        import rbls
+
+        modules = [importlib.import_module(f"rbls.{m.name}") for m in pkgutil.iter_modules(rbls.__path__)]
+        for module in modules:
+            bound = [name for name, v in vars(module).items() if v is scipy.linalg.solve_triangular]
+            assert not bound, f"{module.__name__} binds solve_triangular as {bound}"
+        modules = [module for module in modules if hasattr(module, "dtrsv")]
+        assert rbls.linalg in modules
 
         def vector_only(solve):
             def shim(a, b, *args, **kwargs):
-                assert np.ndim(b) == 1, f"solve_triangular got a {np.shape(b)} right-hand side"
+                assert np.ndim(b) == 1, f"dtrsv got a {np.shape(b)} right-hand side"
                 return solve(a, b, *args, **kwargs)
 
             return shim
 
-        for module in (rbls.linalg, rbls.diagnostics):
-            monkeypatch.setattr(module, "solve_triangular", vector_only(module.solve_triangular))
+        for module in modules:
+            monkeypatch.setattr(module, "dtrsv", vector_only(module.dtrsv))
         prob = gen_corrupted(512, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
-        for method in (OLS, SRHT_LS, LEV_LS, ULURU, IWS_LS, AIWS_LS, ARWS_LS):
+        for method in METHOD_NAMES:
             result = fit(prob, EstimatorConfig(method=method, n_subs=64, seed=3))
             assert np.all(np.isfinite(result.coefficients))
 
@@ -312,19 +344,6 @@ class TestUluru:
             uluru_errs.append(np.linalg.norm(fit_uluru(Z, y, cfg_u).coefficients - beta))
             srht_errs.append(np.linalg.norm(fit_srht_ls(Z, y, cfg_s).coefficients - beta))
         assert np.median(uluru_errs) <= np.median(srht_errs)
-
-    def test_finite_data_whose_gradient_overflows(self):
-        # Z'r overflows at this scale; the fit must still match the
-        # unscaled problem's, whose coefficients are 1e306 times larger
-        prob = gen_corrupted(4096, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
-        Z = prob.Z * 1e306
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(Z.T @ (prob.y - Z @ np.zeros(8))).all()
-        cfg = EstimatorConfig(method=ULURU, n_subs=64, seed=7)
-        coef = fit_uluru(Z, prob.y, cfg).coefficients
-        np.testing.assert_allclose(
-            coef * 1e306, fit_uluru(prob.Z, prob.y, cfg).coefficients, rtol=1e-12
-        )
 
     def test_corrupted_bias_keeps_uluru_at_ols_level(self, corrupted_benchmark):
         medians, _ = corrupted_benchmark

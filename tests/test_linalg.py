@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +120,16 @@ def graded_design(cond, seed):
 
 
 class TestCholeskySolve:
+    def test_householder_fallback_returns_the_cholesky_factor(self):
+        # QR's R is Z'Z's Cholesky factor up to the signs of its rows; the
+        # fallback sets them so that both paths give one R
+        prob = gen_corrupted(2000, 20, 0.3, 1.0, 0.4, 0.1, seed=3)
+        Z = np.ascontiguousarray(prob.Z)
+        R = rbls.linalg._householder_ls(Z, prob.y).r_factor
+        chol, _ = rbls.linalg._gram_factor(Z)
+        assert np.all(np.diag(R) > 0)
+        assert np.max(np.abs(R - chol)) <= 1e-12 * np.max(np.abs(chol))
+
     def test_exactly_rank_deficient_designs_raise(self):
         # Cholesky of an exactly singular Gram matrix often succeeds with a
         # tiny pivot; those designs must still reach the Householder check
@@ -281,6 +292,14 @@ class TestFiniteScan:
 
 
 class TestApplyGramInverse:
+    def test_non_finite_factor_rejected(self):
+        # dtrsv checks nothing, so the factor's entries are checked first
+        sol = solve_ls(np.eye(3), np.zeros(3))
+        R = sol.r_factor.copy()
+        R[0, 2] = np.nan
+        with pytest.raises(InvalidInputError, match="r_factor contains NaN or Inf"):
+            apply_gram_inverse(replace(sol, r_factor=R), np.ones(3))
+
     def test_scaled_identity(self):
         sol = solve_ls(2.0 * np.eye(2), np.zeros(2))
         np.testing.assert_allclose(

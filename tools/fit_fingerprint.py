@@ -40,8 +40,13 @@ then the six anchor step counts saved -> now, then whether each sweep CSV
 and each front-end file is byte-identical (for a CSV that differs, the
 largest relative difference over its numeric cells and whether every other
 cell is identical), then per method how many of its error records are
-identical (with saved -> now for each that is not), and exits 1 if
-anything is missing.
+identical (with saved -> now for each that is not), then per method the
+largest relative difference between its fit on one problem with Z
+scaled by 1e306, times 1e306, and its fit on the unscaled problem (saved
+-> now) beside AIWS_LS's anchor steps on both, and exits 1 if anything is
+missing.  That problem (OVERFLOW_PROBLEM) is gen_corrupted(4096, 8, 0.3,
+1.0, 0.4, 0.1, seed=4) fitted with n_subs 64 and seed 7: its Z'r
+overflows, so the record shows that extreme but finite data still fits.
 """
 
 import argparse
@@ -105,6 +110,10 @@ FRONT_END = (
 )
 # (case, array, value): one entry of the problem's Z or y set to value
 BAD_INPUTS = (("Z_nan", "Z", np.nan), ("Z_inf", "Z", np.inf), ("y_nan", "y", np.nan))
+# the overflow record: gen_corrupted's arguments, then the fits' n_subs and
+# seed and the scale of Z
+OVERFLOW_PROBLEM = (4096, 8, 0.3, 1.0, 0.4, 0.1, 4)
+OVERFLOW_N_SUBS, OVERFLOW_SEED, OVERFLOW_SCALE = 64, 7, 1e306
 FLIGHTS_HEADER = "Year,Month,DayofMonth,UniqueCarrier,Origin,Dest,Distance,ArrDelay"
 
 
@@ -148,6 +157,31 @@ def error_records():
                 text = f"{type(err).__name__}: {err}"
             records[f"errors/{method}/{case}"] = np.array(text)
     return records
+
+
+def overflow_fits():
+    """{"overflow/<scaled|unscaled>/<method>": coefficients,
+    "overflow/<scaled|unscaled>/anchor_iterations": AIWS_LS's CGLS steps}
+    on OVERFLOW_PROBLEM with Z scaled by OVERFLOW_SCALE and unscaled."""
+    problem = gen_corrupted(*OVERFLOW_PROBLEM)
+    fits = {}
+    for case, Z in (("scaled", problem.Z * OVERFLOW_SCALE), ("unscaled", problem.Z)):
+        for method in METHOD_NAMES:
+            cfg = EstimatorConfig(method, OVERFLOW_N_SUBS, OVERFLOW_SEED)
+            result = fit(RegressionProblem(Z, problem.y), cfg)
+            fits[f"overflow/{case}/{method}"] = result.coefficients
+            if method == AIWS_LS:
+                fits[f"overflow/{case}/anchor_iterations"] = np.array(
+                    result.diagnostics.anchor_iterations
+                )
+    return fits
+
+
+def overflow_rel_diff(fits, method):
+    """max |scaled fit * OVERFLOW_SCALE - unscaled fit| / max |unscaled fit|."""
+    unscaled = fits[f"overflow/unscaled/{method}"]
+    scaled = fits[f"overflow/scaled/{method}"] * OVERFLOW_SCALE
+    return np.max(np.abs(scaled - unscaled)) / np.max(np.abs(unscaled))
 
 
 def sweep_digests():
@@ -300,6 +334,19 @@ def compare(saved, fits):
         print(f"errors   {method:8s} {len(keys) - len(changed)}/{len(keys)} identical")
         for key in changed:
             print(f"         {key}: {saved[key]} -> {fits[key]}")
+    if any(key not in saved for key in fits if key.startswith("overflow/")):
+        print("overflow fits missing from the saved file")
+        return False
+    for method in METHOD_NAMES:
+        print(
+            f"overflow {method:8s} max rel diff from the unscaled fit "
+            f"{overflow_rel_diff(saved, method):.3g} -> {overflow_rel_diff(fits, method):.3g}"
+        )
+    steps = [
+        f"{int(saved[key])} -> {int(fits[key])}"
+        for key in ("overflow/scaled/anchor_iterations", "overflow/unscaled/anchor_iterations")
+    ]
+    print(f"overflow {AIWS_LS} CGLS steps scaled {steps[0]}, unscaled {steps[1]}")
     return complete
 
 
@@ -309,7 +356,10 @@ def main(argv=None):
     mode.add_argument("--save", metavar="FILE.npz", help="fit and save the fingerprint")
     mode.add_argument("--compare", metavar="FILE.npz", help="fit and compare with a saved file")
     args = parser.parse_args(argv)
-    fits = {**fingerprint(), **sweep_digests(), **front_end_digests(), **error_records()}
+    fits = {
+        **fingerprint(), **sweep_digests(), **front_end_digests(), **error_records(),
+        **overflow_fits(),
+    }
     if args.save:
         np.savez(args.save, **fits)
         fit_count = PROBLEMS * len(METHOD_NAMES)
@@ -319,7 +369,8 @@ def main(argv=None):
             f"{PROBLEMS} data digests, {PROBLEMS} anchor step counts and "
             f"{len(SWEEP_FILES)} sweep CSV and "
             f"{sum(len(files) for _, _, files in FRONT_END)} front-end file digests and "
-            f"{len(BAD_INPUTS) * len(METHOD_NAMES)} error records to {args.save}"
+            f"{len(BAD_INPUTS) * len(METHOD_NAMES)} error records and "
+            f"{2 * len(METHOD_NAMES)} overflow fits to {args.save}"
         )
         return 0
     with np.load(args.compare) as saved:
