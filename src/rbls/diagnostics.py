@@ -41,7 +41,8 @@ class DiagnosticsReport:
     mode is "exact" or "approximate"; leverage_clamp_count is the number of
     rows whose leverage was clamped to [0, 1 - 1e-6] before the influence
     formula was applied; anchor_iterations is the number of CGLS iterations
-    that refined the residuals (0 when a direct solve gave them).
+    that refined the residuals: the exact solve's steps to REFINE_TOL (0 when
+    its Cholesky start met it), or AIWS_LS's ANCHOR_STEPS budget.
     """
 
     residuals: np.ndarray

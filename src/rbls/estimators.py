@@ -8,8 +8,9 @@ LEV_LS         rows sampled proportional to exact leverage, then LS.
 ULURU          sketched solve plus a bias correction that regresses the
                full residual through the sketched Gram factor.
 IWS_LS         rows sampled proportional to 1/d_i (exact influence), then LS.
-AIWS_LS        IWS_LS with CGLS residuals preconditioned by a CountSketch
-               anchor (exact to a tolerance) and randomized leverages.
+AIWS_LS        IWS_LS with the residuals of a CountSketch anchor refined by
+               ANCHOR_STEPS preconditioned CGLS steps, and randomized
+               leverages.
 ARWS_LS        rows sampled proportional to 1/e_i^2 (one-shot residuals of
                the same CountSketch anchor).
 
@@ -58,12 +59,12 @@ METHOD_CODES = {name: code for code, name in enumerate(METHOD_NAMES)}
 
 # Rows per column of Z in the CountSketch anchor that AIWS_LS and ARWS_LS
 # share.  A CountSketch costs O(nnz(Z)) whatever its row count, and a
-# bigger one is a better-conditioned preconditioner: AIWS_LS's CGLS takes
-# fewer steps and ARWS_LS's one-shot residuals come closer to exact.
+# bigger one is a better-conditioned preconditioner: each of AIWS_LS's CGLS
+# steps gains more and ARWS_LS's one-shot residuals come closer to exact.
 # Median ARWS_LS error / OLS error on gen_corrupted(n, p, pi=0.3,
 # sigma_x=1, sigma_w=0.4, sigma_eps=0.1), 40 problems x 3 draws at
 # 5000 x 20 and 24 problems x 2 draws on desk (20000 x 50, n_subs 400), and
-# AIWS_LS's CGLS steps on those desk fits:
+# the CGLS steps that took AIWS_LS's anchor to REFINE_TOL on those desk fits:
 #
 #                                   ARWS_LS, 5000 x 20     ARWS_LS  AIWS_LS
 #     anchor                        n_subs 40  n_subs 80     desk     steps
@@ -77,6 +78,26 @@ METHOD_CODES = {name: code for code, name in enumerate(METHOD_NAMES)}
 # The anchor's Gram product costs rows p^2, though: a sixth of the exact
 # n p^2 at 32p on 100000 x 500, and a third at 64p.
 ANCHOR_ROWS_PER_COLUMN = 32
+
+# CGLS steps that refine AIWS_LS's anchor residuals before they are scored.
+# The draw needs scores good to a few digits only (the floor sits at
+# WEIGHT_FLOOR_RATIO of the top score), and refining to REFINE_TOL took 12
+# steps on desk.  Median AIWS_LS error / OLS error, refining by k steps
+# (12 problems x 2 draws on desk, 40 x 2 at 5000 x 20 with n_subs 80,
+# 3 x 2 at 2^17 x 64 with n_subs 1024):
+#
+#                       k = 0     1      2      3    to REFINE_TOL   IWS_LS
+#     20000 x 50        0.448  0.395  0.391  0.382      0.409        0.336
+#     5000 x 20         0.657  0.530  0.580  0.513      0.530        0.514
+#     2^17 x 64         0.382  0.324  0.285  0.259      0.302        0.271
+#
+# Two steps keep the accuracy of a full refinement: the paired difference
+# of error / OLS error, 2 steps minus REFINE_TOL, had a mean of +0.016
+# (95% bootstrap CI over problems -0.009 to +0.040) on 40 desk problems x
+# 3 draws, and -0.020 (-0.048 to +0.005) on 10 x 3 at 2^17 x 64.  They
+# halve the fit: desk AIWS_LS fits took 20.7 ms to REFINE_TOL and 10.2 ms
+# at 2 steps (medians of 10 benchmark runs each on a 2-core host).
+ANCHOR_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -197,7 +218,7 @@ def _iws_scores(Z, y, cfg):
 
 def _aiws_scores(Z, y, cfg):
     p = Z.shape[1]
-    refined = _refine_ls(Z, y, _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed))
+    refined = _refine_ls(Z, y, _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed), ANCHOR_STEPS)
     pi2 = _sign_projection(p, math.ceil(p / 2), cfg.seed)
     report = _influence_report(Z, refined, pi2, "approximate")
     return (*inverse_score_probabilities(report.influences), report)
@@ -299,8 +320,9 @@ def fit_aiws_ls(Z, y, cfg):
     The CountSketch anchor it shares with ARWS_LS (``_anchor``) and its
     triangular factor R are reused twice.  Residuals: the anchor's solution
     starts a CGLS solve of the full problem, right-preconditioned by R
-    (``linalg.refine_ls``), which runs until the residuals are exact to
-    ``linalg.REFINE_TOL`` at O(n p) per iteration.  Leverages: Z R^{-1} is
+    (``linalg.refine_ls``), which takes ``ANCHOR_STEPS`` steps at O(n p)
+    each rather than running to ``linalg.REFINE_TOL``: the draw needs the
+    scores to a few digits only.  Leverages: Z R^{-1} is
     the basis for randomized leverage scores with ceil(p / 2) sign columns
     (``diagnostics.approx_leverage``), which stay approximate.  Sampling
     then mirrors IWS_LS with the approximate influence.

@@ -11,6 +11,7 @@ replication (``estimators._problem_fits``).
 import csv
 import datetime
 import io
+import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -167,12 +168,24 @@ def _run_replication(cfg, replication, split):
                 coef = result.coefficients
                 metrics = (
                     float(np.linalg.norm(coef - beta)) if beta is not None else None,
-                    float(np.sqrt(np.mean((test.y - test.Z @ coef) ** 2))),
+                    _rms(test.y - test.Z @ coef),
                     result.wall_time_s * 1000.0,
                     "",
                 )
             out.append(ExperimentResult(method, int(n_subs), replication, fit_seed, *metrics))
     return out
+
+
+def _rms(r):
+    """Root mean square of r.  Finite entries whose squares overflow are
+    scaled by s = max|r| first, s sqrt(mean((r / s)^2)); otherwise the
+    plain formula, bit for bit."""
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(r**2)))
+    if math.isinf(rms) and np.isfinite(r).all():
+        s = np.abs(r).max()
+        rms = float(s * np.sqrt(np.mean((r / s) ** 2)))
+    return rms
 
 
 def run_experiment(cfg, threads=1):

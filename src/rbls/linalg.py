@@ -278,18 +278,20 @@ def refine_ls(Z, y, sol):
     return _refine_ls(as_matrix(Z, "Z"), as_vector(y, "y"), sol)
 
 
-def _refine_ls(Z, y, sol):
-    """refine_ls on a Z and y whose entries the caller has checked."""
+def _refine_ls(Z, y, sol, max_iter=REFINE_MAX_ITER):
+    """refine_ls on a Z and y whose entries the caller has checked, stopped
+    after at most ``max_iter`` steps."""
     R = _check_r_factor(sol.r_factor, Z.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
-        return _cgls(Z, y, np.array(sol.coefficients, dtype=np.float64), R, 0.0)
+        return _cgls(Z, y, np.array(sol.coefficients, dtype=np.float64), R, 0.0, max_iter)
 
 
-def _cgls(Z, y, coef, R, a_norm):
+def _cgls(Z, y, coef, R, a_norm, max_iter=REFINE_MAX_ITER):
     """CGLS right-preconditioned by a checked R from ``coef`` (updated in
-    place), under the caller's errstate for ``_gradient``.  A positive
-    ``a_norm``, a lower bound on ||A||, also puts the start to the stop test;
-    a start that passes comes back with 0 steps and the test's residual."""
+    place), under the caller's errstate for ``_gradient``, for at most
+    ``max_iter`` steps.  A positive ``a_norm``, a lower bound on ||A||, also
+    puts the start to the stop test; a start that passes comes back with 0
+    steps and the test's residual."""
     r_fortran = np.asfortranarray(R)
     r = y - Z @ coef
     y_norm = np.linalg.norm(y)
@@ -298,7 +300,7 @@ def _cgls(Z, y, coef, R, a_norm):
         return LeastSquaresSolution(coef, r, R, 0)
     d = s
     it = 0
-    while gamma > 0.0 and it < REFINE_MAX_ITER:
+    while gamma > 0.0 and it < max_iter:
         t = dtrsv(r_fortran, d)
         q = Z @ t
         qq = q @ q

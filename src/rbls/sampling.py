@@ -18,7 +18,9 @@ def inverse_score_probabilities(scores):
 
     The floor is ``WEIGHT_FLOOR_RATIO`` times the largest score.  Returns
     (probabilities, uniform_fallback); falls back to uniform when every
-    score is zero (nothing to discriminate on).
+    score is zero (nothing to discriminate on).  Raises InvalidInputError
+    when the weights do not sum to a finite number: scores so small that
+    the floor underflows to zero or their inverses overflow.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
@@ -28,5 +30,9 @@ def inverse_score_probabilities(scores):
     top = scores.max()
     if top == 0.0:
         return np.full(scores.size, 1.0 / scores.size), True
-    weights = 1.0 / np.maximum(scores, WEIGHT_FLOOR_RATIO * top)
-    return weights / weights.sum(), False
+    with np.errstate(divide="ignore", over="ignore"):
+        weights = 1.0 / np.maximum(scores, WEIGHT_FLOOR_RATIO * top)
+        total = weights.sum()
+    if not np.isfinite(total):
+        raise InvalidInputError(f"scores up to {top:.3g} are too small to invert into weights")
+    return weights / total, False

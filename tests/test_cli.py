@@ -204,7 +204,9 @@ class TestAirlineCommand:
 
     def test_huge_finite_delays_keep_every_row(self, tmp_path):
         # delays near 1e306 make Z'r overflow in ULURU's correction; the
-        # sweep must still exit 0 with one row per method
+        # sweep must still exit 0 with one row per method.  LEV_LS fits
+        # finite coefficients whose test residuals are finite but square
+        # past the largest double, so its rmse must be finite
         csv_path = airline_file(tmp_path, delay=lambda d: repr(float(d) * 1e306))
         methods = ["OLS", "SRHT_LS", "LEV_LS", "ULURU", "IWS_LS", "AIWS_LS", "ARWS_LS"]
         out = tmp_path / "out"
@@ -215,6 +217,8 @@ class TestAirlineCommand:
         assert code == EXIT_OK
         rows = (out / "results.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == methods
+        rmse = {row.split(",")[0]: row.split(",")[5] for row in rows}
+        assert np.isfinite(float(rmse["LEV_LS"]))
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["airline", "--train", str(tmp_path / "gone.csv")]) == EXIT_DATA

@@ -13,6 +13,7 @@ from rbls.errors import InvalidInputError, InvalidParamsError
 from rbls.estimators import (
     AIWS_LS,
     ANCHOR_ROWS_PER_COLUMN,
+    ANCHOR_STEPS,
     ARWS_LS,
     IWS_LS,
     LEV_LS,
@@ -31,6 +32,7 @@ from rbls.estimators import (
     fit_ols,
     fit_srht_ls,
     fit_uluru,
+    score,
 )
 from rbls.linalg import REFINE_MAX_ITER, _refine_ls, solve_ls
 from rbls.sampling import WEIGHT_FLOOR_RATIO, inverse_score_probabilities
@@ -119,6 +121,16 @@ class TestNonFiniteInputs:
         )
         if method == AIWS_LS:
             assert scaled.diagnostics.anchor_iterations == unscaled.diagnostics.anchor_iterations
+
+    @pytest.mark.parametrize("method", [IWS_LS, AIWS_LS])
+    def test_scores_whose_inverses_overflow_rejected(self, method):
+        # at Z and y x 2^-500 the influences underflow and their inverses
+        # overflow; a sweep records library errors only, so a bare
+        # ValueError from the draw would end it
+        prob = gen_corrupted(4096, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
+        tiny = RegressionProblem(prob.Z * 2.0**-500, prob.y * 2.0**-500)
+        with pytest.raises(InvalidInputError, match="too small to invert"):
+            fit(tiny, EstimatorConfig(method, n_subs=64, seed=7))
 
 
 class TestDispatcher:
@@ -434,12 +446,31 @@ class TestAiwsLs:
         assert 0 < refined.iterations < REFINE_MAX_ITER
 
     def test_anchor_preconditions_cgls_in_few_steps(self):
-        # a 32p-row CountSketch anchor takes 11-12 steps here, an SRHT of
-        # n_subs = 128 rows 22-23
+        # refined to REFINE_TOL, a 32p-row CountSketch anchor takes 11-12
+        # steps here, an SRHT of n_subs = 128 rows 22-23
         for seed in range(5):
             Z, y, _ = gaussian_problem(8192, 32, seed=seed)
-            cfg = EstimatorConfig(method=AIWS_LS, n_subs=128, seed=seed)
-            assert fit_aiws_ls(Z, y, cfg).diagnostics.anchor_iterations <= 14
+            anchor = _anchor(Z, y, ANCHOR_ROWS_PER_COLUMN * 32, seed)
+            assert _refine_ls(Z, y, anchor).iterations <= 14
+
+    def test_anchor_refined_by_the_step_budget(self):
+        prob = gen_corrupted(seed=1300, **BENCH)
+        cfg = EstimatorConfig(method=AIWS_LS, n_subs=BENCH_N_SUBS, seed=5)
+        assert fit_aiws_ls(prob.Z, prob.y, cfg).diagnostics.anchor_iterations == ANCHOR_STEPS
+
+    def test_budget_error_tracks_exact_sampler_over_draws(self):
+        # the band of test_error_tracks_exact_sampler on other desk problems,
+        # 12 problems x 3 draws
+        errors = {IWS_LS: [], AIWS_LS: []}
+        for k in range(12):
+            prob = gen_corrupted(seed=1400 + k, **BENCH)
+            for draw_seed in range(10 * k, 10 * k + 3):
+                for method in errors:
+                    cfg = EstimatorConfig(method=method, n_subs=BENCH_N_SUBS, seed=draw_seed)
+                    coef = fit(prob, cfg).coefficients
+                    errors[method].append(np.linalg.norm(coef - prob.truth.beta))
+        iws, aiws = np.median(errors[IWS_LS]), np.median(errors[AIWS_LS])
+        assert abs(aiws - iws) <= 0.25 * iws
 
     def test_no_harm_on_clean_gaussian_data(self):
         aiws_errs, srht_errs = [], []
@@ -494,9 +525,9 @@ def count_sketch_oracle(n, rows, seed):
 ANCHORED = {ARWS_LS: fit_arws_ls, AIWS_LS: fit_aiws_ls}
 
 
-def anchor_system(monkeypatch, Z, y, cfg):
-    """Fit ARWS_LS or AIWS_LS and return the sketched system its anchor
-    solved."""
+def recorded_systems(monkeypatch, run):
+    """The (Z, y) of every solve_ls call in ``estimators`` while run()
+    runs, and run()'s result."""
     systems = []
 
     def recording(Zs, ys):
@@ -504,10 +535,16 @@ def anchor_system(monkeypatch, Z, y, cfg):
         return solve_ls(Zs, ys)
 
     monkeypatch.setattr(rbls.estimators, "solve_ls", recording)
-    result = ANCHORED[cfg.method](Z, y, cfg)
-    anchor, refit = systems
-    assert refit[0].shape[0] == cfg.n_subs
-    return anchor, result
+    return systems, run()
+
+
+def anchor_system(monkeypatch, Z, y, cfg):
+    """The sketched system the anchor of ARWS_LS or AIWS_LS solved, and the
+    probabilities scored from it.  Only the score stage runs, so a draw
+    that loses rank cannot hide the anchor."""
+    systems, (probs, _, _) = recorded_systems(monkeypatch, lambda: score(Z, y, cfg))
+    (anchor,) = systems
+    return anchor, probs
 
 
 class TestArwsPilot:
@@ -529,13 +566,22 @@ class TestArwsPilot:
     def test_pilot_is_deterministic_in_the_seed(self, monkeypatch):
         Z, y, _ = gaussian_problem(512, 8, seed=17)
         cfg = EstimatorConfig(method=ARWS_LS, n_subs=32, seed=9)
-        (Zs1, _), first = anchor_system(monkeypatch, Z, y, cfg)
-        (Zs2, _), second = anchor_system(monkeypatch, Z, y, cfg)
+        (Zs1, _), probs1 = anchor_system(monkeypatch, Z, y, cfg)
+        (Zs2, _), probs2 = anchor_system(monkeypatch, Z, y, cfg)
         (Zs3, _), _ = anchor_system(monkeypatch, Z, y, replace(cfg, seed=10))
+        first, second = fit_arws_ls(Z, y, cfg), fit_arws_ls(Z, y, cfg)
         assert np.array_equal(Zs1, Zs2)
+        assert np.array_equal(probs1, probs2)
         assert np.array_equal(first.coefficients, second.coefficients)
         assert np.array_equal(first.sampled_row_indices, second.sampled_row_indices)
         assert not np.array_equal(Zs1, Zs3)
+
+    @pytest.mark.parametrize("method", [ARWS_LS, AIWS_LS])
+    def test_fit_solves_the_anchor_then_the_subsample(self, monkeypatch, method):
+        Z, y, _ = gaussian_problem(512, 8, seed=16)
+        cfg = EstimatorConfig(method=method, n_subs=64, seed=7)
+        systems, _ = recorded_systems(monkeypatch, lambda: ANCHORED[method](Z, y, cfg))
+        assert [Zs.shape for Zs, _ in systems] == [(ANCHOR_ROWS_PER_COLUMN * 8, 8), (64, 8)]
 
     def test_both_samplers_solve_one_anchor(self, monkeypatch):
         Z, y, _ = gaussian_problem(2048, 8, seed=18)

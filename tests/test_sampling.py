@@ -39,3 +39,10 @@ def test_single_category():
     probs, fallback = inverse_score_probabilities(np.array([3.0]))
     assert not fallback
     np.testing.assert_array_equal(probs, [1.0])
+
+
+def test_rejects_scores_whose_inverses_overflow():
+    # the floor 1e-3 * 5e-324 underflows to 0, so the zero score's weight is
+    # inf; numpy's choice would raise a bare ValueError on the NaN quotient
+    with pytest.raises(InvalidInputError, match="too small to invert"):
+        inverse_score_probabilities(np.array([5e-324, 0.0]))

@@ -39,14 +39,20 @@ bit-identical, then how many of the six problems have bit-identical data,
 then the six anchor step counts saved -> now, then whether each sweep CSV
 and each front-end file is byte-identical (for a CSV that differs, the
 largest relative difference over its numeric cells and whether every other
-cell is identical), then per method how many of its error records are
-identical (with saved -> now for each that is not), then per method the
-largest relative difference between its fit on one problem with Z
-scaled by 1e306, times 1e306, and its fit on the unscaled problem (saved
--> now) beside AIWS_LS's anchor steps on both, and exits 1 if anything is
-missing.  That problem (OVERFLOW_PROBLEM) is gen_corrupted(4096, 8, 0.3,
-1.0, 0.4, 0.1, seed=4) fitted with n_subs 64 and seed 7: its Z'r
-overflows, so the record shows that extreme but finite data still fits.
+cell is identical, and the first cells of the rows that differ), then per
+method how many of its error records are identical (with saved -> now for
+each that is not), then per method the largest relative difference
+between its fit on one problem with Z scaled by 1e306, times 1e306, and
+its fit on the unscaled problem (saved -> now) beside AIWS_LS's anchor
+steps on both, then per method what its fit does on the same problem with
+Z and y both scaled by 2^-500 (saved -> now): the type and message of the
+error it raises, or its largest relative difference from the unscaled
+fit, and exits 1 if anything is missing.  That problem (OVERFLOW_PROBLEM)
+is gen_corrupted(4096, 8, 0.3, 1.0, 0.4, 0.1, seed=4) fitted with n_subs
+64 and seed 7: its Z'r overflows, so the record shows that extreme but
+finite data still fits.  Scaled down by 2^-500, its influence scores
+underflow, so the record shows how the samplers report scores they cannot
+invert.
 """
 
 import argparse
@@ -114,6 +120,8 @@ BAD_INPUTS = (("Z_nan", "Z", np.nan), ("Z_inf", "Z", np.inf), ("y_nan", "y", np.
 # seed and the scale of Z
 OVERFLOW_PROBLEM = (4096, 8, 0.3, 1.0, 0.4, 0.1, 4)
 OVERFLOW_N_SUBS, OVERFLOW_SEED, OVERFLOW_SCALE = 64, 7, 1e306
+# the underflow record: the scale of both Z and y of OVERFLOW_PROBLEM
+UNDERFLOW_SCALE = 2.0**-500
 FLIGHTS_HEADER = "Year,Month,DayofMonth,UniqueCarrier,Origin,Dest,Distance,ArrDelay"
 
 
@@ -177,6 +185,29 @@ def overflow_fits():
     return fits
 
 
+def underflow_records(fits):
+    """{"underflow/<method>": "<type>: <message>" of the error the fit raises
+    on OVERFLOW_PROBLEM with Z and y scaled by UNDERFLOW_SCALE, or its
+    largest relative difference from the unscaled fit in ``fits``} for every
+    method; the scale leaves the coefficients unchanged."""
+    problem = gen_corrupted(*OVERFLOW_PROBLEM)
+    tiny = RegressionProblem(problem.Z * UNDERFLOW_SCALE, problem.y * UNDERFLOW_SCALE)
+    records = {}
+    for method in METHOD_NAMES:
+        cfg = EstimatorConfig(method, OVERFLOW_N_SUBS, OVERFLOW_SEED)
+        try:
+            with np.errstate(all="ignore"):
+                coef = fit(tiny, cfg).coefficients
+        except Exception as err:
+            text = f"{type(err).__name__}: {err}"
+        else:
+            unscaled = fits[f"overflow/unscaled/{method}"]
+            rel = np.max(np.abs(coef - unscaled)) / np.max(np.abs(unscaled))
+            text = f"fit, max rel diff from the unscaled fit {rel:.3g}"
+        records[f"underflow/{method}"] = np.array(text)
+    return records
+
+
 def overflow_rel_diff(fits, method):
     """max |scaled fit * OVERFLOW_SCALE - unscaled fit| / max |unscaled fit|."""
     unscaled = fits[f"overflow/unscaled/{method}"]
@@ -208,14 +239,15 @@ def _file_record(key, path):
 
 def csv_cell_diff(saved_text, text):
     """(largest relative difference over the cells that parse as numbers in
-    both texts, whether every other cell is identical) of two CSV texts;
-    the relative difference of a and b is |a - b| / max(|a|, |b|), 0 for
-    two zeros or two NaNs.  Texts with different row or cell counts have
-    (nan, False)."""
+    both texts, whether every other cell is identical, the sorted first
+    cells of the rows that differ) of two CSV texts; the relative
+    difference of a and b is |a - b| / max(|a|, |b|), 0 for two zeros or
+    two NaNs.  Texts with different row or cell counts have (nan, False,
+    [])."""
     rows_a = list(csv.reader(io.StringIO(saved_text)))
     rows_b = list(csv.reader(io.StringIO(text)))
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
-        return float("nan"), False
+        return float("nan"), False, []
     worst, others_same = 0.0, True
     for cell_a, cell_b in zip(itertools.chain(*rows_a), itertools.chain(*rows_b)):
         try:
@@ -225,7 +257,8 @@ def csv_cell_diff(saved_text, text):
             continue
         if a != b and not (np.isnan(a) and np.isnan(b)):
             worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
-    return worst, others_same
+    changed = sorted({a[0] for a, b in zip(rows_a, rows_b) if a != b and a})
+    return worst, others_same, changed
 
 
 def _write_flights(path, rows=600, seed=0):
@@ -319,10 +352,10 @@ def compare(saved, fits):
             print(f"         {text_key} missing from the saved file")
             complete = False
             continue
-        worst, others_same = csv_cell_diff(str(saved[text_key]), str(fits[text_key]))
+        worst, others_same, changed = csv_cell_diff(str(saved[text_key]), str(fits[text_key]))
         print(
             f"         max rel diff {worst:.3g} over numeric cells, other cells "
-            f"{'identical' if others_same else 'differ'}"
+            f"{'identical' if others_same else 'differ'}, rows differ for {' '.join(changed)}"
         )
     for method in METHOD_NAMES:
         keys = [f"errors/{method}/{case}" for case, _, _ in BAD_INPUTS]
@@ -347,6 +380,13 @@ def compare(saved, fits):
         for key in ("overflow/scaled/anchor_iterations", "overflow/unscaled/anchor_iterations")
     ]
     print(f"overflow {AIWS_LS} CGLS steps scaled {steps[0]}, unscaled {steps[1]}")
+    for method in METHOD_NAMES:
+        key = f"underflow/{method}"
+        if key not in saved:
+            print(f"underflow {method} missing from the saved file")
+            complete = False
+            continue
+        print(f"underflow {method:8s} {saved[key]} -> {fits[key]}")
     return complete
 
 
@@ -360,6 +400,7 @@ def main(argv=None):
         **fingerprint(), **sweep_digests(), **front_end_digests(), **error_records(),
         **overflow_fits(),
     }
+    fits.update(underflow_records(fits))
     if args.save:
         np.savez(args.save, **fits)
         fit_count = PROBLEMS * len(METHOD_NAMES)
@@ -370,7 +411,8 @@ def main(argv=None):
             f"{len(SWEEP_FILES)} sweep CSV and "
             f"{sum(len(files) for _, _, files in FRONT_END)} front-end file digests and "
             f"{len(BAD_INPUTS) * len(METHOD_NAMES)} error records and "
-            f"{2 * len(METHOD_NAMES)} overflow fits to {args.save}"
+            f"{2 * len(METHOD_NAMES)} overflow fits and "
+            f"{len(METHOD_NAMES)} underflow records to {args.save}"
         )
         return 0
     with np.load(args.compare) as saved:
