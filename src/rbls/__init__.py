@@ -7,7 +7,6 @@ built on, and a seeded benchmark harness with a CLI.
 """
 
 from .datagen import (
-    OneHotPairEncoder,
     RegressionProblem,
     SplitProblem,
     Truth,
@@ -19,7 +18,6 @@ from .datagen import (
 )
 from .diagnostics import (
     DiagnosticsReport,
-    approx_leverage,
     compute_diagnostics,
     exact_leverage,
     histogram_l1_distance,
@@ -53,7 +51,7 @@ from .harness import (
     emit_fig1_data,
     run_experiment,
 )
-from .linalg import LeastSquaresSolution, apply_gram_inverse, solve_ls
+from .linalg import LeastSquaresSolution, solve_ls
 from .srht import SketchOperator, apply_sketch, build_sketch, fwht_inplace, next_pow2
 
 __version__ = "0.1.0"
@@ -71,7 +69,6 @@ __all__ = [
     "LeastSquaresSolution",
     "METHOD_NAMES",
     "OLS",
-    "OneHotPairEncoder",
     "RegressionProblem",
     "SRHT_LS",
     "SketchOperator",
@@ -79,9 +76,7 @@ __all__ = [
     "Truth",
     "ULURU",
     "aggregate",
-    "apply_gram_inverse",
     "apply_sketch",
-    "approx_leverage",
     "build_sketch",
     "compute_diagnostics",
     "emit_fig1_data",

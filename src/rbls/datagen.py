@@ -159,31 +159,6 @@ def gen_regime_split(n_train, n_test, p, regime, seed):
     return SplitProblem(train, test)
 
 
-class OneHotPairEncoder:
-    """One-hot encoding of origin-destination pairs, learned on train rows.
-
-    Pairs unseen at fit time map to the all-zero code.
-    """
-
-    def __init__(self):
-        self.index = {}
-
-    def fit(self, pairs):
-        self.index = {}
-        for pair in pairs:
-            if pair not in self.index:
-                self.index[pair] = len(self.index)
-        return self
-
-    def transform(self, pairs):
-        out = np.zeros((len(pairs), len(self.index)))
-        for row, pair in enumerate(pairs):
-            col = self.index.get(pair)
-            if col is not None:
-                out[row, col] = 1.0
-        return out
-
-
 AIRLINE_REQUIRED_COLUMNS = ("Origin", "Dest", "Distance", "ArrDelay")
 
 
@@ -228,14 +203,21 @@ def load_airline_csv(path, n_train, n_test):
         )
     train_rows = rows[:n_train]
     test_rows = rows[n_train : n_train + n_test]
-    encoder = OneHotPairEncoder().fit([(r[0], r[1]) for r in train_rows])
+    # one-hot column of each origin-destination pair, in order of first
+    # appearance in the training rows
+    columns = {}
+    for r in train_rows:
+        columns.setdefault((r[0], r[1]), len(columns))
 
     def build(split_rows, mean, sd):
-        pairs = [(r[0], r[1]) for r in split_rows]
+        one_hot = np.zeros((len(split_rows), len(columns)))
+        for row, r in enumerate(split_rows):
+            col = columns.get((r[0], r[1]))
+            if col is not None:
+                one_hot[row, col] = 1.0
         distance = np.array([r[2] for r in split_rows])
         delay = np.array([r[3] for r in split_rows])
-        Z = np.column_stack([encoder.transform(pairs), (distance - mean) / sd])
-        return RegressionProblem(Z, delay)
+        return RegressionProblem(np.column_stack([one_hot, (distance - mean) / sd]), delay)
 
     train_distance = np.array([r[2] for r in train_rows])
     mean = float(train_distance.mean())

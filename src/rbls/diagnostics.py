@@ -7,8 +7,10 @@ factor (R'R = Z'Z).  Influence is the leave-one-out change in fit
 d_i = e_i^2 l_i / (1 - l_i)^2, equal to (b - b_{-i})' Z'Z (b - b_{-i}).  The randomized approximation
 replaces R with the triangular factor of a row sketch of Z, which the
 caller's sketched solve already made, and right-multiplies Z R^{-1} by a
-narrow sign projection Pi2 (Drineas, Magdon-Ismail, Mahoney and Woodruff,
-JMLR 2012).  Both read their row norms through one kernel, ``_leverage``.
+narrow sign projection Pi2 (``_sign_projection``; Drineas, Magdon-Ismail,
+Mahoney and Woodruff, JMLR 2012); Z R^{-1} is Z V Sigma^{-1} of the
+sketch's SVD up to a rotation, so their row norms agree.  Both read their
+row norms through one kernel, ``_leverage``.
 """
 
 from dataclasses import dataclass
@@ -127,26 +129,6 @@ def loo_coefficients(Z, y, sol, i):
             f"row {i} has leverage {l_i:.12f}; it fully determines its own fit"
         )
     return sol.coefficients - dtrsv(R, w) * float(sol.residuals[i]) / (1.0 - l_i)
-
-
-def approx_leverage(Z, r_factor, projection_cols, seed):
-    """Randomized leverage scores from the triangular factor R of a row
-    sketch of Z, such as the R a sketched solve returns.
-
-    Leverage is read off as squared row norms of Z R^{-1} Pi2, where Pi2 is
-    p x ``projection_cols`` i.i.d. +-1/sqrt(projection_cols) signs drawn
-    from ``seed``.  Z R^{-1} equals Z V Sigma^{-1} from the sketch's SVD
-    times a p x p rotation, so the two bases have the same row norms.  Cost
-    O(n p projection_cols).  Raises RankDeficientError when R has a
-    (near-)zero diagonal entry: the sketch lost rank.
-    """
-    Z = as_matrix(Z, "Z")
-    p = Z.shape[1]
-    projection_cols = int(projection_cols)
-    if not 1 <= projection_cols <= p:
-        raise InvalidInputError(f"need 1 <= projection_cols <= {p}, got {projection_cols}")
-    R = _check_r_factor(r_factor, p)
-    return _leverage(Z, R, _sign_projection(p, projection_cols, seed))
 
 
 def _sign_projection(p, cols, seed):

@@ -40,7 +40,7 @@ from .diagnostics import (
     compute_diagnostics,
 )
 from .errors import InvalidParamsError, RankDeficientError
-from .linalg import _gradient, _gram_factor, _householder_ls, _ls_inputs, _refine_ls, solve_ls
+from .linalg import _cgls, _gradient, _gram_factor, _householder_ls, _ls_inputs, solve_ls
 from .sampling import inverse_score_probabilities
 from .seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng, spawn_seed
 from .srht import apply_sketch_pair, build_sketch
@@ -218,7 +218,11 @@ def _iws_scores(Z, y, cfg):
 
 def _aiws_scores(Z, y, cfg):
     p = Z.shape[1]
-    refined = _refine_ls(Z, y, _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed), ANCHOR_STEPS)
+    anchor = _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed)
+    # _cgls updates the anchor's coefficients in place: solve_ls made that
+    # array for this anchor alone, and its R passed solve_ls's checks
+    with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
+        refined = _cgls(Z, y, anchor.coefficients, anchor.r_factor, 0.0, ANCHOR_STEPS)
     pi2 = _sign_projection(p, math.ceil(p / 2), cfg.seed)
     report = _influence_report(Z, refined, pi2, "approximate")
     return (*inverse_score_probabilities(report.influences), report)
@@ -227,7 +231,9 @@ def _aiws_scores(Z, y, cfg):
 def _arws_scores(Z, y, cfg):
     sol1 = _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed)
     e_approx = y - Z @ sol1.coefficients
-    return (*inverse_score_probabilities(e_approx**2), None)
+    with np.errstate(over="ignore"):  # inverse_score_probabilities rejects an inf
+        scores = e_approx**2
+    return (*inverse_score_probabilities(scores), None)
 
 
 _SCORERS = {
@@ -320,12 +326,13 @@ def fit_aiws_ls(Z, y, cfg):
     The CountSketch anchor it shares with ARWS_LS (``_anchor``) and its
     triangular factor R are reused twice.  Residuals: the anchor's solution
     starts a CGLS solve of the full problem, right-preconditioned by R
-    (``linalg.refine_ls``), which takes ``ANCHOR_STEPS`` steps at O(n p)
-    each rather than running to ``linalg.REFINE_TOL``: the draw needs the
-    scores to a few digits only.  Leverages: Z R^{-1} is
-    the basis for randomized leverage scores with ceil(p / 2) sign columns
-    (``diagnostics.approx_leverage``), which stay approximate.  Sampling
-    then mirrors IWS_LS with the approximate influence.
+    (``linalg._cgls``), which takes ``ANCHOR_STEPS`` steps at O(n p) each
+    rather than running to ``linalg.REFINE_TOL``: the draw needs the scores
+    to a few digits only.  Leverages: Z R^{-1} is the basis for randomized
+    leverage scores with ceil(p / 2) sign columns
+    (``diagnostics._sign_projection``), which stay approximate.  Sampling
+    then mirrors IWS_LS with the approximate influence, and the result's
+    ``diagnostics`` is that report, in mode "approximate".
     """
     return _sampled_fit(AIWS_LS, Z, y, cfg)
 

@@ -166,12 +166,15 @@ def _run_replication(cfg, replication, split):
                 metrics = (None, None, None, f"{type(err).__name__}: {err}")
             else:
                 coef = result.coefficients
-                metrics = (
-                    float(np.linalg.norm(coef - beta)) if beta is not None else None,
-                    _rms(test.y - test.Z @ coef),
-                    result.wall_time_s * 1000.0,
-                    "",
-                )
+                if np.isfinite(coef).all():
+                    metrics = (
+                        float(np.linalg.norm(coef - beta)) if beta is not None else None,
+                        _rms(test.y - test.Z @ coef),
+                        result.wall_time_s * 1000.0,
+                        "",
+                    )
+                else:  # no metric of such a fit means anything; aggregate skips failed rows
+                    metrics = (None, None, None, "fit returned NaN or Inf coefficients")
             out.append(ExperimentResult(method, int(n_subs), replication, fit_seed, *metrics))
     return out
 
@@ -191,10 +194,11 @@ def _rms(r):
 def run_experiment(cfg, threads=1):
     """Run the full sweep; deterministic result set given cfg.
 
-    Fit failures are recorded in the row's ``error`` field and the run
-    continues.  Rows come back sorted by (method, n_subs, replication)
-    whatever the execution order, and the derived per-fit seeds are checked
-    for collisions.  ``threads`` below 1 is a ConfigError.
+    Fit failures, and fits whose coefficients are not all finite, are
+    recorded in the row's ``error`` field and the run continues.  Rows come
+    back sorted by (method, n_subs, replication) whatever the execution
+    order, and the derived per-fit seeds are checked for collisions.
+    ``threads`` below 1 is a ConfigError.
     """
     cfg.validate()
     if threads < 1:

@@ -1,5 +1,5 @@
-"""Dense least-squares kernels: Cholesky solve with CGLS refinement,
-Householder fallback, Gram inverse.
+"""Dense least-squares kernels: Cholesky solve with CGLS refinement and a
+Householder fallback.
 
 All matrices are plain row-major ``numpy.ndarray`` of float64.  The exact
 solver factors the Gram matrix Z'Z = R'R (``_gram_factor``: one level-3
@@ -24,9 +24,9 @@ slow numpy's BLAS on a small host.
 NaN and Inf are caught by ``_check_through``.  :func:`solve_ls` checks Z
 through the diagonal of the Gram matrix it forms anyway, and y, like
 :func:`as_matrix` and :func:`as_vector`, through its own sum.  The first
-products of :func:`refine_ls` and the diagnostics (Z b, Z R^{-1}) can give
-an entry an exact zero coefficient, which a BLAS may skip, so they scan Z
-with :func:`as_matrix`.  A stored R is checked by ``_check_r_factor``.
+products of the public diagnostics (Z R^{-1}) can give an entry an exact
+zero coefficient, which a BLAS may skip, so they scan Z with
+:func:`as_matrix`.  A stored R is checked by ``_check_r_factor``.
 """
 
 import math
@@ -39,7 +39,7 @@ from scipy.linalg.lapack import dtrcon
 from .errors import InvalidInputError, RankDeficientError
 
 RANK_TOL = 1e-12
-# Stop test of refine_ls: ||A'r|| <= REFINE_TOL ||A|| ||r|| with A = Z R^{-1}
+# Stop test of _cgls: ||A'r|| <= REFINE_TOL ||A|| ||r|| with A = Z R^{-1}
 # (LSQR's atol test).  The residual error is then at most REFINE_TOL cond(A)
 # relative to ||r||, which stays below 1e-6 even for the cond(A) ~ 1e3 that a
 # sketch with only p rows can leave.
@@ -111,8 +111,7 @@ class LeastSquaresSolution:
     r_factor : ndarray, shape (p, p)
         Upper-triangular R with R'R = Z'Z and a positive diagonal, so that
         (Z'Z)^{-1} = R^{-1} R^{-T}: the Cholesky factor of Z'Z, on either of
-        :func:`solve_ls`'s paths.  After :func:`refine_ls` it is the
-        preconditioner's factor, not Z's.
+        :func:`solve_ls`'s paths.
     iterations : int
         CGLS refinement steps taken: 0 for the Householder fallback, and
         when the starting point already meets the stop test, as the
@@ -149,7 +148,7 @@ def solve_ls(Z, y):
 
     R is the Cholesky factor of Z'Z (``_gram_factor``), and the first
     solution R^{-1} R^{-T} Z'y comes from two triangular solves.  CGLS
-    right-preconditioned by R (:func:`refine_ls`) then starts from it, with
+    right-preconditioned by R (``_cgls``) then starts from it, with
     the same stop test applied to the start: a start that already meets
     ``REFINE_TOL`` is returned with ``iterations == 0`` and the residual the
     test computed, so a well-conditioned design costs the Gram product and
@@ -255,43 +254,17 @@ def _householder_ls(Z, y):
     return LeastSquaresSolution(coef, y - Z @ coef, R)
 
 
-def refine_ls(Z, y, sol):
-    """Refine an approximate least-squares solution by preconditioned CGLS.
-
-    Solves min_b ||y - Z b||_2 by CGLS on min_u ||y - A u|| with
-    A = Z R^{-1}, b = R^{-1} u and R = ``sol.r_factor``,
-    starting from u = R ``sol.coefficients``.  When R is the triangular
-    factor of a row sketch of Z (such as the Cholesky R of the CountSketch
-    anchor's solve), A is well conditioned and each iteration costs two
-    O(n p) products (Blendenpik; Avron, Maymounkov and Toledo 2010).  Stops
-    once ||A'r|| <= REFINE_TOL ||A|| ||r||, once ||r|| <= REFINE_TOL ||y||
-    (a consistent system), or after REFINE_MAX_ITER iterations.  ||A|| is
-    the largest ||A d|| / ||d|| over the search directions d: a lower bound
-    on the 2-norm, so the test is never looser than with the exact norm.
-
-    Returns
-    -------
-    LeastSquaresSolution
-        Refined coefficients, residuals y - Z b recomputed from them, the
-        preconditioner R, and the iteration count.
-    """
-    return _refine_ls(as_matrix(Z, "Z"), as_vector(y, "y"), sol)
-
-
-def _refine_ls(Z, y, sol, max_iter=REFINE_MAX_ITER):
-    """refine_ls on a Z and y whose entries the caller has checked, stopped
-    after at most ``max_iter`` steps."""
-    R = _check_r_factor(sol.r_factor, Z.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
-        return _cgls(Z, y, np.array(sol.coefficients, dtype=np.float64), R, 0.0, max_iter)
-
-
 def _cgls(Z, y, coef, R, a_norm, max_iter=REFINE_MAX_ITER):
     """CGLS right-preconditioned by a checked R from ``coef`` (updated in
-    place), under the caller's errstate for ``_gradient``, for at most
-    ``max_iter`` steps.  A positive ``a_norm``, a lower bound on ||A||, also
-    puts the start to the stop test; a start that passes comes back with 0
-    steps and the test's residual."""
+    place), under the caller's errstate for ``_gradient``, until ``_stops``
+    passes or after ``max_iter`` steps: min_u ||y - A u||, A = Z R^{-1},
+    b = R^{-1} u.  With R the factor of Z or of a row sketch of Z, A is well
+    conditioned and each step costs two O(n p) products (Blendenpik; Avron,
+    Maymounkov and Toledo 2010).  ||A|| in the test is the largest of
+    ``a_norm`` and ||A d|| / ||d|| over the search directions d, a lower
+    bound on the 2-norm.  A positive ``a_norm`` also puts the start to the
+    test; a start that passes comes back with 0 steps and the test's
+    residual, any other result with y - Z b recomputed."""
     r_fortran = np.asfortranarray(R)
     r = y - Z @ coef
     y_norm = np.linalg.norm(y)
@@ -337,13 +310,3 @@ def _stops(r, gamma, y_norm, a_norm):
     system (||r|| <= REFINE_TOL ||y||) or ||A'r|| <= REFINE_TOL ||A|| ||r||."""
     r_norm = np.linalg.norm(r)
     return r_norm <= REFINE_TOL * y_norm or np.sqrt(gamma) <= REFINE_TOL * a_norm * r_norm
-
-
-def apply_gram_inverse(sol, v):
-    """Return (Z'Z)^{-1} v using two triangular solves with the stored R."""
-    v = as_vector(v, "v")
-    p = len(sol.r_factor)
-    if v.shape[0] != p:
-        raise InvalidInputError(f"v has length {v.shape[0]}, expected {p}")
-    R = _check_r_factor(sol.r_factor, p)
-    return dtrsv(R, dtrsv(R, v, trans=1))

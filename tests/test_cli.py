@@ -202,11 +202,14 @@ class TestAirlineCommand:
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_delays_keep_every_row(self, tmp_path):
         # delays near 1e306 make Z'r overflow in ULURU's correction; the
-        # sweep must still exit 0 with one row per method.  LEV_LS fits
-        # finite coefficients whose test residuals are finite but square
-        # past the largest double, so its rmse must be finite
+        # sweep must still exit 0 with one row per method, and print no
+        # numpy warning.  LEV_LS fits finite coefficients whose test
+        # residuals are finite but square past the largest double, so its
+        # rmse must be finite.  OLS, SRHT_LS and ULURU return NaN
+        # coefficients, which are failed rows, not NaN metrics
         csv_path = airline_file(tmp_path, delay=lambda d: repr(float(d) * 1e306))
         methods = ["OLS", "SRHT_LS", "LEV_LS", "ULURU", "IWS_LS", "AIWS_LS", "ARWS_LS"]
         out = tmp_path / "out"
@@ -219,6 +222,10 @@ class TestAirlineCommand:
         assert [row.split(",")[0] for row in rows] == methods
         rmse = {row.split(",")[0]: row.split(",")[5] for row in rows}
         assert np.isfinite(float(rmse["LEV_LS"]))
+        error = {row.split(",")[0]: row.split(",")[7] for row in rows}
+        for method in ("OLS", "SRHT_LS", "ULURU"):
+            assert error[method] == "fit returned NaN or Inf coefficients"
+            assert rmse[method] == ""
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["airline", "--train", str(tmp_path / "gone.csv")]) == EXIT_DATA

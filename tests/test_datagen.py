@@ -9,7 +9,6 @@ from rbls.datagen import (
     REGIME_SIGMA_EPS,
     T1,
     T3,
-    OneHotPairEncoder,
     gen_corrupted,
     gen_corrupted_split,
     gen_leverage_regime,
@@ -185,6 +184,23 @@ class TestAirlineLoader:
         assert split.train.p == 3
         assert split.train.n == 2 and split.test.n == 1
 
+    def test_one_hot_columns_in_order_of_first_appearance(self, tmp_path):
+        # C-D is seen first, so it takes column 0 although A-B sorts first
+        f = tmp_path / "flights.csv"
+        write_airline_csv(
+            f,
+            [
+                "2000,1,1,US,C,D,100,1",
+                "2000,1,2,US,A,B,300,2",
+                "2000,1,3,US,C,D,200,3",
+                "2000,1,4,US,A,B,250,4",
+                "2000,1,5,US,E,F,150,5",
+            ],
+        )
+        split = load_airline_csv(f, n_train=3, n_test=2)
+        np.testing.assert_array_equal(split.train.Z[:, :-1], [[1, 0], [0, 1], [1, 0]])
+        np.testing.assert_array_equal(split.test.Z[:, :-1], [[0, 1], [0, 0]])
+
     def test_unseen_pair_maps_to_zero_block(self, tmp_path):
         f = tmp_path / "flights.csv"
         write_airline_csv(
@@ -256,10 +272,3 @@ class TestAirlineLoader:
         write_airline_csv(f, ["2000,1,1,US,A,B,100,1"])
         with pytest.raises(InvalidParamsError):
             load_airline_csv(f, 5, 5)
-
-
-class TestOneHotPairEncoder:
-    def test_transform(self):
-        enc = OneHotPairEncoder().fit([("A", "B"), ("C", "D")])
-        out = enc.transform([("C", "D"), ("E", "F")])
-        np.testing.assert_array_equal(out, [[0.0, 1.0], [0.0, 0.0]])

@@ -10,7 +10,7 @@ from scipy.stats import spearmanr
 from rbls.datagen import gen_corrupted
 from rbls.diagnostics import (
     _leverage,
-    approx_leverage,
+    _sign_projection,
     compute_diagnostics,
     exact_leverage,
     histogram_l1_distance,
@@ -23,6 +23,7 @@ from rbls.errors import (
     LeverageOneError,
     RankDeficientError,
 )
+from rbls.estimators import AIWS_LS, EstimatorConfig, fit_aiws_ls
 from rbls.linalg import solve_ls
 from rbls.seeding import ROLE_SKETCH, spawn_seed
 from rbls.srht import apply_sketch, build_sketch
@@ -30,12 +31,6 @@ from rbls.srht import apply_sketch, build_sketch
 
 def hat_diagonal_oracle(Z):
     return np.diag(Z @ np.linalg.inv(Z.T @ Z) @ Z.T)
-
-
-def sketch_r(Z, rows, seed):
-    """R of an SRHT row sketch of Z, the factor approx_leverage reads."""
-    op = build_sketch(Z.shape[0], rows, spawn_seed(seed, ROLE_SKETCH))
-    return np.linalg.qr(apply_sketch(op, Z), mode="r")
 
 
 def refit_without_row(Z, y, i):
@@ -220,11 +215,11 @@ class TestApproxLeverage:
         )
 
     def test_identity_design_sum_preserved_on_average(self):
-        # a 4-row sketch of 4 rows keeps every row, so it never loses rank
+        # Z R^{-1} is orthonormal here, so the sum is ||Pi2||_F^2: this
+        # checks the scale of the sign projection
         Z = np.eye(4)
-        total = sum(
-            approx_leverage(Z, sketch_r(Z, 4, seed), 2, seed=seed).sum() for seed in range(300)
-        )
+        R = solve_ls(Z, np.zeros(4)).r_factor
+        total = sum(_leverage(Z, R, _sign_projection(4, 2, seed)).sum() for seed in range(300))
         assert abs(total / 300 - 4.0) <= 1.0  # within 25%
 
     def test_rank_correlation_with_exact(self):
@@ -232,23 +227,27 @@ class TestApproxLeverage:
         for seed in range(20):
             rng = np.random.default_rng(600 + seed)
             Z = rng.standard_normal((1024, 16))
-            lev = exact_leverage(Z, solve_ls(Z, rng.standard_normal(1024)))
-            approx = approx_leverage(Z, sketch_r(Z, 256, seed), 8, seed=seed)
+            y = rng.standard_normal(1024)
+            lev = exact_leverage(Z, solve_ls(Z, y))
+            cfg = EstimatorConfig(method=AIWS_LS, n_subs=256, seed=seed)
+            approx = fit_aiws_ls(Z, y, cfg).diagnostics.leverages
             cors.append(spearmanr(lev, approx).statistic)
         assert np.mean(cors) >= 0.5
 
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
-        Z = rng.standard_normal((128, 8))
-        assert np.all(approx_leverage(Z, sketch_r(Z, 64, 1), 4, seed=1) >= 0)
+        Z, y = rng.standard_normal((128, 8)), rng.standard_normal(128)
+        cfg = EstimatorConfig(method=AIWS_LS, n_subs=64, seed=1)
+        assert np.all(fit_aiws_ls(Z, y, cfg).diagnostics.leverages >= 0)
 
     def test_rank_deficient_sketch_detected(self):
-        # duplicated column makes every sketch of Z singular
+        # duplicated column makes every sketch of Z singular, the anchor's too
         rng = np.random.default_rng(8)
         Z = rng.standard_normal((64, 4))
         Z[:, 3] = Z[:, 0]
+        cfg = EstimatorConfig(method=AIWS_LS, n_subs=32, seed=3)
         with pytest.raises(RankDeficientError):
-            approx_leverage(Z, sketch_r(Z, 32, 3), 2, seed=3)
+            fit_aiws_ls(Z, rng.standard_normal(64), cfg)
 
 
 class TestApproxInfluence:
@@ -277,17 +276,9 @@ class TestApproxInfluence:
         exact_d, _ = influence(sol.residuals, exact_leverage(prob.Z, sol))
         assert exact_d[mask].mean() > exact_d[~mask].mean()
 
-        sketched_sol = _sketched(prob.Z, prob.y, 256, seed=9)
-        e_approx = prob.y - prob.Z @ sketched_sol.coefficients
-        l_approx = approx_leverage(prob.Z, sketch_r(prob.Z, 256, 9), 8, seed=9)
-        approx_d, _ = influence(e_approx, l_approx)
+        cfg = EstimatorConfig(method=AIWS_LS, n_subs=256, seed=9)
+        approx_d = fit_aiws_ls(prob.Z, prob.y, cfg).diagnostics.influences
         assert approx_d[mask].mean() > approx_d[~mask].mean()
-
-
-def _sketched(Z, y, rows, seed):
-    from rbls.estimators import _sketched_solve
-
-    return _sketched_solve(Z, y, rows, seed)
 
 
 class TestHistogramL1Distance:
@@ -335,21 +326,17 @@ class TestInputChecks:
         with pytest.raises(InvalidInputError):
             exact_leverage(Z, sol)
         with pytest.raises(InvalidInputError):
-            approx_leverage(Z, sol.r_factor, 2, seed=0)
-        with pytest.raises(InvalidInputError):
             compute_diagnostics(Z, np.zeros(40))
 
     @pytest.mark.parametrize("cols", [3, 5])
     def test_r_factor_of_another_width_rejected(self, cols):
-        # a solution of a narrower or wider design: the leverage functions
-        # and loo_coefficients reject its R by the same shape check
+        # a solution of a narrower or wider design: exact_leverage and
+        # loo_coefficients reject its R by the same shape check
         rng = np.random.default_rng(31)
         sol = solve_ls(rng.standard_normal((40, cols)), rng.standard_normal(40))
         Z = rng.standard_normal((40, 4))
         with pytest.raises(InvalidInputError, match="r_factor has shape"):
             exact_leverage(Z, sol)
-        with pytest.raises(InvalidInputError, match="r_factor has shape"):
-            approx_leverage(Z, sol.r_factor, 2, seed=0)
         with pytest.raises(InvalidInputError, match="r_factor has shape"):
             loo_coefficients(Z, np.zeros(40), sol, 0)
 
