@@ -19,6 +19,8 @@ from .errors import ConfigError, InvalidInputError, InvalidParamsError, RblsErro
 from .estimators import OLS
 from .harness import (
     AIRLINE,
+    _check_threads,
+    _output_dir,
     aggregate,
     config_from_dict,
     emit_fig1_data,
@@ -84,9 +86,10 @@ def _sweep(raw, args):
     if args.out is not None:
         raw["output_dir"] = args.out
     cfg = config_from_dict(raw)
-    results = run_experiment(cfg, threads=args.threads)
+    _check_threads(args.threads)
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    with _output_dir(out):
+        results = run_experiment(cfg, threads=args.threads)
     write_results_csv(results, os.path.join(out, "results.csv"), args.deterministic)
     write_aggregates_csv(aggregate(results), os.path.join(out, "aggregates.csv"), args.deterministic)
     if args.gnuplot:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, ParseError, SchemaError
+from .seeding import check_seed
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,7 @@ def gen_corrupted(n, p, pi, sigma_x, sigma_w, sigma_eps, seed):
     beta is standard normal, Z = X + diag(u) W and y = X beta + eps.
     Deterministic in ``seed``; see the module docstring for the draw order.
     """
+    check_seed(seed)
     if n < 1 or p < 1:
         raise InvalidParamsError(f"need n, p >= 1, got n={n}, p={p}")
     _check_scales(pi, sigma_x, sigma_w, sigma_eps)
@@ -100,6 +102,7 @@ def gen_corrupted_split(n_train, n_test, p, pi, sigma_x, sigma_w, sigma_eps, see
     measures the fit against the true signal.  The test rows are drawn
     after the training rows in the same order, W and mask included.
     """
+    check_seed(seed)
     if n_train < 1 or n_test < 1 or p < 1:
         raise InvalidParamsError("need positive n_train, n_test, p")
     _check_scales(pi, sigma_x, sigma_w, sigma_eps)
@@ -137,6 +140,7 @@ def gen_leverage_regime(n, p, regime, seed):
     Cauchy-like rows with a few dominant leverage scores.  The response is
     y = X beta + eps with sigma_eps = 0.1 and standard-normal beta.
     """
+    check_seed(seed)
     if regime not in REGIMES:
         raise InvalidParamsError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if n <= p:
@@ -148,6 +152,7 @@ def gen_leverage_regime(n, p, regime, seed):
 
 def gen_regime_split(n_train, n_test, p, regime, seed):
     """Train/test pair from one leverage regime, shared beta."""
+    check_seed(seed)
     if regime not in REGIMES:
         raise InvalidParamsError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if n_train <= p or n_test < 1:

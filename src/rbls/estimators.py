@@ -42,8 +42,8 @@ from .diagnostics import (
 from .errors import InvalidParamsError, RankDeficientError
 from .linalg import _cgls, _gradient, _gram_factor, _householder_ls, _ls_inputs, solve_ls
 from .sampling import inverse_score_probabilities
-from .seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng, spawn_seed
-from .srht import apply_sketch_pair, build_sketch
+from .seeding import ROLE_SAMPLING, ROLE_SKETCH, check_seed, spawn_rng, spawn_seed
+from .srht import apply_sketch_pair, build_sketch, next_pow2
 
 OLS = "OLS"
 SRHT_LS = "SRHT_LS"
@@ -104,7 +104,10 @@ ANCHOR_STEPS = 2
 class EstimatorConfig:
     """Configuration shared by all estimators.
 
-    n_subs is the number of drawn rows (duplicates possible).
+    n_subs is the number of drawn rows (duplicates possible).  A config is
+    valid when built: a known method, n_subs None or an integer >= 1, and
+    an integer seed >= 0.  The bounds that depend on the data are checked
+    by each fit (``_inputs``).
     """
 
     method: str
@@ -116,6 +119,12 @@ class EstimatorConfig:
             raise InvalidParamsError(
                 f"unknown method {self.method!r}; expected one of {METHOD_NAMES}"
             )
+        n_subs = self.n_subs
+        if n_subs is not None and (
+            isinstance(n_subs, bool) or not isinstance(n_subs, (int, np.integer)) or n_subs < 1
+        ):
+            raise InvalidParamsError(f"need n_subs None or an integer >= 1, got {n_subs!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -135,7 +144,7 @@ def _inputs(Z, y, cfg, bounded_by_n=True):
     """float64 (Z, y) for a fit that keeps cfg.n_subs rows.
 
     Row samplers draw from the n rows, so their n_subs is bounded by n;
-    sketches draw from the padded Hadamard domain, which build_sketch bounds.
+    sketches draw from the padded Hadamard domain of next_pow2(n) rows.
     Only Z's shape and y's entries (through their sum) are checked here:
     ``linalg._gram_factor`` checks Z's entries through the diagonal of the
     first Gram matrix a fit forms, of Z or of a sketch in which every row of Z has a
@@ -148,8 +157,9 @@ def _inputs(Z, y, cfg, bounded_by_n=True):
         raise InvalidParamsError(f"{cfg.method} requires n_subs")
     if cfg.n_subs < p:
         raise InvalidParamsError(f"need n_subs >= p, got {cfg.n_subs} < {p}")
-    if bounded_by_n and cfg.n_subs > n:
-        raise InvalidParamsError(f"need n_subs <= n, got {cfg.n_subs} > {n}")
+    bound = n if bounded_by_n else next_pow2(n)
+    if cfg.n_subs > bound:
+        raise InvalidParamsError(f"need n_subs <= {bound}, got {cfg.n_subs}")
     return Z, y
 
 

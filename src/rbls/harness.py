@@ -15,6 +15,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -49,7 +50,10 @@ class ExperimentConfig:
     For simulated scenarios ``n``/``p`` size the training problem and
     ``pi``/``sigma_*`` parameterize the corruption; for the airline
     scenario ``n`` is the number of training rows taken from
-    ``airline_path`` and the generator fields are ignored.
+    ``airline_path`` and the generator fields are ignored.  A config is
+    checked when built: every int field is >= 1 but ``base_seed`` >= 0,
+    ``methods`` names known methods once each, and ``n_subs_grid`` is
+    strictly increasing, from p up (from 1 up for the airline scenario).
     """
 
     scenario: str
@@ -67,14 +71,17 @@ class ExperimentConfig:
     output_dir: str = "."
     airline_path: str | None = None
 
-    def validate(self):
-        """Raise ConfigError for the first invalid field; return self."""
+    def __post_init__(self):
+        """Raise ConfigError for the first invalid field."""
         for field in fields(self):
             value, allowed = getattr(self, field.name), _NUMBER_TYPES.get(field.type)
             if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
                 raise ConfigError(
                     f"{field.name} must be a number of type {field.type.__name__}, got {value!r}"
                 )
+            low = 0 if field.name == "base_seed" else 1
+            if field.type is int and value < low:
+                raise ConfigError(f"need {field.name} >= {low}, got {value}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if not self.methods:
@@ -82,25 +89,24 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHOD_CODES:
                 raise ConfigError(f"unknown method {m!r}")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.n_test < 1:
-            raise ConfigError("n_test must be >= 1")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods must not repeat, got {list(self.methods)!r}")
         grid = self.n_subs_grid
         if any(isinstance(g, bool) or not isinstance(g, (int, np.integer)) for g in grid):
             raise ConfigError(f"n_subs_grid entries must be integers, got {list(grid)!r}")
         if not grid:
             raise ConfigError("n_subs_grid is empty")
-        if list(grid) != sorted(grid):
-            raise ConfigError("n_subs_grid must be sorted ascending")
+        if grid[0] < 1 or any(a >= b for a, b in zip(grid, grid[1:])):
+            raise ConfigError(
+                f"n_subs_grid must be positive and strictly increasing, got {list(grid)!r}"
+            )
         if self.scenario != AIRLINE:
             if self.n <= self.p:
                 raise ConfigError(f"need n > p, got n={self.n}, p={self.p}")
-            if any(g < self.p for g in grid):
+            if grid[0] < self.p:
                 raise ConfigError(f"every n_subs grid value must be >= p = {self.p}")
         if self.scenario == AIRLINE and not self.airline_path:
             raise ConfigError("airline scenario requires airline_path")
-        return self
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ class ExperimentResult:
 
 
 def config_from_dict(raw):
-    """Build and validate an ExperimentConfig from a parsed JSON object."""
+    """Build an ExperimentConfig from a parsed JSON object."""
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
@@ -124,16 +130,17 @@ def config_from_dict(raw):
     if "methods" not in raw or "n_subs_grid" not in raw or "scenario" not in raw:
         raise ConfigError("config requires scenario, methods and n_subs_grid")
     try:
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             **{
                 **raw,
                 "methods": tuple(raw["methods"]),
                 "n_subs_grid": tuple(raw["n_subs_grid"]),
             }
         )
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad config value: {err}") from err
-    return cfg.validate()
 
 
 def _generate_split(cfg, replication):
@@ -191,18 +198,20 @@ def _rms(r):
     return rms
 
 
+def _check_threads(threads):
+    if threads < 1:
+        raise ConfigError(f"need threads >= 1, got {threads}")
+
+
 def run_experiment(cfg, threads=1):
     """Run the full sweep; deterministic result set given cfg.
 
     Fit failures, and fits whose coefficients are not all finite, are
     recorded in the row's ``error`` field and the run continues.  Rows come
     back sorted by (method, n_subs, replication) whatever the execution
-    order, and the derived per-fit seeds are checked for collisions.
-    ``threads`` below 1 is a ConfigError.
+    order.  ``threads`` below 1 is a ConfigError.
     """
-    cfg.validate()
-    if threads < 1:
-        raise ConfigError(f"need threads >= 1, got {threads}")
+    _check_threads(threads)
     reps = range(cfg.replications)
     if cfg.scenario == AIRLINE:
         shared = load_airline_csv(cfg.airline_path, cfg.n, cfg.n_test)
@@ -226,11 +235,6 @@ def run_experiment(cfg, threads=1):
     else:
         chunks = [_run_replication(cfg, rep, split) for rep, split in enumerate(splits)]
     results = [row for chunk in chunks for row in chunk]
-
-    seeds = [r.seed for r in results]
-    if len(set(seeds)) != len(seeds):
-        raise RuntimeError("per-fit seed derivation collided; grid coordinates not unique")
-
     order = {m: i for i, m in enumerate(cfg.methods)}
     results.sort(key=lambda r: (order[r.method], r.n_subs, r.replication))
     return results
@@ -347,13 +351,29 @@ def write_gnuplot_script(methods, path):
         fh.write(GNUPLOT_SCRIPT)
 
 
+@contextmanager
+def _output_dir(path):
+    """Make directory ``path`` before the work whose files go there, so a
+    path that cannot be a directory fails first; if the work raises, remove
+    the directory again unless it was there before."""
+    existed = os.path.isdir(path)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            os.rmdir(path)
+        raise
+
+
 def emit_fig1_data(problem, out_dir, bins=DEFAULT_HISTOGRAM_BINS):
     """Histograms of leverage/influence split by corruption status.
 
     Writes ``fig1_histograms.csv`` (metric, group, bin edges, mass) and
     ``fig1_distances.csv`` (the two pooled-bin L1 distances) under
-    ``out_dir`` and returns the distances as a dict.  Nothing is written
-    unless every histogram could be made.
+    ``out_dir`` and returns the distances as a dict.  ``out_dir`` is made
+    before the O(n p^2) solve, so a path that cannot be a directory fails
+    first.  Nothing is written unless every histogram could be made.
     """
     _check_bins(bins)
     if problem.truth is None:
@@ -363,12 +383,12 @@ def emit_fig1_data(problem, out_dir, bins=DEFAULT_HISTOGRAM_BINS):
         raise MissingCorruptedError("no corrupted rows; distances are undefined")
     if mask.all():
         raise MissingCorruptedError("no clean rows; distances are undefined")
-    report = compute_diagnostics(problem.Z, problem.y)
-    tables = {
-        name: _histogram_pair(values[mask], values[~mask], bins)
-        for name, values in (("leverage", report.leverages), ("influence", report.influences))
-    }
-    os.makedirs(out_dir, exist_ok=True)
+    with _output_dir(out_dir):
+        report = compute_diagnostics(problem.Z, problem.y)
+        metrics = (("leverage", report.leverages), ("influence", report.influences))
+        tables = {
+            name: _histogram_pair(values[mask], values[~mask], bins) for name, values in metrics
+        }
     with open(
         os.path.join(out_dir, "fig1_histograms.csv"), "w", encoding="utf-8", newline=""
     ) as fh:

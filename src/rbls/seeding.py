@@ -7,10 +7,19 @@ are meant to share (e.g. the row-sampling stream) and nothing else.
 
 import numpy as np
 
+from .errors import InvalidParamsError
+
 ROLE_SKETCH = 1
 ROLE_PROJECTION = 2
 ROLE_SAMPLING = 3
 ROLE_DATA = 4
+
+
+def check_seed(seed):
+    """Raise InvalidParamsError unless ``seed`` is an integer >= 0: numpy
+    integers too, but never bool, although bool subclasses int."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParamsError(f"need an integer seed >= 0, got {seed!r}")
 
 
 def spawn_seed(seed, *key):

@@ -270,3 +270,66 @@ class TestAirlineCommand:
         for name in ("results.csv", "aggregates.csv", "plot.gp"):
             assert (out_run / name).read_bytes() == (out_air / name).read_bytes()
         assert len((out_air / "results.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
+
+
+def _run_argv(tmp_path, *flags, **patch):
+    raw = {"scenario": "corrupted", "methods": ["OLS", "IWS_LS"], "n_subs_grid": [20, 40],
+           "replications": 2, "n": 300, "p": 5, "n_test": 50, "base_seed": 3, **patch}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return ["run", "--config", str(path), "--out", str(tmp_path / "out"), *flags]
+
+
+def _airline_argv(tmp_path, n_train):
+    return ["airline", "--train", str(airline_file(tmp_path)), "--n-train", n_train,
+            "--n-test", "100", "--out", str(tmp_path / "out")]
+
+
+def _taken(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    return str(taken)
+
+
+# Each input fails with one line before any replication runs, and leaves no
+# file or directory behind
+BAD_INPUTS = {
+    "repeated-method": (lambda t: _run_argv(t, methods=["OLS", "OLS"]), EXIT_CONFIG),
+    "repeated-n_subs": (lambda t: _run_argv(t, n_subs_grid=[40, 40]), EXIT_CONFIG),
+    "negative-base_seed": (lambda t: _run_argv(t, base_seed=-3), EXIT_CONFIG),
+    "negative-seed-flag": (lambda t: _run_argv(t, "--seed", "-1"), EXIT_CONFIG),
+    "airline-n-train-zero": (lambda t: _airline_argv(t, "0"), EXIT_CONFIG),
+    "airline-n-train-negative": (lambda t: _airline_argv(t, "-5"), EXIT_CONFIG),
+    "out-names-a-file": (lambda t: _run_argv(t, "--out", _taken(t)), EXIT_DATA),
+    "fig1-negative-seed": (
+        lambda t: ["fig1", "--n", "200", "--p", "5", "--seed", "-1", "--out", str(t / "out")],
+        EXIT_CONFIG,
+    ),
+    "airline-missing-file": (
+        lambda t: ["airline", "--train", str(t / "gone.csv"), "--out", str(t / "out")],
+        EXIT_DATA,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_fails_before_any_fit(tmp_path, capsys, monkeypatch, case):
+    # one line on stderr, no traceback, no replication run and no file written
+    import rbls.harness
+
+    def no_replication(*args):
+        raise AssertionError("a replication ran before the input was rejected")
+
+    monkeypatch.setattr(rbls.harness, "_run_replication", no_replication)
+    make_argv, expected = BAD_INPUTS[case]
+    argv = make_argv(tmp_path)
+    before = _tree(tmp_path)
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert err.startswith(("config error:", "data error:")) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
+def _tree(root):
+    return {path: path.is_file() and path.read_bytes() for path in root.rglob("*")}

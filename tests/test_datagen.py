@@ -161,6 +161,28 @@ class TestLeverageRegimes:
             gen_leverage_regime(100, 4, "cauchy", seed=0)
 
 
+GENERATORS = {
+    "gen_corrupted": lambda seed: gen_corrupted(50, 3, 0.3, 1.0, 0.4, 0.1, seed),
+    "gen_corrupted_split": lambda seed: gen_corrupted_split(50, 10, 3, 0.3, 1.0, 0.4, 0.1, seed),
+    "gen_leverage_regime": lambda seed: gen_leverage_regime(50, 3, T3, seed),
+    "gen_regime_split": lambda seed: gen_regime_split(50, 10, 3, T3, seed),
+}
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+@pytest.mark.parametrize("seed", [-1, 2.5, True, None])
+def test_bad_seed_rejected(generator, seed):
+    with pytest.raises(InvalidParamsError, match="seed"):
+        GENERATORS[generator](seed)
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+def test_numpy_integer_seed_accepted(generator):
+    # np.uint64(7) draws what 7 draws
+    a, b = GENERATORS[generator](np.uint64(7)), GENERATORS[generator](7)
+    np.testing.assert_array_equal(getattr(a, "train", a).Z, getattr(b, "train", b).Z)
+
+
 AIRLINE_HEADER = "Year,Month,DayofMonth,UniqueCarrier,Origin,Dest,Distance,ArrDelay"
 
 

@@ -236,6 +236,31 @@ class TestDispatcher:
         with pytest.raises(InvalidParamsError):
             EstimatorConfig(method="SGD")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"seed": -2}, {"seed": 2.5}, {"seed": True}, {"seed": None},
+         {"n_subs": 400.7}, {"n_subs": 0}, {"n_subs": True}],
+        ids=["seed-negative", "seed-float", "seed-bool", "seed-none",
+             "n_subs-float", "n_subs-zero", "n_subs-bool"],
+    )
+    def test_bad_seed_or_n_subs_rejected_when_built(self, kwargs):
+        # a float seed or n_subs used to be fit as its integer part
+        with pytest.raises(InvalidParamsError):
+            EstimatorConfig(**{"method": IWS_LS, "n_subs": 40, **kwargs})
+
+    @pytest.mark.parametrize("seed", [0, np.uint64(2**64 - 1), 2**64, np.int32(5)])
+    def test_integer_seeds_accepted(self, seed):
+        assert EstimatorConfig(IWS_LS, np.int64(40), seed).seed == seed
+
+    @pytest.mark.parametrize("method", [SRHT_LS, ULURU])
+    def test_n_subs_above_padded_domain_rejected_for_sketches(self, method):
+        # a sketch keeps at most next_pow2(n) = 512 rows of n = 500; the
+        # bound is an InvalidParamsError like every other n_subs bound
+        Z, y, _ = gaussian_problem(500, 4, seed=2)
+        with pytest.raises(InvalidParamsError, match="512"):
+            fit(RegressionProblem(Z, y), EstimatorConfig(method, n_subs=600))
+        fit(RegressionProblem(Z, y), EstimatorConfig(method, n_subs=512))
+
     def test_missing_n_subs_rejected(self):
         Z, y, _ = gaussian_problem(64, 4, seed=2)
         with pytest.raises(InvalidParamsError):

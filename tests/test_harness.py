@@ -108,6 +108,36 @@ class TestRunExperiment:
                        ("generate", 1), *fits_per_rep,
                        ("generate", 2), *fits_per_rep]
 
+    def test_pool_looks_ahead_one_split(self, monkeypatch):
+        # with two workers, split k is generated only once replications
+        # 0..k-3 have finished: at most threads + 1 splits are alive
+        import threading
+
+        import rbls.harness as harness
+
+        log, lock = [], threading.Lock()
+        generate, run_one = harness._generate_split, harness._run_replication
+
+        def logged_generate(cfg, rep):
+            with lock:
+                log.append(("generate", rep))
+            return generate(cfg, rep)
+
+        def logged_run(cfg, rep, split):
+            rows = run_one(cfg, rep, split)
+            with lock:
+                log.append(("finished", rep))
+            return rows
+
+        monkeypatch.setattr(harness, "_generate_split", logged_generate)
+        monkeypatch.setattr(harness, "_run_replication", logged_run)
+        run_experiment(tiny_config(replications=6), threads=2)
+        generated = [i for i, (event, _) in enumerate(log) if event == "generate"]
+        assert [log[i][1] for i in generated] == list(range(6))
+        for k, i in enumerate(generated):
+            finished = sum(event == "finished" for event, _ in log[:i])
+            assert finished >= k - 2, log
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ConfigError, match="threads"):
@@ -313,6 +343,13 @@ class TestConfigFromDict:
             {"n_subs_grid": ["20"]},
             {"n_subs_grid": [40.7]},
             {"n_subs_grid": [True]},
+            {"methods": ["OLS", "OLS"]},
+            {"n_subs_grid": [20, 20]},
+            {"base_seed": -3},
+            {"p": 0},
+            {"scenario": "airline", "airline_path": "flights.csv", "n": 0},
+            {"scenario": "airline", "airline_path": "flights.csv", "n": -5},
+            {"scenario": "airline", "airline_path": "flights.csv", "n_subs_grid": [0, 20]},
         ],
     )
     def test_invalid_configs_rejected(self, patch):
@@ -325,8 +362,10 @@ class TestConfigFromDict:
             "p": 4,
         }
         raw.update(patch)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             config_from_dict(raw)
+        # the config's own ConfigError passes through unwrapped
+        assert not str(err.value).startswith("bad config value")
 
     def test_exact_influence_budget_guard(self):
         # exact IWS_LS has no size budget: like LEV_LS and OLS it costs one
@@ -409,6 +448,33 @@ class TestFig1:
         with pytest.raises(InvalidInputError):
             emit_fig1_data(prob, tmp_path, bins=1)
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_dir_made_before_diagnostics(self, tmp_path, monkeypatch):
+        # an out_dir that names a file fails before the O(n p^2) solve
+        import rbls.harness as harness
+
+        def no_diagnostics(*args):
+            raise AssertionError("emit_fig1_data solved before making out_dir")
+
+        monkeypatch.setattr(harness, "compute_diagnostics", no_diagnostics)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        prob = gen_corrupted(200, 5, 0.3, 1.0, 0.4, 0.1, seed=0)
+        with pytest.raises(FileExistsError):
+            emit_fig1_data(prob, taken)
+        assert taken.read_text() == "not a directory"
+
+    def test_existing_out_dir_kept_when_the_solve_fails(self, tmp_path, monkeypatch):
+        import rbls.harness as harness
+
+        def failing_diagnostics(*args):
+            raise DegenerateRangeError("solve failed")
+
+        monkeypatch.setattr(harness, "compute_diagnostics", failing_diagnostics)
+        prob = gen_corrupted(200, 5, 0.3, 1.0, 0.4, 0.1, seed=0)
+        with pytest.raises(DegenerateRangeError):
+            emit_fig1_data(prob, tmp_path)
+        assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
 
     def test_no_file_written_when_a_histogram_fails(self, tmp_path, monkeypatch):
         # constant leverages collapse the pooled range; the influence
