@@ -57,6 +57,14 @@ class SplitProblem:
     test: RegressionProblem
 
 
+def _check_sizes(**sizes):
+    """Raise InvalidParamsError unless every size is an integer >= 1: numpy
+    integers too, but never bool, although bool subclasses int."""
+    for name, size in sizes.items():
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise InvalidParamsError(f"need an integer {name} >= 1, got {size!r}")
+
+
 def _check_scales(pi, sigma_x, sigma_w, sigma_eps):
     if not 0.0 <= pi <= 1.0:
         raise InvalidParamsError(f"need 0 <= pi <= 1, got {pi}")
@@ -86,8 +94,7 @@ def gen_corrupted(n, p, pi, sigma_x, sigma_w, sigma_eps, seed):
     Deterministic in ``seed``; see the module docstring for the draw order.
     """
     check_seed(seed)
-    if n < 1 or p < 1:
-        raise InvalidParamsError(f"need n, p >= 1, got n={n}, p={p}")
+    _check_sizes(n=n, p=p)
     _check_scales(pi, sigma_x, sigma_w, sigma_eps)
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
@@ -103,8 +110,7 @@ def gen_corrupted_split(n_train, n_test, p, pi, sigma_x, sigma_w, sigma_eps, see
     after the training rows in the same order, W and mask included.
     """
     check_seed(seed)
-    if n_train < 1 or n_test < 1 or p < 1:
-        raise InvalidParamsError("need positive n_train, n_test, p")
+    _check_sizes(n_train=n_train, n_test=n_test, p=p)
     _check_scales(pi, sigma_x, sigma_w, sigma_eps)
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
@@ -143,6 +149,7 @@ def gen_leverage_regime(n, p, regime, seed):
     check_seed(seed)
     if regime not in REGIMES:
         raise InvalidParamsError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    _check_sizes(n=n, p=p)
     if n <= p:
         raise InvalidParamsError(f"need n > p, got n={n}, p={p}")
     rng = np.random.default_rng(seed)
@@ -155,8 +162,9 @@ def gen_regime_split(n_train, n_test, p, regime, seed):
     check_seed(seed)
     if regime not in REGIMES:
         raise InvalidParamsError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    if n_train <= p or n_test < 1:
-        raise InvalidParamsError("need n_train > p and n_test >= 1")
+    _check_sizes(n_train=n_train, n_test=n_test, p=p)
+    if n_train <= p:
+        raise InvalidParamsError(f"need n_train > p, got n_train={n_train}, p={p}")
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
     train = _regime_problem(rng, n_train, p, regime, beta)

@@ -2,9 +2,11 @@
 
 Within a replication every method and grid point sees the same generated
 problem (paired comparison); data are regenerated per replication.  Each fit
-draws its seed from hash(base_seed, method, n_subs, replication), recorded
-in the output, so any single row can be reproduced in isolation.  What a
-method computes without reading n_subs or the seed runs once per
+draws its seed from hash(base_seed, ROLE_FIT, method, replication), recorded
+in the output, so any single row can be reproduced in isolation.  A method's
+grid points share that seed, and so its random streams (common random
+numbers): a sampler's draw at a smaller n_subs is a prefix of its draw at a
+larger one.  What a method computes without reading n_subs runs once per
 replication (``estimators._problem_fits``).
 """
 
@@ -30,7 +32,7 @@ from .datagen import (
 from .diagnostics import DEFAULT_HISTOGRAM_BINS, _check_bins, _histogram_pair, compute_diagnostics
 from .errors import ConfigError, MissingCorruptedError, MissingTruthError, RblsError
 from .estimators import EstimatorConfig, METHOD_CODES
-from .seeding import ROLE_DATA, spawn_seed
+from .seeding import ROLE_DATA, ROLE_FIT, spawn_seed
 
 CORRUPTED = "corrupted"
 AIRLINE = "airline"
@@ -129,6 +131,9 @@ def config_from_dict(raw):
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "methods" not in raw or "n_subs_grid" not in raw or "scenario" not in raw:
         raise ConfigError("config requires scenario, methods and n_subs_grid")
+    for key in ("methods", "n_subs_grid"):
+        if isinstance(raw[key], str):  # tuple() would split it into characters
+            raise ConfigError(f"{key} must be a list, got the string {raw[key]!r}")
     try:
         return ExperimentConfig(
             **{
@@ -165,8 +170,8 @@ def _run_replication(cfg, replication, split):
     out = []
     fit = estimators._problem_fits(train)
     for method in cfg.methods:
+        fit_seed = spawn_seed(cfg.base_seed, ROLE_FIT, METHOD_CODES[method], replication)
         for n_subs in cfg.n_subs_grid:
-            fit_seed = spawn_seed(cfg.base_seed, METHOD_CODES[method], n_subs, replication)
             try:
                 result = fit(EstimatorConfig(method=method, n_subs=int(n_subs), seed=fit_seed))
             except RblsError as err:

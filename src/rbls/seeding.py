@@ -13,6 +13,7 @@ ROLE_SKETCH = 1
 ROLE_PROJECTION = 2
 ROLE_SAMPLING = 3
 ROLE_DATA = 4
+ROLE_FIT = 5  # a sweep's fit seeds, keyed (ROLE_FIT, method code, replication)
 
 
 def check_seed(seed):

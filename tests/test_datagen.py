@@ -183,6 +183,39 @@ def test_numpy_integer_seed_accepted(generator):
     np.testing.assert_array_equal(getattr(a, "train", a).Z, getattr(b, "train", b).Z)
 
 
+# (generator, size argument): each call puts the value under test in that
+# argument and a valid size in every other
+SIZED_CALLS = {
+    ("gen_corrupted", "n"): lambda v: gen_corrupted(v, 3, 0.3, 1.0, 0.4, 0.1, 0),
+    ("gen_corrupted", "p"): lambda v: gen_corrupted(50, v, 0.3, 1.0, 0.4, 0.1, 0),
+    ("gen_corrupted_split", "n_train"): lambda v: gen_corrupted_split(v, 10, 3, 0.3, 1.0, 0.4,
+                                                                      0.1, 0),
+    ("gen_corrupted_split", "n_test"): lambda v: gen_corrupted_split(50, v, 3, 0.3, 1.0, 0.4,
+                                                                     0.1, 0),
+    ("gen_corrupted_split", "p"): lambda v: gen_corrupted_split(50, 10, v, 0.3, 1.0, 0.4, 0.1, 0),
+    ("gen_leverage_regime", "n"): lambda v: gen_leverage_regime(v, 3, T3, 0),
+    ("gen_leverage_regime", "p"): lambda v: gen_leverage_regime(50, v, T3, 0),
+    ("gen_regime_split", "n_train"): lambda v: gen_regime_split(v, 10, 3, T3, 0),
+    ("gen_regime_split", "n_test"): lambda v: gen_regime_split(50, v, 3, T3, 0),
+    ("gen_regime_split", "p"): lambda v: gen_regime_split(50, 10, v, T3, 0),
+}
+
+
+@pytest.mark.parametrize("call", SIZED_CALLS, ids="-".join)
+@pytest.mark.parametrize("size", [2.5, np.float64(3.0), True, "40", None, 0])
+def test_bad_size_rejected(call, size):
+    with pytest.raises(InvalidParamsError, match=f"integer {call[1]} >= 1"):
+        SIZED_CALLS[call](size)
+
+
+@pytest.mark.parametrize("call", SIZED_CALLS, ids="-".join)
+def test_numpy_integer_size_accepted(call):
+    # np.int32(size) draws what size draws
+    size = 3 if call[1] == "p" else 40
+    a, b = SIZED_CALLS[call](np.int32(size)), SIZED_CALLS[call](size)
+    np.testing.assert_array_equal(getattr(a, "train", a).Z, getattr(b, "train", b).Z)
+
+
 AIRLINE_HEADER = "Year,Month,DayofMonth,UniqueCarrier,Origin,Dest,Distance,ArrDelay"
 
 

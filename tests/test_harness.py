@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import rbls.estimators
+
 from rbls.datagen import gen_corrupted, RegressionProblem
 from rbls.diagnostics import DiagnosticsReport
 from rbls.errors import (
@@ -16,6 +18,7 @@ from rbls.estimators import (
     IWS_LS,
     LEV_LS,
     METHOD_CODES,
+    METHOD_NAMES,
     OLS,
     SRHT_LS,
     ULURU,
@@ -33,7 +36,7 @@ from rbls.harness import (
     write_aggregates_csv,
     write_results_csv,
 )
-from rbls.seeding import spawn_seed
+from rbls.seeding import ROLE_DATA, ROLE_FIT, spawn_seed
 
 AIRLINE_HEADER = "Year,Month,DayofMonth,UniqueCarrier,Origin,Dest,Distance,ArrDelay"
 
@@ -143,43 +146,81 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="threads"):
             run_experiment(tiny_config(), threads=threads)
 
-    @pytest.mark.parametrize("method", [OLS, LEV_LS, IWS_LS])
-    def test_seed_free_stages_run_once_per_replication(self, monkeypatch, method):
+    @pytest.mark.parametrize(
+        "method, grid, stage_runs",
+        [
+            pytest.param(OLS, (20, 40, 80), 1, id=OLS),
+            pytest.param(LEV_LS, (20, 40, 80), 1, id=LEV_LS),
+            pytest.param(IWS_LS, (20, 40, 80), 1, id=IWS_LS),
+            pytest.param(AIWS_LS, (20, 40, 160), 1, id=AIWS_LS),
+            pytest.param(ARWS_LS, (20, 40, 160), 1, id=ARWS_LS),
+            pytest.param(AIWS_LS, (20, 160, 200), 2, id=f"{AIWS_LS}-above-32p"),
+            pytest.param(ARWS_LS, (20, 160, 200), 2, id=f"{ARWS_LS}-above-32p"),
+        ],
+    )
+    def test_seed_free_stages_run_once_per_replication(self, monkeypatch, method, grid, stage_runs):
+        # Every grid point of a method shares one fit seed per replication.
         # OLS's fit and the scores of LEV_LS and IWS_LS read neither n_subs
         # nor the seed: one factor of the full Gram matrix per replication
-        # serves the grid, and each row keeps its own per-fit seed and its
-        # own draw
-        import rbls.estimators
+        # serves the grid.  The scores of AIWS_LS and ARWS_LS read the seed
+        # and the anchor's max(32p, n_subs) rows (32p = 160 here): one
+        # anchor serves the grid points up to 32p, and a point above it
+        # solves its own.  Each row keeps its own draw and refits
+        # bit-identically in isolation.
         import rbls.harness as harness
         import rbls.linalg
 
-        full_factors = []
-        factor = rbls.linalg._gram_factor
-
-        def counted(Z):
-            if Z.shape[0] == cfg.n:
-                full_factors.append(Z.shape)
-            return factor(Z)
-
-        grid = (20, 40, 80)
         cfg = tiny_config(methods=(method,), n_subs_grid=grid, replications=2)
-        for module in (rbls.linalg, rbls.estimators):
-            monkeypatch.setattr(module, "_gram_factor", counted)
-        results = run_experiment(cfg)
-        assert len(full_factors) == cfg.replications
-        monkeypatch.undo()
-        for rep in range(cfg.replications):
-            split = harness._generate_split(cfg, rep)
-            rows = [r for r in results if r.replication == rep]
-            assert [r.n_subs for r in rows] == list(grid)
-            for row, g in zip(rows, grid):
-                assert row.seed == spawn_seed(cfg.base_seed, METHOD_CODES[method], g, rep)
-                est_cfg = EstimatorConfig(method, n_subs=g, seed=row.seed)
-                coef = rbls.estimators.fit(split.train, est_cfg).coefficients
-                assert row.est_error == float(np.linalg.norm(coef - split.train.truth.beta))
-                rmse = float(np.sqrt(np.mean((split.test.y - split.test.Z @ coef) ** 2)))
-                assert row.rmse == rmse
-                assert row.wall_time_ms > 0
+        factor, anchor = rbls.linalg._gram_factor, rbls.estimators._anchor
+        for threads in (1, 2):
+            stages = []
+
+            def counted_factor(Z):
+                if Z.shape[0] == cfg.n:
+                    stages.append("factor")
+                return factor(Z)
+
+            def counted_anchor(*args):
+                stages.append("anchor")
+                return anchor(*args)
+
+            for module in (rbls.linalg, rbls.estimators):
+                monkeypatch.setattr(module, "_gram_factor", counted_factor)
+            monkeypatch.setattr(rbls.estimators, "_anchor", counted_anchor)
+            results = run_experiment(cfg, threads=threads)
+            monkeypatch.undo()
+            stage = "anchor" if method in (AIWS_LS, ARWS_LS) else "factor"
+            assert stages == [stage] * (stage_runs * cfg.replications)
+            for rep in range(cfg.replications):
+                split = harness._generate_split(cfg, rep)
+                rows = [r for r in results if r.replication == rep]
+                assert [r.n_subs for r in rows] == list(grid)
+                for row, g in zip(rows, grid):
+                    code = METHOD_CODES[method]
+                    assert row.seed == spawn_seed(cfg.base_seed, ROLE_FIT, code, rep)
+                    coef = rbls.fit(split.train, EstimatorConfig(method, g, row.seed)).coefficients
+                    assert row.est_error == float(np.linalg.norm(coef - split.train.truth.beta))
+                    rmse = float(np.sqrt(np.mean((split.test.y - split.test.Z @ coef) ** 2)))
+                    assert row.rmse == rmse
+                    assert row.wall_time_ms > 0
+
+    @pytest.mark.parametrize("method", [LEV_LS, IWS_LS, AIWS_LS, ARWS_LS])
+    def test_shared_seed_makes_smaller_draws_prefixes(self, method):
+        # common random numbers: configs that differ only in n_subs share
+        # the scores and draw from one stream, so the smaller draw is a
+        # prefix of the larger; the anchor of AIWS_LS and ARWS_LS reads the
+        # seed, so another seed gets its own scores
+        problem = gen_corrupted(300, 5, 0.3, 1.0, 0.4, 0.1, seed=3)
+        fit = rbls.estimators._problem_fits(problem)
+        small, large, other = (
+            fit(EstimatorConfig(method, g, seed)) for g, seed in ((20, 11), (80, 11), (20, 12))
+        )
+        assert small.sampling_probabilities is large.sampling_probabilities
+        np.testing.assert_array_equal(small.sampled_row_indices, large.sampled_row_indices[:20])
+        seed_free = method in (LEV_LS, IWS_LS)
+        assert (other.sampling_probabilities is small.sampling_probabilities) == seed_free
+        alone = rbls.estimators.fit(problem, EstimatorConfig(method, 20, 12))
+        np.testing.assert_array_equal(other.sampling_probabilities, alone.sampling_probabilities)
 
     def test_n_subs_checked_at_every_grid_point(self):
         # the scores serve the whole grid; the bound n_subs <= n is still
@@ -190,10 +231,23 @@ class TestRunExperiment:
             (20, ""), (400, "InvalidParamsError"), (20, ""), (400, "InvalidParamsError")
         ]
 
-    def test_per_fit_seeds_unique(self):
+    def test_one_fit_seed_per_method_and_replication(self):
         results = run_experiment(tiny_config(n_subs_grid=(20, 40), replications=3))
-        seeds = [r.seed for r in results]
-        assert len(set(seeds)) == len(seeds)
+        seeds = {}
+        for r in results:
+            seeds.setdefault((r.method, r.replication), set()).add(r.seed)
+        assert all(len(s) == 1 for s in seeds.values())
+        assert len(set.union(*seeds.values())) == len(seeds)
+
+    @pytest.mark.parametrize("base_seed", [0, 1, 7, 2**32 + 5])
+    def test_fit_seeds_differ_from_data_seeds(self, base_seed):
+        # the fit key carries ROLE_FIT: the bare key (base_seed, code,
+        # replication) would give IWS_LS (code ROLE_DATA = 4) each
+        # replication's data seed
+        cfg = tiny_config(methods=METHOD_NAMES, n_subs_grid=(20,), replications=3,
+                          base_seed=base_seed)
+        for r in run_experiment(cfg):
+            assert r.seed != spawn_seed(base_seed, ROLE_DATA, r.replication)
 
     def test_failed_fit_recorded_and_run_continues(self, tmp_path):
         # constant distance standardizes to an all-zero column: OLS cannot
@@ -350,6 +404,8 @@ class TestConfigFromDict:
             {"scenario": "airline", "airline_path": "flights.csv", "n": 0},
             {"scenario": "airline", "airline_path": "flights.csv", "n": -5},
             {"scenario": "airline", "airline_path": "flights.csv", "n_subs_grid": [0, 20]},
+            {"methods": "OLS"},
+            {"n_subs_grid": "20"},
         ],
     )
     def test_invalid_configs_rejected(self, patch):
@@ -366,6 +422,13 @@ class TestConfigFromDict:
             config_from_dict(raw)
         # the config's own ConfigError passes through unwrapped
         assert not str(err.value).startswith("bad config value")
+
+    @pytest.mark.parametrize("key, value", [("methods", "OLS"), ("n_subs_grid", "20")])
+    def test_string_where_list_expected_names_field(self, key, value):
+        raw = {"scenario": "corrupted", "methods": [OLS], "n_subs_grid": [20], "replications": 1,
+               "n": 100, "p": 4, key: value}
+        with pytest.raises(ConfigError, match=f"{key} must be a list"):
+            config_from_dict(raw)
 
     def test_exact_influence_budget_guard(self):
         # exact IWS_LS has no size budget: like LEV_LS and OLS it costs one
