@@ -74,7 +74,7 @@ def _sweep_flags(sub):
     sub.add_argument("--deterministic", action="store_true",
                      help="byte-stable outputs: no timestamp, zeroed wall times")
     sub.add_argument("--threads", type=int, default=1,
-                     help="replications run concurrently")
+                     help="replication workers, this thread among them")
     sub.add_argument("--gnuplot", action="store_true", help="also write plot.gp")
 
 

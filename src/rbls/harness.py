@@ -8,6 +8,11 @@ grid points share that seed, and so its random streams (common random
 numbers): a sampler's draw at a smaller n_subs is a prefix of its draw at a
 larger one.  What a method computes without reading n_subs runs once per
 replication (``estimators._problem_fits``).
+
+``run_experiment(cfg, threads=N)`` runs whole replications on N workers:
+the calling thread and N - 1 pool threads.  Each worker generates the
+split it fits, so at most N splits are in memory at once, and the rows do
+not depend on N.
 """
 
 import csv
@@ -15,7 +20,6 @@ import datetime
 import io
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -214,31 +218,39 @@ def run_experiment(cfg, threads=1):
     Fit failures, and fits whose coefficients are not all finite, are
     recorded in the row's ``error`` field and the run continues.  Rows come
     back sorted by (method, n_subs, replication) whatever the execution
-    order.  ``threads`` below 1 is a ConfigError.
+    order.  ``threads`` counts the workers, this thread among them; below
+    1 it is a ConfigError.
     """
     _check_threads(threads)
-    reps = range(cfg.replications)
+    shared = None
     if cfg.scenario == AIRLINE:
         shared = load_airline_csv(cfg.airline_path, cfg.n, cfg.n_test)
-        splits = (shared for _ in reps)
-    else:
-        splits = (_generate_split(cfg, rep) for rep in reps)
 
-    # Splits are generated lazily in this thread, one ahead of the workers,
-    # so a sweep holds threads + 1 of them, not one per replication.
-    # Generating them inside the workers instead spreads the data over one
-    # malloc arena per thread, which kept ~5 MB more resident in a 5000 x 20
-    # sweep with two threads.
+    def replication(rep):
+        split = _generate_split(cfg, rep) if shared is None else shared
+        return _run_replication(cfg, rep, split)
+
+    reps = range(cfg.replications)
+    # ``threads`` workers: this thread runs replications 0, threads,
+    # 2 threads, ... and a pool of threads - 1 runs the rest.  Each worker
+    # generates the split it then fits (numpy's Generator releases the GIL
+    # while it fills arrays, so two splits are drawn at once) and drops it
+    # before its next one, so at most ``threads`` splits are alive.  The
+    # caller is a worker because a pool of all ``threads`` adds one more
+    # malloc arena: on the benchmark's 5000 x 20 sweep at two threads (10
+    # runs, 2-core host) its peak RSS read 2.2% more in the median, and up
+    # to 5.8% more.
     if threads > 1:
-        chunks, pending = [], deque()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rep, split in enumerate(splits):
-                if len(pending) == threads:
-                    chunks.append(pending.popleft().result())
-                pending.append(pool.submit(_run_replication, cfg, rep, split))
-            chunks.extend(f.result() for f in pending)
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            rest = [pool.submit(replication, rep) for rep in reps if rep % threads]
+            try:
+                chunks = [replication(rep) for rep in reps[::threads]]
+                chunks.extend(f.result() for f in rest)
+            except BaseException:  # an error or interrupt ends the sweep without the queued rest
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
-        chunks = [_run_replication(cfg, rep, split) for rep, split in enumerate(splits)]
+        chunks = [replication(rep) for rep in reps]
     results = [row for chunk in chunks for row in chunk]
     order = {m: i for i, m in enumerate(cfg.methods)}
     results.sort(key=lambda r: (order[r.method], r.n_subs, r.replication))

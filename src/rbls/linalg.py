@@ -257,10 +257,11 @@ def _householder_ls(Z, y):
 def _cgls(Z, y, coef, R, a_norm, max_iter=REFINE_MAX_ITER):
     """CGLS right-preconditioned by a checked R from ``coef`` (updated in
     place), under the caller's errstate for ``_gradient``, until ``_stops``
-    passes or after ``max_iter`` steps: min_u ||y - A u||, A = Z R^{-1},
-    b = R^{-1} u.  With R the factor of Z or of a row sketch of Z, A is well
-    conditioned and each step costs two O(n p) products (Blendenpik; Avron,
-    Maymounkov and Toledo 2010).  ||A|| in the test is the largest of
+    passes or after ``max_iter`` steps, the last of which computes no
+    gradient: min_u ||y - A u||, A = Z R^{-1}, b = R^{-1} u.  With R the
+    factor of Z or of a row sketch of Z, A is well conditioned and each
+    step costs two O(n p) products (Blendenpik; Avron, Maymounkov and
+    Toledo 2010).  ||A|| in the test is the largest of
     ``a_norm`` and ||A d|| / ||d|| over the search directions d, a lower
     bound on the 2-norm.  A positive ``a_norm`` also puts the start to the
     test; a start that passes comes back with 0 steps and the test's
@@ -282,6 +283,8 @@ def _cgls(Z, y, coef, R, a_norm, max_iter=REFINE_MAX_ITER):
         coef += alpha * t
         r -= alpha * q
         it += 1
+        if it == max_iter:  # the budget is spent: a gradient now would go unread
+            break
         s, gamma_next = _gradient(r_fortran, Z, r)
         if _stops(r, gamma_next, y_norm, a_norm):
             break

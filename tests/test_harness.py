@@ -56,6 +56,18 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def write_flights(path, rows=60, seed=0):
+    """A flight CSV of ``rows`` rows over three routes, for airline sweeps."""
+    rng = np.random.default_rng(seed)
+    pairs = [("A", "B"), ("C", "D"), ("E", "F")]
+    lines = []
+    for _ in range(rows):
+        o, d = pairs[rng.integers(0, 3)]
+        lines.append(f"2000,1,1,US,{o},{d},{rng.integers(100, 2000)},{rng.normal():.2f}")
+    path.write_text(AIRLINE_HEADER + "\n" + "\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestRunExperiment:
     def test_single_cell_yields_one_row(self):
         cfg = tiny_config(methods=(OLS,), replications=1)
@@ -78,13 +90,19 @@ class TestRunExperiment:
             (r.method, r.n_subs, r.seed, r.est_error) for r in b
         ]
 
-    def test_threads_do_not_change_results(self):
-        cfg = tiny_config(replications=4)
-        seq = run_experiment(cfg, threads=1)
-        par = run_experiment(cfg, threads=2)
-        assert [(r.method, r.n_subs, r.replication, r.est_error) for r in seq] == [
-            (r.method, r.n_subs, r.replication, r.est_error) for r in par
-        ]
+    @pytest.mark.parametrize("threads", [2, 3, 5])  # 5: more workers than replications
+    @pytest.mark.parametrize("scenario", ["corrupted", "t3", "airline"])
+    def test_threads_do_not_change_results(self, tmp_path, scenario, threads):
+        overrides = dict(scenario=scenario, replications=4)
+        if scenario == "airline":  # one split, loaded once, shared by every worker
+            overrides.update(n=40, n_test=10, airline_path=write_flights(tmp_path / "f.csv"))
+        cfg = tiny_config(**overrides)
+
+        def rows(results):  # every field but the wall time
+            return [(r.method, r.n_subs, r.replication, r.seed, r.est_error, r.rmse, r.error)
+                    for r in results]
+
+        assert rows(run_experiment(cfg, threads=threads)) == rows(run_experiment(cfg, threads=1))
 
     def test_splits_generated_lazily_per_replication(self, monkeypatch):
         # a sweep holds one split per worker: replication k + 1 is generated
@@ -111,35 +129,48 @@ class TestRunExperiment:
                        ("generate", 1), *fits_per_rep,
                        ("generate", 2), *fits_per_rep]
 
-    def test_pool_looks_ahead_one_split(self, monkeypatch):
-        # with two workers, split k is generated only once replications
-        # 0..k-3 have finished: at most threads + 1 splits are alive
+    def test_each_worker_generates_the_split_it_fits(self, monkeypatch):
+        # threads = N is the calling thread plus a pool of N - 1: the caller
+        # runs replications 0, N, 2N, ..., each worker fits the split it
+        # generated, and it drops that split before generating its next, so
+        # at most N splits are alive
         import threading
+        import weakref
 
         import rbls.harness as harness
 
-        log, lock = [], threading.Lock()
         generate, run_one = harness._generate_split, harness._run_replication
+        for threads in (2, 3):
+            lock = threading.Lock()
+            generated_on, fitted_on, alive, peak = {}, {}, [0], [0]
 
-        def logged_generate(cfg, rep):
-            with lock:
-                log.append(("generate", rep))
-            return generate(cfg, rep)
+            def dropped():
+                with lock:
+                    alive[0] -= 1
 
-        def logged_run(cfg, rep, split):
-            rows = run_one(cfg, rep, split)
-            with lock:
-                log.append(("finished", rep))
-            return rows
+            def logged_generate(cfg, rep):
+                split = generate(cfg, rep)
+                with lock:
+                    generated_on[rep] = threading.get_ident()
+                    alive[0] += 1
+                    peak[0] = max(peak[0], alive[0])
+                weakref.finalize(split, dropped)
+                return split
 
-        monkeypatch.setattr(harness, "_generate_split", logged_generate)
-        monkeypatch.setattr(harness, "_run_replication", logged_run)
-        run_experiment(tiny_config(replications=6), threads=2)
-        generated = [i for i, (event, _) in enumerate(log) if event == "generate"]
-        assert [log[i][1] for i in generated] == list(range(6))
-        for k, i in enumerate(generated):
-            finished = sum(event == "finished" for event, _ in log[:i])
-            assert finished >= k - 2, log
+            def logged_run(cfg, rep, split):
+                fitted_on[rep] = threading.get_ident()
+                return run_one(cfg, rep, split)
+
+            monkeypatch.setattr(harness, "_generate_split", logged_generate)
+            monkeypatch.setattr(harness, "_run_replication", logged_run)
+            run_experiment(tiny_config(replications=7), threads=threads)
+            monkeypatch.undo()
+            assert generated_on == fitted_on and sorted(fitted_on) == list(range(7))
+            caller = threading.get_ident()
+            assert [rep for rep, t in sorted(fitted_on.items()) if t == caller] == list(
+                range(0, 7, threads)
+            )
+            assert 1 <= peak[0] <= threads and alive[0] == 0
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
@@ -271,14 +302,6 @@ class TestRunExperiment:
         assert agg[0].n_failed == 2 and agg[0].n_ok == 0
 
     def test_airline_scenario_has_no_est_error(self, tmp_path):
-        rng = np.random.default_rng(0)
-        f = tmp_path / "flights.csv"
-        pairs = [("A", "B"), ("C", "D"), ("E", "F")]
-        rows = []
-        for i in range(60):
-            o, d = pairs[rng.integers(0, 3)]
-            rows.append(f"2000,1,1,US,{o},{d},{rng.integers(100, 2000)},{rng.normal():.2f}")
-        f.write_text(AIRLINE_HEADER + "\n" + "\n".join(rows) + "\n")
         cfg = ExperimentConfig(
             scenario="airline",
             methods=(OLS,),
@@ -286,7 +309,7 @@ class TestRunExperiment:
             replications=1,
             n=40,
             n_test=10,
-            airline_path=str(f),
+            airline_path=write_flights(tmp_path / "flights.csv"),
         )
         results = run_experiment(cfg)
         assert results[0].est_error is None

@@ -247,6 +247,20 @@ class TestRefineLs:
         np.testing.assert_allclose(sol.residuals, y - Z @ sol.coefficients, atol=1e-12)
         assert 0 < sol.iterations
 
+    @pytest.mark.parametrize("budget", [1, 2, 5])
+    def test_budget_computes_no_gradient_after_its_last_step(self, monkeypatch, budget):
+        # the start's gradient and one after each step but the last: a
+        # gradient after the last step would go unread (6 steps converge)
+        rng = np.random.default_rng(21)
+        Z = rng.standard_normal((400, 6))
+        y = Z @ rng.standard_normal(6) + rng.standard_normal(400)
+        start = solve_ls(Z[:12], y[:12])
+        calls, gradient = [], rbls.linalg._gradient
+        monkeypatch.setattr(rbls.linalg, "_gradient", lambda *a: calls.append(a) or gradient(*a))
+        sol = _cgls(Z, y, start.coefficients, start.r_factor, 0.0, budget)
+        assert sol.iterations == budget and len(calls) == budget
+        np.testing.assert_allclose(sol.residuals, y - Z @ sol.coefficients, atol=1e-12)
+
     def test_consistent_system_stops_at_once(self):
         rng = np.random.default_rng(22)
         Z = rng.standard_normal((400, 6))

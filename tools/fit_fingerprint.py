@@ -21,7 +21,10 @@ a change to the anchor shows its step count beside the fits.  So is the
 SHA-256 of the deterministic results.csv and aggregates.csv of one small
 all-method sweep (SWEEP: configs/gaussian_desk.json's shape at 3
 replications), so a harness change is shown to keep every row byte for
-byte.  So are the SHA-256 of the files the front end writes, each run
+byte.  The same sweep also runs at SWEEP_THREADS worker threads, and every
+run (--save too) prints whether its CSVs are byte-identical to the
+single-thread ones and exits 1 if they are not, so the worker threads are
+shown to change no row.  So are the SHA-256 of the files the front end writes, each run
 through ``rbls.cli.main`` only (FRONT_END): the fig1 CSVs of two small
 problems, one with --bins 17, and one ``rbls airline --deterministic
 --gnuplot`` run (4 methods, 2 grid points, 2 replications) over a flight
@@ -101,6 +104,8 @@ SWEEP = {
     "base_seed": 1,
 }
 SWEEP_FILES = ("results.csv", "aggregates.csv")
+# one worker per replication of SWEEP: the calling thread and two pool threads
+SWEEP_THREADS = 3
 FIG1_FILES = ("fig1_histograms.csv", "fig1_distances.csv")
 AIRLINE_FILES = SWEEP_FILES + ("plot.gp",)
 # (name, rbls arguments without --out, files written); "{flights}" is the
@@ -215,10 +220,10 @@ def overflow_rel_diff(fits, method):
     return np.max(np.abs(scaled - unscaled)) / np.max(np.abs(unscaled))
 
 
-def sweep_digests():
+def sweep_digests(threads=1):
     """{"sweep/<file>": SHA-256 of the file, "text/sweep/<file>": its text}
-    for the deterministic CSVs of SWEEP."""
-    results = run_experiment(config_from_dict(SWEEP))
+    for the deterministic CSVs of SWEEP run on ``threads`` workers."""
+    results = run_experiment(config_from_dict(SWEEP), threads=threads)
     digests = {}
     with tempfile.TemporaryDirectory() as out:
         paths = [os.path.join(out, name) for name in SWEEP_FILES]
@@ -227,6 +232,20 @@ def sweep_digests():
         for name, path in zip(SWEEP_FILES, paths):
             digests.update(_file_record(f"sweep/{name}", path))
     return digests
+
+
+def threads_keep_the_sweep(fits):
+    """Print whether SWEEP's CSVs at SWEEP_THREADS workers are byte-identical
+    to the single-thread ones in ``fits``; return whether all are."""
+    threaded = sweep_digests(SWEEP_THREADS)
+    same = True
+    for name in SWEEP_FILES:
+        key = f"sweep/{name}"
+        identical = np.array_equal(threaded[key], fits[key])
+        verdict = "byte-identical to" if identical else "differs from"
+        print(f"threads  {key} at threads={SWEEP_THREADS} {verdict} threads=1")
+        same &= identical
+    return same
 
 
 def _file_record(key, path):
@@ -414,9 +433,11 @@ def main(argv=None):
             f"{2 * len(METHOD_NAMES)} overflow fits and "
             f"{len(METHOD_NAMES)} underflow records to {args.save}"
         )
-        return 0
-    with np.load(args.compare) as saved:
-        return 0 if compare(dict(saved), fits) else 1
+        complete = True
+    else:
+        with np.load(args.compare) as saved:
+            complete = compare(dict(saved), fits)
+    return 0 if threads_keep_the_sweep(fits) and complete else 1
 
 
 if __name__ == "__main__":
