@@ -237,9 +237,9 @@ def run_experiment(cfg, threads=1):
     # while it fills arrays, so two splits are drawn at once) and drops it
     # before its next one, so at most ``threads`` splits are alive.  The
     # caller is a worker because a pool of all ``threads`` adds one more
-    # malloc arena: on the benchmark's 5000 x 20 sweep at two threads (10
-    # runs, 2-core host) its peak RSS read 2.2% more in the median, and up
-    # to 5.8% more.
+    # malloc arena: on the benchmark's 5000 x 20 sweep at two threads
+    # (2-core host) its peak RSS read 2.2% more in the median of 10 runs,
+    # up to 5.8%, and 3.2-3.6% more in 3 later runs, at the same speed.
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads - 1) as pool:
             rest = [pool.submit(replication, rep) for rep in reps if rep % threads]
