@@ -6,8 +6,10 @@ row mask and W an independent noise matrix: a row is either observed clean
 or with additive corruption.  Entries of X and W are i.i.d. N(0, sigma^2)
 with the stated per-entry standard deviations.  A generated problem keeps
 only Z, y, beta and u; X, W and eps are not stored.  They can be redrawn
-from the seed: beta, X, W, the mask (uniforms below pi) and eps are drawn
-in that order from ``np.random.default_rng(seed)``.
+from the seed: beta, X, the mask (uniforms below pi), W and eps are drawn
+in that order from ``np.random.default_rng(seed)``.  W exists only for the
+masked rows: it is a k x p draw, k the number of masked rows, whose i-th
+row corrupts the i-th masked row of X.
 """
 
 import csv
@@ -57,6 +59,12 @@ class SplitProblem:
     test: RegressionProblem
 
 
+# Rows of W are drawn and added in tiles of at most this many bytes, the cap
+# of the tiled products in diagnostics and srht.  numpy's Generator draws the
+# same normals in tiles as in one call, so the tile size changes memory only.
+_TILE_BYTES = 1 << 20
+
+
 def _check_sizes(**sizes):
     """Raise InvalidParamsError unless every size is an integer >= 1: numpy
     integers too, but never bool, although bool subclasses int."""
@@ -74,16 +82,22 @@ def _check_scales(pi, sigma_x, sigma_w, sigma_eps):
 
 
 def _assemble_corrupted(rng, n, p, pi, sigma_x, sigma_w, sigma_eps, beta):
-    # X is drawn straight into Z and W is added to the masked rows in
-    # place, so a problem holds one n x p array once this returns.
+    # X is drawn straight into Z, and y is formed from it before any W is
+    # added.  W is drawn only for the masked rows, one tile of at most
+    # _TILE_BYTES at a time, each added in place to its rows of Z, so a
+    # problem holds one n x p array and no other is made beside it.
     Z = rng.standard_normal((n, p))
     Z *= sigma_x
-    W = rng.standard_normal((n, p))
     mask = rng.random(n) < pi
-    eps = rng.standard_normal(n) * sigma_eps
-    y = Z @ beta + eps
-    W *= sigma_w
-    np.add(Z, W, out=Z, where=mask[:, None])
+    y = Z @ beta
+    rows = np.flatnonzero(mask)
+    step = max(1, _TILE_BYTES // (8 * p))
+    for i in range(0, rows.size, step):
+        tile = rows[i : i + step]
+        W = rng.standard_normal((tile.size, p))
+        W *= sigma_w
+        Z[tile] += W
+    y += rng.standard_normal(n) * sigma_eps
     return RegressionProblem(Z, y, Truth(beta, mask))
 
 
@@ -91,7 +105,9 @@ def gen_corrupted(n, p, pi, sigma_x, sigma_w, sigma_eps, seed):
     """Corrupted-observation problem with i.i.d. Gaussian components.
 
     beta is standard normal, Z = X + diag(u) W and y = X beta + eps.
-    Deterministic in ``seed``; see the module docstring for the draw order.
+    Deterministic in ``seed``: beta, X, the mask, W for the masked rows only
+    (none when pi is 0) and eps are drawn in that order, as the module
+    docstring details.
     """
     check_seed(seed)
     _check_sizes(n=n, p=p)
@@ -107,7 +123,8 @@ def gen_corrupted_split(n_train, n_test, p, pi, sigma_x, sigma_w, sigma_eps, see
     The training rows are corrupted as in ``gen_corrupted``.  The test rows
     are always clean (their corruption mask is all False), so test RMSE
     measures the fit against the true signal.  The test rows are drawn
-    after the training rows in the same order, W and mask included.
+    after the training rows in the same order: X, the mask's uniforms and
+    eps, with no W, since no test row is masked.
     """
     check_seed(seed)
     _check_sizes(n_train=n_train, n_test=n_test, p=p)
@@ -133,8 +150,8 @@ def _regime_problem(rng, n, p, regime, beta):
     X = rng.standard_normal((n, p))
     df = _REGIME_DF[regime]
     if df is not None:
-        # multivariate-t rows: Gaussian over sqrt(chi2/df), per row
-        X = X / np.sqrt(rng.chisquare(df, n) / df)[:, None]
+        # multivariate-t rows: Gaussian over sqrt(chi2/df), per row, in place
+        X /= np.sqrt(rng.chisquare(df, n) / df)[:, None]
     eps = rng.standard_normal(n) * REGIME_SIGMA_EPS
     return RegressionProblem(X, X @ beta + eps, Truth(beta, np.zeros(n, dtype=bool)))
 

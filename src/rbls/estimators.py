@@ -76,7 +76,9 @@ METHOD_CODES = {name: code for code, name in enumerate(METHOD_NAMES)}
 # the steps fall slowly: 10-11 at 64p and 9 at 128p, for desk AIWS_LS fits
 # of 11.5 and 11.8 ms against 12.5 ms at 32p (a loop on a 2-core host).
 # The anchor's Gram product costs rows p^2, though: a sixth of the exact
-# n p^2 at 32p on 100000 x 500, and a third at 64p.
+# n p^2 at 32p on 100000 x 500, and a third at 64p.  The table was measured
+# on gen_corrupted draws made before W was drawn for the masked rows only,
+# which changed every corrupted problem; it is kept as measured.
 ANCHOR_ROWS_PER_COLUMN = 32
 
 # CGLS steps that refine AIWS_LS's anchor residuals before they are scored.
@@ -96,7 +98,9 @@ ANCHOR_ROWS_PER_COLUMN = 32
 # (95% bootstrap CI over problems -0.009 to +0.040) on 40 desk problems x
 # 3 draws, and -0.020 (-0.048 to +0.005) on 10 x 3 at 2^17 x 64.  They
 # halve the fit: desk AIWS_LS fits took 20.7 ms to REFINE_TOL and 10.2 ms
-# at 2 steps (medians of 10 benchmark runs each on a 2-core host).
+# at 2 steps (medians of 10 benchmark runs each on a 2-core host).  Like
+# the table above ANCHOR_ROWS_PER_COLUMN, these figures were measured on
+# corrupted problems drawn before W was drawn for the masked rows only.
 ANCHOR_STEPS = 2
 
 

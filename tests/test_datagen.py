@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rbls.datagen import (
+    _TILE_BYTES,
     GAUSSIAN,
     REGIME_SIGMA_EPS,
     T1,
@@ -19,15 +20,48 @@ from rbls.diagnostics import compute_diagnostics, histogram_l1_distance
 from rbls.errors import InvalidParamsError, ParseError, SchemaError
 
 
+def replay_rows(rng, n, p, pi, sigma_x, sigma_w, sigma_eps):
+    """Redraw one block of corrupted rows in the documented order: X, the
+    mask, W for the masked rows only (one k x p block), then eps."""
+    X = rng.standard_normal((n, p)) * sigma_x
+    mask = rng.random(n) < pi
+    W = rng.standard_normal((np.count_nonzero(mask), p)) * sigma_w
+    eps = rng.standard_normal(n) * sigma_eps
+    return SimpleNamespace(X=X, mask=mask, W=W, eps=eps)
+
+
 def replay_corrupted(n, p, pi, sigma_x, sigma_w, sigma_eps, seed):
-    """Redraw the latent parts of gen_corrupted in its documented order."""
+    """Redraw the latent parts of gen_corrupted: beta, then its rows."""
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
-    X = rng.standard_normal((n, p)) * sigma_x
-    W = rng.standard_normal((n, p)) * sigma_w
-    mask = rng.random(n) < pi
-    eps = rng.standard_normal(n) * sigma_eps
-    return SimpleNamespace(beta=beta, X=X, W=W, mask=mask, eps=eps)
+    return SimpleNamespace(beta=beta, **vars(replay_rows(rng, n, p, pi, sigma_x, sigma_w,
+                                                         sigma_eps)))
+
+
+def assert_replays(prob, d):
+    """prob is what the redrawn beta, X, mask, W and eps make: Z = X with W
+    added to the masked rows, and y = X beta + eps, formed before W."""
+    Z = d.X.copy()
+    Z[d.mask] += d.W
+    np.testing.assert_array_equal(prob.truth.beta, d.beta)
+    np.testing.assert_array_equal(prob.truth.corruption_mask, d.mask)
+    np.testing.assert_array_equal(prob.Z, Z)
+    np.testing.assert_allclose(prob.y, d.X @ d.beta + d.eps, rtol=0, atol=1e-12)
+
+
+def assert_holds_only_what_is_read(generate):
+    """The problem ``generate`` returns holds little beyond its Z, y, beta
+    and mask, and generating it peaks at no more than 1.4 times Z's bytes."""
+    tracemalloc.start()
+    try:
+        prob = generate()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    t = prob.truth
+    kept = prob.Z.nbytes + prob.y.nbytes + t.beta.nbytes + t.corruption_mask.nbytes
+    assert held <= 1.1 * kept
+    assert peak <= 1.4 * prob.Z.nbytes
 
 
 def replay_regime(n, p, df, seed):
@@ -66,12 +100,21 @@ class TestGenCorrupted:
 
     def test_reconstruction_from_truth(self):
         args = (200, 6, 0.3, 1.0, 0.4, 0.1, 3)
-        prob = gen_corrupted(*args)
+        assert_replays(gen_corrupted(*args), replay_corrupted(*args))
+
+    def test_reconstruction_across_tiles(self):
+        # W is drawn in tiles of rows but replayed as one block: the
+        # Generator's stream does not depend on how it is split
+        args = (20_000, 50, 0.3, 1.0, 0.4, 0.1, 8)
         d = replay_corrupted(*args)
-        np.testing.assert_array_equal(prob.truth.beta, d.beta)
-        np.testing.assert_array_equal(prob.truth.corruption_mask, d.mask)
-        np.testing.assert_array_equal(prob.Z, d.X + d.mask[:, None] * d.W)
-        np.testing.assert_allclose(prob.y, d.X @ d.beta + d.eps, atol=1e-12)
+        assert d.mask.sum() > 2 * (_TILE_BYTES // (8 * 50))  # 3 tiles or more
+        assert_replays(gen_corrupted(*args), d)
+
+    def test_reconstruction_with_every_row_corrupted(self):
+        args = (300, 5, 1.0, 1.0, 0.4, 0.1, 2)
+        d = replay_corrupted(*args)
+        assert d.mask.all()
+        assert_replays(gen_corrupted(*args), d)
 
     def test_deterministic(self):
         a = gen_corrupted(50, 3, 0.2, 1.0, 0.4, 0.1, seed=9)
@@ -87,17 +130,11 @@ class TestGenCorrupted:
 
     def test_holds_only_what_is_read(self):
         # a problem keeps Z, y, beta and the mask; the latent X, W and eps
-        # are dropped, and W is the only n x p array made beside Z
-        tracemalloc.start()
-        try:
-            prob = gen_corrupted(20_000, 50, 0.3, 1.0, 0.4, 0.1, seed=0)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        t = prob.truth
-        kept = prob.Z.nbytes + prob.y.nbytes + t.beta.nbytes + t.corruption_mask.nbytes
-        assert held <= 1.1 * kept
-        assert peak <= 2.1 * prob.Z.nbytes
+        # are dropped, and W exists only as one tile of masked rows at a time
+        assert_holds_only_what_is_read(lambda: gen_corrupted(20_000, 50, 0.3, 1.0, 0.4, 0.1, 0))
+
+    def test_holds_only_what_is_read_with_every_row_corrupted(self):
+        assert_holds_only_what_is_read(lambda: gen_corrupted(20_000, 50, 1.0, 1.0, 0.4, 0.1, 0))
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParamsError):
@@ -121,6 +158,21 @@ class TestGenCorruptedSplit:
         assert np.array_equal(split.train.truth.beta, split.test.truth.beta)
         assert not split.test.truth.corruption_mask.any()
         assert split.train.truth.corruption_mask.any()
+
+    def test_test_rows_replay_with_no_noise_draw(self):
+        # the test rows follow the training rows in the same stream: X, the
+        # mask's uniforms and eps, with no W drawn for them
+        split = gen_corrupted_split(400, 150, 6, 0.3, 1.0, 0.4, 0.1, seed=11)
+        rng = np.random.default_rng(11)
+        beta = rng.standard_normal(6)
+        train = replay_rows(rng, 400, 6, 0.3, 1.0, 0.4, 0.1)
+        assert_replays(split.train, SimpleNamespace(beta=beta, **vars(train)))
+        X = rng.standard_normal((150, 6))
+        rng.random(150)
+        eps = rng.standard_normal(150) * 0.1
+        np.testing.assert_array_equal(split.test.truth.beta, beta)
+        np.testing.assert_array_equal(split.test.Z, X)
+        np.testing.assert_allclose(split.test.y, X @ beta + eps, rtol=0, atol=1e-12)
 
 
 class TestLeverageRegimes:
@@ -150,6 +202,10 @@ class TestLeverageRegimes:
             d = replay_regime(500, 6, df, seed=4)
             np.testing.assert_array_equal(prob.Z, d.X)
             np.testing.assert_allclose(prob.y, d.X @ d.beta + d.eps, atol=1e-12)
+
+    def test_t1_holds_only_what_is_read(self):
+        # the rows are scaled in place: no second n x p array is made
+        assert_holds_only_what_is_read(lambda: gen_leverage_regime(20_000, 50, T1, seed=0))
 
     def test_split_shares_beta(self):
         split = gen_regime_split(400, 100, 6, T3, seed=2)

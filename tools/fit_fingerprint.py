@@ -12,6 +12,9 @@ sigma_w=0.4, sigma_eps=0.1, seed=100 + k), fitted with
 EstimatorConfig(method, n_subs=400, seed=1000 k + 7).  The SHA-256 of each
 problem's Z and y bytes is saved beside the fits, so a change to data
 generation is shown to keep the data, not only inferred from the fits.
+So is the SHA-256 of one uncorrupted problem from each regime that scales
+its rows, gen_leverage_regime(*REGIME_PROBLEM) for t3 and t1, since
+neither the desk problems nor the gaussian sweep scale rows.
 So are the sampling probabilities of the four row samplers (LEV_LS,
 IWS_LS, AIWS_LS, ARWS_LS), so a change to the leverage and score layer is
 checked where it acts, not only through the refit coefficients, their
@@ -39,8 +42,9 @@ the largest absolute coefficient difference and the largest relative one
 (max |diff| over max |saved coefficient|, per fit), then per sampler how
 many of the six probability vectors and of the six draws are
 bit-identical, then how many of the six problems have bit-identical data,
-then the six anchor step counts saved -> now, then whether each sweep CSV
-and each front-end file is byte-identical (for a CSV that differs, the
+then whether each regime problem's data is bit-identical, then the six
+anchor step counts saved -> now, then whether each sweep CSV and each
+front-end file is byte-identical (for a CSV that differs, the
 largest relative difference over its numeric cells and whether every other
 cell is identical, and the first cells of the rows that differ), then per
 method how many of its error records are identical (with saved -> now for
@@ -81,8 +85,10 @@ from rbls import (
     RegressionProblem,
     fit,
     gen_corrupted,
+    gen_leverage_regime,
 )
 from rbls.cli import main as rbls_main
+from rbls.datagen import T1, T3
 from rbls.harness import (
     aggregate,
     config_from_dict,
@@ -103,6 +109,9 @@ SWEEP = {
     "replications": 3,
     "base_seed": 1,
 }
+# gen_leverage_regime's n, p and seed for each regime in SCALED_REGIMES
+REGIME_PROBLEM = (20000, 50, 300)
+SCALED_REGIMES = (T3, T1)
 SWEEP_FILES = ("results.csv", "aggregates.csv")
 # one worker per replication of SWEEP: the calling thread and two pool threads
 SWEEP_THREADS = 3
@@ -135,12 +144,12 @@ def fingerprint():
     sampling probabilities, "draws/<sampler>/<k>": drawn row indices,
     "data/<k>": SHA-256 of Z and y,
     "anchor_iterations/<k>": AIWS_LS's CGLS steps} for every method and
-    desk problem."""
+    desk problem, and {"regime/<regime>": SHA-256 of Z and y} for every
+    regime in SCALED_REGIMES."""
     fits = {}
     for k in range(PROBLEMS):
         problem = gen_corrupted(20000, 50, pi=0.3, sigma_x=1.0, sigma_w=0.4, sigma_eps=0.1, seed=100 + k)
-        digest = hashlib.sha256(problem.Z.tobytes() + problem.y.tobytes()).digest()
-        fits[f"data/{k}"] = np.frombuffer(digest, dtype=np.uint8)
+        fits[f"data/{k}"] = _data_digest(problem)
         for method in METHOD_NAMES:
             cfg = EstimatorConfig(method, n_subs=400, seed=1000 * k + 7)
             result = fit(problem, cfg)
@@ -150,7 +159,16 @@ def fingerprint():
                 fits[f"draws/{method}/{k}"] = result.sampled_row_indices
             if method == AIWS_LS:
                 fits[f"anchor_iterations/{k}"] = np.array(result.diagnostics.anchor_iterations)
+    n, p, seed = REGIME_PROBLEM
+    for regime in SCALED_REGIMES:
+        fits[f"regime/{regime}"] = _data_digest(gen_leverage_regime(n, p, regime, seed))
     return fits
+
+
+def _data_digest(problem):
+    """SHA-256 of the problem's Z and y bytes."""
+    digest = hashlib.sha256(problem.Z.tobytes() + problem.y.tobytes()).digest()
+    return np.frombuffer(digest, dtype=np.uint8)
 
 
 def error_records():
@@ -350,6 +368,14 @@ def compare(saved, fits):
         return False
     same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
     print(f"data     {same}/{PROBLEMS} bit-identical")
+    for regime in SCALED_REGIMES:
+        key = f"regime/{regime}"
+        if key not in saved:
+            print(f"regime   {regime} missing from the saved file")
+            complete = False
+            continue
+        same = np.array_equal(saved[key], fits[key])
+        print(f"regime   {regime} data {'bit-identical' if same else 'differs'}")
     keys = [f"anchor_iterations/{k}" for k in range(PROBLEMS)]
     if any(key not in saved for key in keys):
         print("anchor   iterations missing from the saved file")
@@ -426,7 +452,7 @@ def main(argv=None):
         print(
             f"saved {fit_count} fits, {PROBLEMS * len(SAMPLERS)} probability vectors "
             f"and draws, "
-            f"{PROBLEMS} data digests, {PROBLEMS} anchor step counts and "
+            f"{PROBLEMS + len(SCALED_REGIMES)} data digests, {PROBLEMS} anchor step counts and "
             f"{len(SWEEP_FILES)} sweep CSV and "
             f"{sum(len(files) for _, _, files in FRONT_END)} front-end file digests and "
             f"{len(BAD_INPUTS) * len(METHOD_NAMES)} error records and "
