@@ -36,13 +36,6 @@ from .estimators import (
     EstimatorConfig,
     FitResult,
     fit,
-    fit_aiws_ls,
-    fit_arws_ls,
-    fit_iws_ls,
-    fit_lev_ls,
-    fit_ols,
-    fit_srht_ls,
-    fit_uluru,
 )
 from .harness import (
     ExperimentConfig,
@@ -82,13 +75,6 @@ __all__ = [
     "emit_fig1_data",
     "exact_leverage",
     "fit",
-    "fit_aiws_ls",
-    "fit_arws_ls",
-    "fit_iws_ls",
-    "fit_lev_ls",
-    "fit_ols",
-    "fit_srht_ls",
-    "fit_uluru",
     "fwht_inplace",
     "gen_corrupted",
     "gen_corrupted_split",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, ParseError, SchemaError
-from .seeding import check_seed
+from .seeding import _is_integer, check_seed
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,9 @@ _TILE_BYTES = 1 << 20
 
 
 def _check_sizes(**sizes):
-    """Raise InvalidParamsError unless every size is an integer >= 1: numpy
-    integers too, but never bool, although bool subclasses int."""
+    """Raise InvalidParamsError unless every size is an integer >= 1."""
     for name, size in sizes.items():
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+        if not _is_integer(size, 1):
             raise InvalidParamsError(f"need an integer {name} >= 1, got {size!r}")
 
 

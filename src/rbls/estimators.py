@@ -15,10 +15,12 @@ ARWS_LS        rows sampled proportional to 1/e_i^2 (one-shot residuals of
                the same CountSketch anchor).
 
 SRHT_LS and ULURU, the paper's baselines, solve an SRHT sketch; AIWS_LS and
-ARWS_LS share one CountSketch anchor solve.  The four sampling estimators
-differ only in their scorer (``_SCORERS``): each fit checks its input,
-turns rows into probabilities with ``score``, and ends in ``draw``, which
-draws n_subs rows with replacement and solves unweighted LS on them.
+ARWS_LS share one CountSketch anchor solve.  ``fit`` and a sweep run the
+same closure (``_problem_fits``).  It hands OLS, SRHT_LS and ULURU to their
+solver in ``_SOLVERS``.  The four sampling estimators differ only in their
+scorer (``_SCORERS``): each fit checks its input, turns rows into
+probabilities with ``score``, and ends in ``draw``, which draws n_subs rows
+with replacement and solves unweighted LS on them.
 All estimators are deterministic given (data, config): each randomized
 ingredient draws from a role-tagged child stream of ``config.seed``, so e.g.
 AIWS_LS and IWS_LS share the row-sampling stream but not the sketch stream.
@@ -42,7 +44,7 @@ from .diagnostics import (
 from .errors import InvalidParamsError, RankDeficientError
 from .linalg import _cgls, _gradient, _gram_factor, _householder_ls, _ls_inputs, solve_ls
 from .sampling import inverse_score_probabilities
-from .seeding import ROLE_SAMPLING, ROLE_SKETCH, check_seed, spawn_rng, spawn_seed
+from .seeding import ROLE_SAMPLING, ROLE_SKETCH, _is_integer, check_seed, spawn_rng, spawn_seed
 from .srht import apply_sketch_pair, build_sketch, next_pow2
 
 OLS = "OLS"
@@ -123,11 +125,8 @@ class EstimatorConfig:
             raise InvalidParamsError(
                 f"unknown method {self.method!r}; expected one of {METHOD_NAMES}"
             )
-        n_subs = self.n_subs
-        if n_subs is not None and (
-            isinstance(n_subs, bool) or not isinstance(n_subs, (int, np.integer)) or n_subs < 1
-        ):
-            raise InvalidParamsError(f"need n_subs None or an integer >= 1, got {n_subs!r}")
+        if self.n_subs is not None and not _is_integer(self.n_subs, 1):
+            raise InvalidParamsError(f"need n_subs None or an integer >= 1, got {self.n_subs!r}")
         check_seed(self.seed)
 
 
@@ -214,7 +213,9 @@ def _anchor_rows(Z, cfg):
 
 
 def _lev_scores(Z, y, cfg):
-    """Exact leverages from R alone, with no solve: the Cholesky factor of
+    """LEV_LS: sample rows proportional to exact leverage, then unweighted LS.
+
+    The leverages come from R alone, with no solve: the Cholesky factor of
     Z'Z from ``_gram_factor`` or, on its fallback, ``_householder_ls``.  The
     probabilities are those of ``exact_leverage(Z, solve_ls(Z, y))`` unless
     solve_ls falls back because its refinement reached REFINE_MAX_ITER."""
@@ -226,11 +227,30 @@ def _lev_scores(Z, y, cfg):
 
 
 def _iws_scores(Z, y, cfg):
+    """IWS_LS: influence-weighted subsampling with exact diagnostics.
+
+    Full OLS gives residuals and leverages; rows are then drawn with
+    probability proportional to 1/d_i (floored, see
+    ``sampling.WEIGHT_FLOOR_RATIO``) and the subsample is refit.
+    """
     report = compute_diagnostics(Z, y)
     return (*inverse_score_probabilities(report.influences), report)
 
 
 def _aiws_scores(Z, y, cfg):
+    """AIWS_LS: influence-weighted subsampling with sketched diagnostics.
+
+    The CountSketch anchor it shares with ARWS_LS (``_anchor``) and its
+    triangular factor R are reused twice.  Residuals: the anchor's solution
+    starts a CGLS solve of the full problem, right-preconditioned by R
+    (``linalg._cgls``), which takes ``ANCHOR_STEPS`` steps at O(n p) each
+    rather than running to ``linalg.REFINE_TOL``: the draw needs the scores
+    to a few digits only.  Leverages: Z R^{-1} is the basis for randomized
+    leverage scores with ceil(p / 2) sign columns
+    (``diagnostics._sign_projection``), which stay approximate.  Sampling
+    then mirrors IWS_LS with the approximate influence, and the result's
+    ``diagnostics`` is that report, in mode "approximate".
+    """
     p = Z.shape[1]
     anchor = _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed)
     # _cgls updates the anchor's coefficients in place: solve_ls made that
@@ -243,6 +263,12 @@ def _aiws_scores(Z, y, cfg):
 
 
 def _arws_scores(Z, y, cfg):
+    """ARWS_LS: residual-weighted subsampling, rows drawn proportional to 1/e_i^2.
+
+    Residuals are the one-shot residuals y - Z b of the CountSketch anchor
+    it shares with AIWS_LS (``_anchor``), without AIWS_LS's refinement; the
+    floor keeps exactly-fit rows from receiving unbounded weight.
+    """
     sol1 = _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed)
     e_approx = y - Z @ sol1.coefficients
     with np.errstate(over="ignore"):  # inverse_score_probabilities rejects an inf
@@ -265,32 +291,18 @@ def score(Z, y, cfg):
     return _SCORERS[cfg.method](Z, y, cfg)
 
 
-def _sampled_fit(method, Z, y, cfg):
-    """The one pipeline of the row samplers: validate, score, draw."""
-    cfg = replace(cfg, method=method)
-    Z, y = _inputs(Z, y, cfg)
-    return draw(Z, y, cfg, *score(Z, y, cfg))
-
-
-def fit_ols(Z, y):
+def _fit_ols(Z, y, cfg):
     """Exact least squares on the full data."""
-    sol = solve_ls(Z, y)
-    return FitResult(OLS, sol.coefficients)
+    return solve_ls(Z, y).coefficients
 
 
-def fit_srht_ls(Z, y, cfg):
+def _fit_srht_ls(Z, y, cfg):
     """Least squares on an SRHT sketch with cfg.n_subs rows."""
     Z, y = _inputs(Z, y, cfg, bounded_by_n=False)
-    sol = _sketched_solve(Z, y, cfg.n_subs, cfg.seed)
-    return FitResult(SRHT_LS, sol.coefficients)
+    return _sketched_solve(Z, y, cfg.n_subs, cfg.seed).coefficients
 
 
-def fit_lev_ls(Z, y, cfg):
-    """Sample rows proportional to exact leverage, then unweighted LS."""
-    return _sampled_fit(LEV_LS, Z, y, cfg)
-
-
-def fit_uluru(Z, y, cfg):
+def _fit_uluru(Z, y, cfg):
     """Two-step sketched estimator: sketched solve plus bias correction.
 
     Step two is one gradient step from the sketched b1, preconditioned by
@@ -321,66 +333,23 @@ def fit_uluru(Z, y, cfg):
     sol1 = _sketched_solve(Z, y, cfg.n_subs, cfg.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
         gradient, _ = _gradient(sol1.r_factor, Z, y - Z @ sol1.coefficients)
-    return FitResult(ULURU, sol1.coefficients + dtrsv(sol1.r_factor, gradient))
+    return sol1.coefficients + dtrsv(sol1.r_factor, gradient)
 
 
-def fit_iws_ls(Z, y, cfg):
-    """Influence-weighted subsampling with exact diagnostics.
-
-    Full OLS gives residuals and leverages; rows are then drawn with
-    probability proportional to 1/d_i (floored, see
-    ``sampling.WEIGHT_FLOOR_RATIO``) and the subsample is refit.
-    """
-    return _sampled_fit(IWS_LS, Z, y, cfg)
-
-
-def fit_aiws_ls(Z, y, cfg):
-    """Influence-weighted subsampling with sketched diagnostics.
-
-    The CountSketch anchor it shares with ARWS_LS (``_anchor``) and its
-    triangular factor R are reused twice.  Residuals: the anchor's solution
-    starts a CGLS solve of the full problem, right-preconditioned by R
-    (``linalg._cgls``), which takes ``ANCHOR_STEPS`` steps at O(n p) each
-    rather than running to ``linalg.REFINE_TOL``: the draw needs the scores
-    to a few digits only.  Leverages: Z R^{-1} is the basis for randomized
-    leverage scores with ceil(p / 2) sign columns
-    (``diagnostics._sign_projection``), which stay approximate.  Sampling
-    then mirrors IWS_LS with the approximate influence, and the result's
-    ``diagnostics`` is that report, in mode "approximate".
-    """
-    return _sampled_fit(AIWS_LS, Z, y, cfg)
-
-
-def fit_arws_ls(Z, y, cfg):
-    """Residual-weighted subsampling: draw rows proportional to 1/e_i^2.
-
-    Residuals are the one-shot residuals y - Z b of the CountSketch anchor
-    it shares with AIWS_LS (``_anchor``), without AIWS_LS's refinement; the
-    floor keeps exactly-fit rows from receiving unbounded weight.
-    """
-    return _sampled_fit(ARWS_LS, Z, y, cfg)
-
-
-_DISPATCH = {
-    OLS: lambda Z, y, cfg: fit_ols(Z, y),
-    SRHT_LS: fit_srht_ls,
-    LEV_LS: fit_lev_ls,
-    ULURU: fit_uluru,
-    IWS_LS: fit_iws_ls,
-    AIWS_LS: fit_aiws_ls,
-    ARWS_LS: fit_arws_ls,
-}
+# The estimators that draw no rows: (Z, y, cfg) -> coefficients.
+_SOLVERS = {OLS: _fit_ols, SRHT_LS: _fit_srht_ls, ULURU: _fit_uluru}
 
 
 def fit(problem, cfg):
-    """Fit one estimator to a problem and record wall time."""
-    t0 = time.perf_counter()
-    result = _DISPATCH[cfg.method](problem.Z, problem.y, cfg)
-    return replace(result, wall_time_s=time.perf_counter() - t0)
+    """Fit one estimator to a problem and record wall time.  A sweep runs
+    the same closure (``_problem_fits``), so both get the same fit; a fresh
+    one per call shares nothing with another call."""
+    return _problem_fits(problem)(cfg)
 
 
 def _problem_fits(problem):
-    """``fit`` for many configs of one problem.  OLS's fit reads neither
+    """Fits of many configs of one problem, by one closure; ``fit`` runs
+    it for a single config.  OLS's fit reads neither
     n_subs nor the seed, so it runs once.  The score stage of a row sampler
     runs once for each value of what it reads: nothing for LEV_LS and
     IWS_LS, the seed and the anchor's row count (``_anchor_rows``) for
@@ -393,23 +362,26 @@ def _problem_fits(problem):
 
     def fit_config(cfg):
         method = cfg.method
-        if method == OLS:
-            if OLS not in shared:
-                shared[OLS] = fit(problem, cfg)
+        if method == OLS and OLS in shared:
             return shared[OLS]
-        if method not in _SCORERS:
-            return fit(problem, cfg)
         t0 = time.perf_counter()
-        Z, y = _inputs(problem.Z, problem.y, cfg)
-        key = method
-        if method in (AIWS_LS, ARWS_LS):
-            key = method, cfg.seed, _anchor_rows(Z, cfg)
-        scores, score_s = shared.get(key, (None, 0.0))
-        if scores is None:
-            t1 = time.perf_counter()
-            scores = score(Z, y, cfg)
-            shared[key] = scores, time.perf_counter() - t1
-        result = draw(Z, y, cfg, *scores)
-        return replace(result, wall_time_s=time.perf_counter() - t0 + score_s)
+        score_s = 0.0
+        if method in _SOLVERS:
+            result = FitResult(method, _SOLVERS[method](problem.Z, problem.y, cfg))
+        else:
+            Z, y = _inputs(problem.Z, problem.y, cfg)
+            key = method
+            if method in (AIWS_LS, ARWS_LS):
+                key = method, cfg.seed, _anchor_rows(Z, cfg)
+            scores, score_s = shared.get(key, (None, 0.0))
+            if scores is None:
+                t1 = time.perf_counter()
+                scores = score(Z, y, cfg)
+                shared[key] = scores, time.perf_counter() - t1
+            result = draw(Z, y, cfg, *scores)
+        result = replace(result, wall_time_s=time.perf_counter() - t0 + score_s)
+        if method == OLS:
+            shared[OLS] = result
+        return result
 
     return fit_config

@@ -36,17 +36,13 @@ from .datagen import (
 from .diagnostics import DEFAULT_HISTOGRAM_BINS, _check_bins, _histogram_pair, compute_diagnostics
 from .errors import ConfigError, MissingCorruptedError, MissingTruthError, RblsError
 from .estimators import EstimatorConfig, METHOD_CODES
-from .seeding import ROLE_DATA, ROLE_FIT, spawn_seed
+from .seeding import ROLE_DATA, ROLE_FIT, _is_integer, spawn_seed
 
 CORRUPTED = "corrupted"
 AIRLINE = "airline"
 SCENARIOS = (CORRUPTED,) + REGIMES + (AIRLINE,)
 
 RESULTS_HEADER = "method,n_subs,replication,seed,est_error,rmse,wall_time_ms,error"
-
-# Types a number field accepts: numpy scalars too, so configs built in code
-# keep working, but never bool, although bool subclasses int.
-_NUMBER_TYPES = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
 
 
 @dataclass(frozen=True)
@@ -80,8 +76,13 @@ class ExperimentConfig:
     def __post_init__(self):
         """Raise ConfigError for the first invalid field."""
         for field in fields(self):
-            value, allowed = getattr(self, field.name), _NUMBER_TYPES.get(field.type)
-            if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            # a float field takes an integer too; numpy scalars pass, so
+            # configs built in code keep working
+            value = getattr(self, field.name)
+            number = _is_integer(value) or (
+                field.type is float and isinstance(value, (float, np.floating))
+            )
+            if field.type in (int, float) and not number:
                 raise ConfigError(
                     f"{field.name} must be a number of type {field.type.__name__}, got {value!r}"
                 )
@@ -98,7 +99,7 @@ class ExperimentConfig:
         if len(set(self.methods)) < len(self.methods):
             raise ConfigError(f"methods must not repeat, got {list(self.methods)!r}")
         grid = self.n_subs_grid
-        if any(isinstance(g, bool) or not isinstance(g, (int, np.integer)) for g in grid):
+        if not all(_is_integer(g) for g in grid):
             raise ConfigError(f"n_subs_grid entries must be integers, got {list(grid)!r}")
         if not grid:
             raise ConfigError("n_subs_grid is empty")

@@ -5,6 +5,8 @@ seed, so two estimators given the same seed share exactly the streams they
 are meant to share (e.g. the row-sampling stream) and nothing else.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidParamsError
@@ -16,10 +18,16 @@ ROLE_DATA = 4
 ROLE_FIT = 5  # a sweep's fit seeds, keyed (ROLE_FIT, method code, replication)
 
 
+def _is_integer(value, low=-math.inf):
+    """True when ``value`` is an integer >= ``low``: numpy integers too, but
+    never bool, although bool subclasses int.  Seeds, the generators'
+    sizes and the integer fields of both configs are held to it."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= low
+
+
 def check_seed(seed):
-    """Raise InvalidParamsError unless ``seed`` is an integer >= 0: numpy
-    integers too, but never bool, although bool subclasses int."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    """Raise InvalidParamsError unless ``seed`` is an integer >= 0."""
+    if not _is_integer(seed, 0):
         raise InvalidParamsError(f"need an integer seed >= 0, got {seed!r}")
 
 

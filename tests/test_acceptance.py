@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
-from rbls.datagen import gen_corrupted, load_airline_csv
+from rbls.datagen import RegressionProblem, gen_corrupted, load_airline_csv
 from rbls.diagnostics import (
     compute_diagnostics,
     exact_leverage,
@@ -28,8 +28,6 @@ from rbls.estimators import (
     ULURU,
     EstimatorConfig,
     fit,
-    fit_ols,
-    fit_srht_ls,
 )
 from rbls.harness import ExperimentConfig, run_experiment, write_results_csv
 from rbls.linalg import solve_ls
@@ -102,9 +100,9 @@ def test_criterion_3_sketched_residual_bound():
         rng = np.random.default_rng(3000 + seed)
         Z = rng.standard_normal((4096, 16))
         y = Z @ rng.standard_normal(16) + rng.standard_normal(4096) * 0.1
-        ols_coef = fit_ols(Z, y).coefficients
+        ols_coef = fit(RegressionProblem(Z, y), EstimatorConfig(OLS)).coefficients
         cfg = EstimatorConfig(method=SRHT_LS, n_subs=1024, seed=seed)
-        sketched = fit_srht_ls(Z, y, cfg).coefficients
+        sketched = fit(RegressionProblem(Z, y), cfg).coefficients
         ratio = np.linalg.norm(y - Z @ sketched) / np.linalg.norm(y - Z @ ols_coef)
         hits += ratio <= 1.5
     elapsed = time.perf_counter() - t0
@@ -274,6 +272,6 @@ def test_criterion_9_airline_pipeline(tmp_path):
     big = tmp_path / "synthetic.csv"
     big.write_text("\n".join(lines) + "\n")
     split = load_airline_csv(big, n_train=400, n_test=100)
-    ols = fit_ols(split.train.Z, split.train.y)
+    ols = fit(split.train, EstimatorConfig(OLS))
     rmse = float(np.sqrt(np.mean((split.test.y - split.test.Z @ ols.coefficients) ** 2)))
     assert report(9, f"airline load -> OLS -> RMSE {rmse:.2f}", np.isfinite(rmse) and rmse > 0)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from rbls.datagen import gen_corrupted
+from rbls.datagen import RegressionProblem, gen_corrupted
 from rbls.diagnostics import (
     _leverage,
     _sign_projection,
@@ -23,7 +23,7 @@ from rbls.errors import (
     LeverageOneError,
     RankDeficientError,
 )
-from rbls.estimators import AIWS_LS, EstimatorConfig, fit_aiws_ls
+from rbls.estimators import AIWS_LS, EstimatorConfig, fit
 from rbls.linalg import solve_ls
 from rbls.seeding import ROLE_SKETCH, spawn_seed
 from rbls.srht import apply_sketch, build_sketch
@@ -230,7 +230,7 @@ class TestApproxLeverage:
             y = rng.standard_normal(1024)
             lev = exact_leverage(Z, solve_ls(Z, y))
             cfg = EstimatorConfig(method=AIWS_LS, n_subs=256, seed=seed)
-            approx = fit_aiws_ls(Z, y, cfg).diagnostics.leverages
+            approx = fit(RegressionProblem(Z, y), cfg).diagnostics.leverages
             cors.append(spearmanr(lev, approx).statistic)
         assert np.mean(cors) >= 0.5
 
@@ -238,7 +238,7 @@ class TestApproxLeverage:
         rng = np.random.default_rng(6)
         Z, y = rng.standard_normal((128, 8)), rng.standard_normal(128)
         cfg = EstimatorConfig(method=AIWS_LS, n_subs=64, seed=1)
-        assert np.all(fit_aiws_ls(Z, y, cfg).diagnostics.leverages >= 0)
+        assert np.all(fit(RegressionProblem(Z, y), cfg).diagnostics.leverages >= 0)
 
     def test_rank_deficient_sketch_detected(self):
         # duplicated column makes every sketch of Z singular, the anchor's too
@@ -247,7 +247,7 @@ class TestApproxLeverage:
         Z[:, 3] = Z[:, 0]
         cfg = EstimatorConfig(method=AIWS_LS, n_subs=32, seed=3)
         with pytest.raises(RankDeficientError):
-            fit_aiws_ls(Z, rng.standard_normal(64), cfg)
+            fit(RegressionProblem(Z, rng.standard_normal(64)), cfg)
 
 
 class TestApproxInfluence:
@@ -277,7 +277,7 @@ class TestApproxInfluence:
         assert exact_d[mask].mean() > exact_d[~mask].mean()
 
         cfg = EstimatorConfig(method=AIWS_LS, n_subs=256, seed=9)
-        approx_d = fit_aiws_ls(prob.Z, prob.y, cfg).diagnostics.influences
+        approx_d = fit(prob, cfg).diagnostics.influences
         assert approx_d[mask].mean() > approx_d[~mask].mean()
 
 

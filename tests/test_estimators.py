@@ -25,13 +25,6 @@ from rbls.estimators import (
     _anchor,
     draw,
     fit,
-    fit_aiws_ls,
-    fit_arws_ls,
-    fit_iws_ls,
-    fit_lev_ls,
-    fit_ols,
-    fit_srht_ls,
-    fit_uluru,
     score,
 )
 from rbls.linalg import REFINE_MAX_ITER, _cgls, solve_ls
@@ -55,15 +48,10 @@ def corrupted_benchmark():
         prob = gen_corrupted(seed=1000 + rep, **BENCH)
         beta = prob.truth.beta
         mask = prob.truth.corruption_mask
-        errors[OLS].append(np.linalg.norm(fit_ols(prob.Z, prob.y).coefficients - beta))
-        for method, fitter in (
-            (IWS_LS, fit_iws_ls),
-            (AIWS_LS, fit_aiws_ls),
-            (ARWS_LS, fit_arws_ls),
-            (ULURU, fit_uluru),
-        ):
+        errors[OLS].append(np.linalg.norm(fit(prob, EstimatorConfig(OLS)).coefficients - beta))
+        for method in (IWS_LS, AIWS_LS, ARWS_LS, ULURU):
             cfg = EstimatorConfig(method=method, n_subs=BENCH_N_SUBS, seed=rep)
-            result = fitter(prob.Z, prob.y, cfg)
+            result = fit(prob, cfg)
             errors[method].append(np.linalg.norm(result.coefficients - beta))
             if method == ARWS_LS:
                 arws_corrupted_mass.append(result.sampling_probabilities[mask].sum())
@@ -149,6 +137,28 @@ class TestDispatcher:
         assert np.array_equal(a.coefficients, b.coefficients)
         if a.sampled_row_indices is not None:
             assert np.array_equal(a.sampled_row_indices, b.sampled_row_indices)
+
+    @pytest.mark.parametrize(
+        "method, stage", [(AIWS_LS, "_anchor"), (IWS_LS, "compute_diagnostics")]
+    )
+    def test_fit_shares_no_stage_across_calls(self, monkeypatch, method, stage):
+        # a sweep shares a sampler's score stage across the configs of one
+        # problem; repeated fit calls on one problem object must each score
+        # from scratch, or timing them would time a different program
+        calls = []
+        original = getattr(rbls.estimators, stage)
+
+        def counted(*args, **kwargs):
+            calls.append(stage)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rbls.estimators, stage, counted)
+        Z, y, _ = gaussian_problem(256, 6, seed=0)
+        prob = RegressionProblem(Z, y)
+        cfg = EstimatorConfig(method=method, n_subs=64, seed=17)
+        first, second = fit(prob, cfg), fit(prob, cfg)
+        assert calls == [stage, stage]
+        assert np.array_equal(first.coefficients, second.coefficients)
 
     @pytest.mark.parametrize("method", [LEV_LS, IWS_LS, AIWS_LS, ARWS_LS])
     def test_iws_equals_manual_pipeline(self, method):
@@ -264,17 +274,17 @@ class TestDispatcher:
     def test_missing_n_subs_rejected(self):
         Z, y, _ = gaussian_problem(64, 4, seed=2)
         with pytest.raises(InvalidParamsError):
-            fit_srht_ls(Z, y, EstimatorConfig(method=SRHT_LS))
+            fit(RegressionProblem(Z, y), EstimatorConfig(method=SRHT_LS))
 
     def test_n_subs_below_p_rejected(self):
         Z, y, _ = gaussian_problem(64, 4, seed=2)
         with pytest.raises(InvalidParamsError):
-            fit_iws_ls(Z, y, EstimatorConfig(method=IWS_LS, n_subs=2))
+            fit(RegressionProblem(Z, y), EstimatorConfig(method=IWS_LS, n_subs=2))
 
     def test_n_subs_above_n_rejected_for_row_samplers(self):
         Z, y, _ = gaussian_problem(64, 4, seed=2)
         with pytest.raises(InvalidParamsError):
-            fit_lev_ls(Z, y, EstimatorConfig(method=LEV_LS, n_subs=100))
+            fit(RegressionProblem(Z, y), EstimatorConfig(method=LEV_LS, n_subs=100))
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_mismatched_y_length_rejected(self, method):
@@ -288,9 +298,9 @@ class TestSrhtLs:
         # keeping all 32 rows of the padded Hadamard domain makes the sketch
         # orthonormal, so the fit equals OLS
         Z, y, _ = gaussian_problem(24, 3, seed=3)
-        ols = fit_ols(Z, y).coefficients
+        ols = fit(RegressionProblem(Z, y), EstimatorConfig(OLS)).coefficients
         cfg = EstimatorConfig(method=SRHT_LS, n_subs=32, seed=0)
-        sketched = fit_srht_ls(Z, y, cfg).coefficients
+        sketched = fit(RegressionProblem(Z, y), cfg).coefficients
         np.testing.assert_allclose(sketched, ols, atol=1e-8)
 
     def test_noiseless_consistent_system_recovered(self):
@@ -299,7 +309,7 @@ class TestSrhtLs:
         beta = rng.standard_normal(4)
         y = Z @ beta
         cfg = EstimatorConfig(method=SRHT_LS, n_subs=32, seed=2)
-        np.testing.assert_allclose(fit_srht_ls(Z, y, cfg).coefficients, beta, atol=1e-8)
+        np.testing.assert_allclose(fit(RegressionProblem(Z, y), cfg).coefficients, beta, atol=1e-8)
 
     def test_residual_norm_within_bound_of_ols(self):
         ratios = []
@@ -308,10 +318,10 @@ class TestSrhtLs:
             Z = rng.standard_normal((1024, 8))
             beta = rng.standard_normal(8)
             y = Z @ beta + rng.standard_normal(1024) * 0.1
-            ols_coef = fit_ols(Z, y).coefficients
+            ols_coef = fit(RegressionProblem(Z, y), EstimatorConfig(OLS)).coefficients
             ols_residual = np.linalg.norm(y - Z @ ols_coef)
             cfg = EstimatorConfig(method=SRHT_LS, n_subs=256, seed=seed)
-            sketched = fit_srht_ls(Z, y, cfg).coefficients
+            sketched = fit(RegressionProblem(Z, y), cfg).coefficients
             ratios.append(np.linalg.norm(y - Z @ sketched) / ols_residual)
         assert max(ratios) <= 1.5
 
@@ -325,14 +335,14 @@ class TestLevLs:
         Z = hadamard(16)[:, :8] / 4.0
         y = np.arange(16.0)
         cfg = EstimatorConfig(method=LEV_LS, n_subs=16, seed=0)
-        result = fit_lev_ls(Z, y, cfg)
+        result = fit(RegressionProblem(Z, y), cfg)
         np.testing.assert_allclose(result.sampling_probabilities, 1 / 16, atol=1e-12)
         draws = np.random.default_rng(0).choice(16, 10_000, p=result.sampling_probabilities)
         assert chisquare(np.bincount(draws, minlength=16)).pvalue > 1e-3
 
     def test_probabilities_sum_to_one(self):
         Z, y, _ = gaussian_problem(128, 6, seed=5)
-        result = fit_lev_ls(Z, y, EstimatorConfig(method=LEV_LS, n_subs=32, seed=1))
+        result = fit(RegressionProblem(Z, y), EstimatorConfig(method=LEV_LS, n_subs=32, seed=1))
         assert result.sampling_probabilities.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(result.sampling_probabilities >= 0)
 
@@ -349,16 +359,17 @@ class TestLevLs:
             y = U @ rng.standard_normal(20) + 0.01 * rng.standard_normal(2000)
         assert (rbls.linalg._gram_factor(Z)[0] is None) == (path == "householder")
         lev = exact_leverage(Z, solve_ls(Z, y))
-        result = fit_lev_ls(Z, y, EstimatorConfig(method=LEV_LS, n_subs=100, seed=2))
+        result = fit(RegressionProblem(Z, y), EstimatorConfig(method=LEV_LS, n_subs=100, seed=2))
         assert np.array_equal(result.sampling_probabilities, lev / lev.sum())
 
     def test_full_draw_tracks_ols(self):
         ratios = []
         for seed in range(20):
             Z, y, beta = gaussian_problem(256, 8, seed=800 + seed)
-            ols_err = np.linalg.norm(fit_ols(Z, y).coefficients - beta)
+            prob = RegressionProblem(Z, y)
+            ols_err = np.linalg.norm(fit(prob, EstimatorConfig(OLS)).coefficients - beta)
             cfg = EstimatorConfig(method=LEV_LS, n_subs=256, seed=seed)
-            lev_err = np.linalg.norm(fit_lev_ls(Z, y, cfg).coefficients - beta)
+            lev_err = np.linalg.norm(fit(prob, cfg).coefficients - beta)
             ratios.append(lev_err / ols_err)
         assert np.median(ratios) < 2.0
 
@@ -370,16 +381,17 @@ class TestUluru:
         beta = rng.standard_normal(5)
         y = Z @ beta
         cfg = EstimatorConfig(method=ULURU, n_subs=32, seed=3)
-        np.testing.assert_allclose(fit_uluru(Z, y, cfg).coefficients, beta, atol=1e-8)
+        np.testing.assert_allclose(fit(RegressionProblem(Z, y), cfg).coefficients, beta, atol=1e-8)
 
     def test_beats_plain_sketching_at_small_subsamples(self):
         uluru_errs, srht_errs = [], []
         for seed in range(20):
             Z, y, beta = gaussian_problem(8192, 4, seed=900 + seed)
+            prob = RegressionProblem(Z, y)
             cfg_u = EstimatorConfig(method=ULURU, n_subs=16, seed=seed)
             cfg_s = EstimatorConfig(method=SRHT_LS, n_subs=16, seed=seed)
-            uluru_errs.append(np.linalg.norm(fit_uluru(Z, y, cfg_u).coefficients - beta))
-            srht_errs.append(np.linalg.norm(fit_srht_ls(Z, y, cfg_s).coefficients - beta))
+            uluru_errs.append(np.linalg.norm(fit(prob, cfg_u).coefficients - beta))
+            srht_errs.append(np.linalg.norm(fit(prob, cfg_s).coefficients - beta))
         assert np.median(uluru_errs) <= np.median(srht_errs)
 
     def test_corrupted_bias_keeps_uluru_at_ols_level(self, corrupted_benchmark):
@@ -401,7 +413,7 @@ class TestIwsLs:
         Z = rng.standard_normal((n, p))
         y = Z @ np.ones(p) + rng.standard_normal(n) * 0.1
         y[13] += 50.0
-        result = fit_iws_ls(Z, y, EstimatorConfig(method=IWS_LS, n_subs=40, seed=0))
+        result = fit(RegressionProblem(Z, y), EstimatorConfig(method=IWS_LS, n_subs=40, seed=0))
         assert result.sampling_probabilities[13] < 1 / (10 * n)
 
     def test_monotone_harm_ordering(self):
@@ -412,7 +424,7 @@ class TestIwsLs:
         y[7] += 40.0
         sol = solve_ls(Z, y)
         d, _ = influence(sol.residuals, exact_leverage(Z, sol))
-        result = fit_iws_ls(Z, y, EstimatorConfig(method=IWS_LS, n_subs=30, seed=1))
+        result = fit(RegressionProblem(Z, y), EstimatorConfig(method=IWS_LS, n_subs=30, seed=1))
         p_inverse = result.sampling_probabilities[7]
         p_uniform = 1.0 / n
         p_proportional = (d / d.sum())[7]
@@ -429,7 +441,8 @@ class TestIwsLs:
     def test_all_zero_influence_falls_back_to_uniform(self):
         rng = np.random.default_rng(11)
         Z = rng.standard_normal((50, 3))
-        result = fit_iws_ls(Z, np.zeros(50), EstimatorConfig(method=IWS_LS, n_subs=10, seed=2))
+        cfg = EstimatorConfig(method=IWS_LS, n_subs=10, seed=2)
+        result = fit(RegressionProblem(Z, np.zeros(50)), cfg)
         assert result.uniform_fallback
         np.testing.assert_allclose(result.sampling_probabilities, 1 / 50, atol=1e-15)
 
@@ -443,7 +456,7 @@ class TestAiwsLs:
         Z, y, _ = gaussian_problem(200, 5, seed=12)
         cfg_iws = EstimatorConfig(method=IWS_LS, n_subs=50, seed=33)
         cfg_aiws = EstimatorConfig(method=AIWS_LS, n_subs=50, seed=33)
-        iws = fit_iws_ls(Z, y, cfg_iws)
+        iws = fit(RegressionProblem(Z, y), cfg_iws)
         sol = solve_ls(Z, y)
         d, _ = influence(sol.residuals, exact_leverage(Z, sol))
         aiws = draw(Z, y, cfg_aiws, *inverse_score_probabilities(d), None)
@@ -482,7 +495,7 @@ class TestAiwsLs:
     def test_anchor_refined_by_the_step_budget(self):
         prob = gen_corrupted(seed=1300, **BENCH)
         cfg = EstimatorConfig(method=AIWS_LS, n_subs=BENCH_N_SUBS, seed=5)
-        assert fit_aiws_ls(prob.Z, prob.y, cfg).diagnostics.anchor_iterations == ANCHOR_STEPS
+        assert fit(prob, cfg).diagnostics.anchor_iterations == ANCHOR_STEPS
 
     def test_budget_error_tracks_exact_sampler_over_draws(self):
         # the band of test_error_tracks_exact_sampler on other desk problems,
@@ -502,15 +515,16 @@ class TestAiwsLs:
         aiws_errs, srht_errs = [], []
         for seed in range(20):
             Z, y, beta = gaussian_problem(2048, 16, seed=1100 + seed)
+            prob = RegressionProblem(Z, y)
             cfg_a = EstimatorConfig(method=AIWS_LS, n_subs=128, seed=seed)
             cfg_s = EstimatorConfig(method=SRHT_LS, n_subs=128, seed=seed)
-            aiws_errs.append(np.linalg.norm(fit_aiws_ls(Z, y, cfg_a).coefficients - beta))
-            srht_errs.append(np.linalg.norm(fit_srht_ls(Z, y, cfg_s).coefficients - beta))
+            aiws_errs.append(np.linalg.norm(fit(prob, cfg_a).coefficients - beta))
+            srht_errs.append(np.linalg.norm(fit(prob, cfg_s).coefficients - beta))
         assert np.median(aiws_errs) <= 2.0 * np.median(srht_errs)
 
     def test_diagnostics_report_is_approximate_mode(self):
         Z, y, _ = gaussian_problem(256, 6, seed=13)
-        result = fit_aiws_ls(Z, y, EstimatorConfig(method=AIWS_LS, n_subs=64, seed=4))
+        result = fit(RegressionProblem(Z, y), EstimatorConfig(method=AIWS_LS, n_subs=64, seed=4))
         assert result.diagnostics.mode == "approximate"
         assert np.all(result.diagnostics.influences >= 0)
 
@@ -531,7 +545,7 @@ class TestArwsLs:
 
     def test_probabilities_are_a_distribution(self):
         Z, y, _ = gaussian_problem(512, 8, seed=14)
-        result = fit_arws_ls(Z, y, EstimatorConfig(method=ARWS_LS, n_subs=64, seed=6))
+        result = fit(RegressionProblem(Z, y), EstimatorConfig(method=ARWS_LS, n_subs=64, seed=6))
         probs = result.sampling_probabilities
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(probs >= 0)
@@ -548,7 +562,7 @@ def count_sketch_oracle(n, rows, seed):
     return S
 
 
-ANCHORED = {ARWS_LS: fit_arws_ls, AIWS_LS: fit_aiws_ls}
+ANCHORED = (ARWS_LS, AIWS_LS)
 
 
 def recorded_systems(monkeypatch, run):
@@ -595,7 +609,7 @@ class TestArwsPilot:
         (Zs1, _), probs1 = anchor_system(monkeypatch, Z, y, cfg)
         (Zs2, _), probs2 = anchor_system(monkeypatch, Z, y, cfg)
         (Zs3, _), _ = anchor_system(monkeypatch, Z, y, replace(cfg, seed=10))
-        first, second = fit_arws_ls(Z, y, cfg), fit_arws_ls(Z, y, cfg)
+        first, second = fit(RegressionProblem(Z, y), cfg), fit(RegressionProblem(Z, y), cfg)
         assert np.array_equal(Zs1, Zs2)
         assert np.array_equal(probs1, probs2)
         assert np.array_equal(first.coefficients, second.coefficients)
@@ -606,7 +620,7 @@ class TestArwsPilot:
     def test_fit_solves_the_anchor_then_the_subsample(self, monkeypatch, method):
         Z, y, _ = gaussian_problem(512, 8, seed=16)
         cfg = EstimatorConfig(method=method, n_subs=64, seed=7)
-        systems, _ = recorded_systems(monkeypatch, lambda: ANCHORED[method](Z, y, cfg))
+        systems, _ = recorded_systems(monkeypatch, lambda: fit(RegressionProblem(Z, y), cfg))
         assert [Zs.shape for Zs, _ in systems] == [(ANCHOR_ROWS_PER_COLUMN * 8, 8), (64, 8)]
 
     def test_both_samplers_solve_one_anchor(self, monkeypatch):
@@ -628,4 +642,4 @@ class TestArwsPilot:
         monkeypatch.setattr(rbls.srht, "apply_sketch_pair", no_srht)
         monkeypatch.setattr(rbls.estimators, "apply_sketch_pair", no_srht)
         Z, y, _ = gaussian_problem(512, 8, seed=19)
-        ANCHORED[method](Z, y, EstimatorConfig(method=method, n_subs=64, seed=2))
+        fit(RegressionProblem(Z, y), EstimatorConfig(method=method, n_subs=64, seed=2))

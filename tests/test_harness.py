@@ -111,18 +111,23 @@ class TestRunExperiment:
         import rbls.harness as harness
 
         log = []
-        generate, fit_one = harness._generate_split, rbls.estimators.fit
+        generate, problem_fits = harness._generate_split, rbls.estimators._problem_fits
 
         def logged_generate(cfg, rep):
             log.append(("generate", rep))
             return generate(cfg, rep)
 
-        def logged_fit(problem, est_cfg):
-            log.append(("fit", est_cfg.method))
-            return fit_one(problem, est_cfg)
+        def logged_problem_fits(problem):
+            fit_one = problem_fits(problem)
+
+            def logged_fit(est_cfg):
+                log.append(("fit", est_cfg.method))
+                return fit_one(est_cfg)
+
+            return logged_fit
 
         monkeypatch.setattr(harness, "_generate_split", logged_generate)
-        monkeypatch.setattr(rbls.estimators, "fit", logged_fit)
+        monkeypatch.setattr(rbls.estimators, "_problem_fits", logged_problem_fits)
         run_experiment(tiny_config(replications=3), threads=1)
         fits_per_rep = [("fit", OLS), ("fit", SRHT_LS)]
         assert log == [("generate", 0), *fits_per_rep,
