@@ -13,6 +13,7 @@ row corrupts the i-th masked row of X.
 """
 
 import csv
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,22 @@ class SplitProblem:
 # same normals in tiles as in one call, so the tile size changes memory only.
 _TILE_BYTES = 1 << 20
 
+# A design of at least this many bytes is drawn into its own anonymous
+# mapping, which is unmapped when the problem is freed.  From the malloc heap,
+# a freed n x p block stays resident as a hole, and whether later
+# allocations can reuse it depends on the small blocks the heap holds around
+# it, which differ from process to process, so the peak RSS of a loop over
+# problems would vary from run to run.  Smaller designs stay in the heap,
+# where reusing freed pages costs less than faulting in fresh ones.
+_MAPPED_BYTES = 1 << 20
+
+
+def _normal_design(rng, n, p):
+    """``rng.standard_normal((n, p))``, in its own mapping from _MAPPED_BYTES on."""
+    if 8 * n * p < _MAPPED_BYTES:
+        return rng.standard_normal((n, p))
+    return rng.standard_normal(out=np.ndarray((n, p), buffer=mmap.mmap(-1, 8 * n * p)))
+
 
 def _check_sizes(**sizes):
     """Raise InvalidParamsError unless every size is an integer >= 1."""
@@ -85,7 +102,7 @@ def _assemble_corrupted(rng, n, p, pi, sigma_x, sigma_w, sigma_eps, beta):
     # added.  W is drawn only for the masked rows, one tile of at most
     # _TILE_BYTES at a time, each added in place to its rows of Z, so a
     # problem holds one n x p array and no other is made beside it.
-    Z = rng.standard_normal((n, p))
+    Z = _normal_design(rng, n, p)
     Z *= sigma_x
     mask = rng.random(n) < pi
     y = Z @ beta
@@ -146,7 +163,7 @@ REGIME_SIGMA_EPS = 0.1
 
 
 def _regime_problem(rng, n, p, regime, beta):
-    X = rng.standard_normal((n, p))
+    X = _normal_design(rng, n, p)
     df = _REGIME_DF[regime]
     if df is not None:
         # multivariate-t rows: Gaussian over sqrt(chi2/df), per row, in place
