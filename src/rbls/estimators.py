@@ -143,11 +143,12 @@ class FitResult:
     uniform_fallback: bool = False
 
 
-def _inputs(Z, y, cfg, bounded_by_n=True):
-    """float64 (Z, y) for a fit that keeps cfg.n_subs rows.
+def _inputs(Z, y, cfg):
+    """float64 (Z, y) for a fit of cfg.method that keeps cfg.n_subs rows.
 
     Row samplers draw from the n rows, so their n_subs is bounded by n;
-    sketches draw from the padded Hadamard domain of next_pow2(n) rows.
+    sketches draw from the padded Hadamard domain of next_pow2(n) rows, and
+    OLS reads no n_subs.
     Only Z's shape and y's entries (through their sum) are checked here:
     ``linalg._gram_factor`` checks Z's entries through the diagonal of the
     first Gram matrix a fit forms, of Z or of a sketch in which every row of Z has a
@@ -155,12 +156,14 @@ def _inputs(Z, y, cfg, bounded_by_n=True):
     a bad n_subs is reported before a NaN in Z.
     """
     Z, y = _ls_inputs(Z, y)
+    if cfg.method == OLS:
+        return Z, y
     n, p = Z.shape
     if cfg.n_subs is None:
         raise InvalidParamsError(f"{cfg.method} requires n_subs")
     if cfg.n_subs < p:
         raise InvalidParamsError(f"need n_subs >= p, got {cfg.n_subs} < {p}")
-    bound = n if bounded_by_n else next_pow2(n)
+    bound = next_pow2(n) if cfg.method in (SRHT_LS, ULURU) else n
     if cfg.n_subs > bound:
         raise InvalidParamsError(f"need n_subs <= {bound}, got {cfg.n_subs}")
     return Z, y
@@ -298,7 +301,6 @@ def _fit_ols(Z, y, cfg):
 
 def _fit_srht_ls(Z, y, cfg):
     """Least squares on an SRHT sketch with cfg.n_subs rows."""
-    Z, y = _inputs(Z, y, cfg, bounded_by_n=False)
     return _sketched_solve(Z, y, cfg.n_subs, cfg.seed).coefficients
 
 
@@ -329,14 +331,13 @@ def _fit_uluru(Z, y, cfg):
     At fixed n_subs = 64 the ratio grows with n: this function gives 10.70
     at n = 4096 (base seed 6).
     """
-    Z, y = _inputs(Z, y, cfg, bounded_by_n=False)
     sol1 = _sketched_solve(Z, y, cfg.n_subs, cfg.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
         gradient, _ = _gradient(sol1.r_factor, Z, y - Z @ sol1.coefficients)
     return sol1.coefficients + dtrsv(sol1.r_factor, gradient)
 
 
-# The estimators that draw no rows: (Z, y, cfg) -> coefficients.
+# The estimators that draw no rows: (Z, y, cfg) -> coefficients, on checked Z, y.
 _SOLVERS = {OLS: _fit_ols, SRHT_LS: _fit_srht_ls, ULURU: _fit_uluru}
 
 
@@ -366,10 +367,10 @@ def _problem_fits(problem):
             return shared[OLS]
         t0 = time.perf_counter()
         score_s = 0.0
+        Z, y = _inputs(problem.Z, problem.y, cfg)
         if method in _SOLVERS:
-            result = FitResult(method, _SOLVERS[method](problem.Z, problem.y, cfg))
+            result = FitResult(method, _SOLVERS[method](Z, y, cfg))
         else:
-            Z, y = _inputs(problem.Z, problem.y, cfg)
             key = method
             if method in (AIWS_LS, ARWS_LS):
                 key = method, cfg.seed, _anchor_rows(Z, cfg)

@@ -42,8 +42,6 @@ CORRUPTED = "corrupted"
 AIRLINE = "airline"
 SCENARIOS = (CORRUPTED,) + REGIMES + (AIRLINE,)
 
-RESULTS_HEADER = "method,n_subs,replication,seed,est_error,rmse,wall_time_ms,error"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -126,6 +124,9 @@ class ExperimentResult:
     rmse: float | None
     wall_time_ms: float | None
     error: str = ""
+
+
+RESULTS_HEADER = ",".join(f.name for f in fields(ExperimentResult))
 
 
 def config_from_dict(raw):
@@ -241,46 +242,56 @@ def run_experiment(cfg, threads=1):
     # malloc arena: on the benchmark's 5000 x 20 sweep at two threads
     # (2-core host) its peak RSS read 2.2% more in the median of 10 runs,
     # up to 5.8%, and 3.2-3.6% more in 3 later runs, at the same speed.
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            rest = [pool.submit(replication, rep) for rep in reps if rep % threads]
-            try:
-                chunks = [replication(rep) for rep in reps[::threads]]
-                chunks.extend(f.result() for f in rest)
-            except BaseException:  # an error or interrupt ends the sweep without the queued rest
-                pool.shutdown(cancel_futures=True)
-                raise
-    else:
-        chunks = [replication(rep) for rep in reps]
+    # At threads=1 nothing is submitted, and the pool starts no thread.
+    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
+        rest = [pool.submit(replication, rep) for rep in reps if rep % threads]
+        try:
+            chunks = [replication(rep) for rep in reps[::threads]]
+            chunks.extend(f.result() for f in rest)
+        except BaseException:  # an error or interrupt ends the sweep without the queued rest
+            pool.shutdown(cancel_futures=True)
+            raise
     results = [row for chunk in chunks for row in chunk]
     order = {m: i for i, m in enumerate(cfg.methods)}
     results.sort(key=lambda r: (order[r.method], r.n_subs, r.replication))
     return results
 
 
-def _fmt(value):
-    return "" if value is None else repr(float(value))
+def _write_csv(path, header, rows, comment=None):
+    """Write ``header`` and then ``rows`` to ``path``, led by a ``# comment``
+    line when one is given.  csv writes a float cell as its repr, once a
+    numpy float is made a Python float, and a None cell as an empty one.
+    The file is opened only once every row is formatted."""
+    buf = io.StringIO()
+    if comment is not None:
+        buf.write(f"# {comment}\n")
+    buf.write(header + "\n")
+    csv.writer(buf, lineterminator="\n").writerows(
+        [float(v) if isinstance(v, np.floating) else v for v in row] for row in rows
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(buf.getvalue())
+
+
+def _cells(cls, rows, deterministic):
+    """Each row's values of the fields of dataclass ``cls``, in declaration
+    order.  Under deterministic mode a wall_time_ms* value reads 0.0."""
+    names = [f.name for f in fields(cls)]
+    walls = [i for i, n in enumerate(names) if deterministic and n.startswith("wall_time_ms")]
+    for row in rows:
+        cells = [getattr(row, name) for name in names]
+        for i in walls:
+            if cells[i] is not None:
+                cells[i] = 0.0
+        yield cells
 
 
 def write_results_csv(results, path, deterministic=False):
     """Write result rows; under deterministic mode the timestamp line is
     suppressed and wall times are zeroed so repeated runs are byte-identical."""
-    buf = io.StringIO()
-    if not deterministic:
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        buf.write(f"# generated {stamp}\n")
-    buf.write(RESULTS_HEADER + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    for r in results:
-        wall = 0.0 if deterministic else r.wall_time_ms
-        if r.error:
-            wall = None
-        writer.writerow(
-            [r.method, r.n_subs, r.replication, r.seed,
-             _fmt(r.est_error), _fmt(r.rmse), _fmt(wall), r.error]
-        )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    comment = None if deterministic else f"generated {stamp}"
+    _write_csv(path, RESULTS_HEADER, _cells(ExperimentResult, results, deterministic), comment)
 
 
 @dataclass(frozen=True)
@@ -295,6 +306,9 @@ class AggregateRow:
     rmse_sd: float | None
     wall_time_ms_mean: float | None
     wall_time_ms_sd: float | None
+
+
+AGGREGATE_HEADER = ",".join(f.name for f in fields(AggregateRow))
 
 
 def _mean_sd(values):
@@ -319,36 +333,17 @@ def aggregate(results):
     rows = []
     for (method, n_subs), rs in groups.items():
         ok = [r for r in rs if not r.error]
-        est_mean, est_sd = _mean_sd([r.est_error for r in ok])
-        rmse_mean, rmse_sd = _mean_sd([r.rmse for r in ok])
-        wall_mean, wall_sd = _mean_sd([r.wall_time_ms for r in ok])
-        rows.append(
-            AggregateRow(
-                method, n_subs, len(ok), len(rs) - len(ok),
-                est_mean, est_sd, rmse_mean, rmse_sd, wall_mean, wall_sd,
-            )
-        )
+        stats = [
+            stat
+            for metric in ("est_error", "rmse", "wall_time_ms")
+            for stat in _mean_sd([getattr(r, metric) for r in ok])
+        ]
+        rows.append(AggregateRow(method, n_subs, len(ok), len(rs) - len(ok), *stats))
     return rows
 
 
-AGGREGATE_HEADER = (
-    "method,n_subs,n_ok,n_failed,est_error_mean,est_error_sd,"
-    "rmse_mean,rmse_sd,wall_time_ms_mean,wall_time_ms_sd"
-)
-
-
 def write_aggregates_csv(rows, path, deterministic=False):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(AGGREGATE_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for r in rows:
-            wall_mean = 0.0 if deterministic and r.wall_time_ms_mean is not None else r.wall_time_ms_mean
-            wall_sd = 0.0 if deterministic and r.wall_time_ms_sd is not None else r.wall_time_ms_sd
-            writer.writerow(
-                [r.method, r.n_subs, r.n_ok, r.n_failed,
-                 _fmt(r.est_error_mean), _fmt(r.est_error_sd),
-                 _fmt(r.rmse_mean), _fmt(r.rmse_sd), _fmt(wall_mean), _fmt(wall_sd)]
-            )
+    _write_csv(path, AGGREGATE_HEADER, _cells(AggregateRow, rows, deterministic))
 
 
 GNUPLOT_SCRIPT = """set datafile separator ','
@@ -373,14 +368,19 @@ def write_gnuplot_script(methods, path):
 def _output_dir(path):
     """Make directory ``path`` before the work whose files go there, so a
     path that cannot be a directory fails first; if the work raises, remove
-    the directory again unless it was there before."""
-    existed = os.path.isdir(path)
+    every level of it that was not there before, leaf first."""
+    made = []  # the levels makedirs will make, leaf first; "." and ".." make none
+    head = path
+    while head and not os.path.exists(head):
+        head, tail = os.path.split(head)
+        if tail not in ("", os.curdir, os.pardir):
+            made.append(os.path.join(head, tail))
     os.makedirs(path, exist_ok=True)
     try:
         yield
     except BaseException:
-        if not existed:
-            os.rmdir(path)
+        for level in made:
+            os.rmdir(level)
         raise
 
 
@@ -407,22 +407,18 @@ def emit_fig1_data(problem, out_dir, bins=DEFAULT_HISTOGRAM_BINS):
         tables = {
             name: _histogram_pair(values[mask], values[~mask], bins) for name, values in metrics
         }
-    with open(
-        os.path.join(out_dir, "fig1_histograms.csv"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        fh.write("metric,group,bin_left,bin_right,mass\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for name, (edges, corrupted, clean, _) in tables.items():
-            for group, masses in (("corrupted", corrupted), ("clean", clean)):
-                for k in range(bins):
-                    writer.writerow(
-                        [name, group, _fmt(edges[k]), _fmt(edges[k + 1]), _fmt(masses[k])]
-                    )
+    _write_csv(
+        os.path.join(out_dir, "fig1_histograms.csv"),
+        "metric,group,bin_left,bin_right,mass",
+        (
+            [name, group, edges[k], edges[k + 1], masses[k]]
+            for name, (edges, corrupted, clean, _) in tables.items()
+            for group, masses in (("corrupted", corrupted), ("clean", clean))
+            for k in range(bins)
+        ),
+    )
     distances = {name: table[3] for name, table in tables.items()}
-    with open(
-        os.path.join(out_dir, "fig1_distances.csv"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        fh.write("metric,l1_distance\n")
-        for name, dist in distances.items():
-            fh.write(f"{name},{dist!r}\n")
+    _write_csv(
+        os.path.join(out_dir, "fig1_distances.csv"), "metric,l1_distance", distances.items()
+    )
     return distances

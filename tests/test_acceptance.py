@@ -206,8 +206,8 @@ def test_criterion_6_uluru_tracks_ols_at_4p(gaussian_grid_results):
     )
     # the published ULURU promises O(sqrt(p/n)) error with no constant, and
     # neither this form nor the published one reaches 2x here (measured
-    # variants in the fit_uluru docstring).  At fixed n_subs = 64 the ratio
-    # grows with n: 2.55 at n = 256, 8.05 at n = 4096
+    # variants in the estimators._fit_uluru docstring).  At fixed n_subs = 64
+    # the ratio grows with n: 2.62 at n = 256, 10.70 at n = 4096
     assert report(
         6,
         f"ULURU error at 4p within 2x of OLS (ratio {med_uluru / med_ols:.2f})",

@@ -236,6 +236,15 @@ class TestAirlineCommand:
         code = main(["airline", "--train", str(bad), "--n-train", "1", "--n-test", "1"])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("out", ["new1/new2", "new1/new2/", "new1/../new2"])
+    def test_failed_sweep_removes_every_directory_level_it_made(self, tmp_path, out):
+        bad = tmp_path / "flights.csv"
+        bad.write_text(AIRLINE_HEADER + "\n2000,1,1,US,A,B,xyz,3\n")
+        code = main(["airline", "--train", str(bad), "--n-train", "1", "--n-test", "1",
+                     "--out", f"{tmp_path}/{out}"])
+        assert code == EXIT_DATA
+        assert [path.name for path in tmp_path.iterdir()] == ["flights.csv"]
+
     def test_non_finite_distance_is_data_error(self, tmp_path):
         # float() reads "nan": such a row made every fit fail while the
         # command still exited 0

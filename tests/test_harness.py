@@ -1,3 +1,6 @@
+import csv
+import threading
+
 import numpy as np
 import pytest
 
@@ -395,6 +398,85 @@ class TestCsvOutput:
         out = tmp_path / "agg.csv"
         write_aggregates_csv(aggregate(results), out, deterministic=True)
         assert out.read_text().splitlines()[0] == AGGREGATE_HEADER
+        assert AGGREGATE_HEADER == (
+            "method,n_subs,n_ok,n_failed,est_error_mean,est_error_sd,"
+            "rmse_mean,rmse_sd,wall_time_ms_mean,wall_time_ms_sd"
+        )
+
+    def test_every_cell_of_both_files(self, tmp_path):
+        # a failed row, an all-failed group (SRHT_LS), a row with no truth
+        # (LEV_LS), a numpy float and an error that needs quoting
+        failed = 'InvalidParamsError: need n_subs <= 8, got "x", 9'
+        results = [
+            ExperimentResult(OLS, 10, 0, 11, 1.0, np.float64(0.5), 4.0),
+            ExperimentResult(OLS, 10, 1, 12, 3.0, 0.5, 6.0),
+            ExperimentResult(SRHT_LS, 10, 0, 21, None, None, None, failed),
+            ExperimentResult(SRHT_LS, 10, 1, 22, None, None, None, failed),
+            ExperimentResult(IWS_LS, 10, 0, 31, 0.25, 0.125, 2.5),
+            ExperimentResult(IWS_LS, 10, 1, 32, None, None, None, failed),
+            ExperimentResult(LEV_LS, 10, 0, 41, None, 0.75, 1.5),
+        ]
+        sqrt2 = repr(float(np.sqrt(2.0)))
+        # (cells, the wall cells under deterministic mode)
+        expected_results = [
+            (["OLS", "10", "0", "11", "1.0", "0.5", "4.0", ""], ["0.0"]),
+            (["OLS", "10", "1", "12", "3.0", "0.5", "6.0", ""], ["0.0"]),
+            (["SRHT_LS", "10", "0", "21", "", "", "", failed], [""]),
+            (["SRHT_LS", "10", "1", "22", "", "", "", failed], [""]),
+            (["IWS_LS", "10", "0", "31", "0.25", "0.125", "2.5", ""], ["0.0"]),
+            (["IWS_LS", "10", "1", "32", "", "", "", failed], [""]),
+            (["LEV_LS", "10", "0", "41", "", "0.75", "1.5", ""], ["0.0"]),
+        ]
+        expected_aggregates = [
+            (["OLS", "10", "2", "0", "2.0", sqrt2, "0.5", "0.0", "5.0", sqrt2], ["0.0", "0.0"]),
+            (["SRHT_LS", "10", "0", "2", "", "", "", "", "", ""], ["", ""]),
+            (["IWS_LS", "10", "1", "1", "0.25", "0.0", "0.125", "0.0", "2.5", "0.0"],
+             ["0.0", "0.0"]),
+            (["LEV_LS", "10", "1", "0", "", "", "0.75", "0.0", "1.5", "0.0"], ["0.0", "0.0"]),
+        ]
+
+        def lines(path):
+            with open(path, encoding="utf-8", newline="") as fh:
+                return fh.read().split("\n")
+
+        for write, rows, header, expected, wall in (
+            (write_results_csv, results, RESULTS_HEADER, expected_results, slice(6, 7)),
+            (write_aggregates_csv, aggregate(results), AGGREGATE_HEADER, expected_aggregates,
+             slice(8, 10)),
+        ):
+            write(rows, tmp_path / "timed.csv", deterministic=False)
+            write(rows, tmp_path / "det.csv", deterministic=True)
+            timed, det = lines(tmp_path / "timed.csv"), lines(tmp_path / "det.csv")
+            if write is write_results_csv:
+                assert timed.pop(0).startswith("# generated ")
+            assert timed[0] == det[0] == header
+            assert timed[-1] == det[-1] == ""  # the last line ends in a newline
+            timed_cells = list(csv.reader(timed[1:-1]))
+            det_cells = list(csv.reader(det[1:-1]))
+            assert timed_cells == [cells for cells, _ in expected]
+            assert [cells[wall] for cells in det_cells] == [walls for _, walls in expected]
+            for a, b in zip(timed_cells, det_cells):  # nothing but the wall cells differs
+                assert a[: wall.start] + a[wall.stop :] == b[: wall.start] + b[wall.stop :]
+
+    def test_serial_sweep_starts_no_thread(self, monkeypatch):
+        import rbls.harness as harness
+
+        problem_fits = harness.estimators._problem_fits
+        counts = []
+
+        def counting_problem_fits(problem):
+            fit = problem_fits(problem)
+
+            def counted_fit(cfg):
+                counts.append(threading.active_count())
+                return fit(cfg)
+
+            return counted_fit
+
+        monkeypatch.setattr(harness.estimators, "_problem_fits", counting_problem_fits)
+        before = threading.active_count()
+        run_experiment(tiny_config(), threads=1)
+        assert len(counts) == 4 and set(counts) == {before}
 
 
 class TestConfigFromDict:
