@@ -13,6 +13,7 @@ row corrupts the i-th masked row of X.
 """
 
 import csv
+import math
 import mmap
 from dataclasses import dataclass
 
@@ -93,8 +94,8 @@ def _check_scales(pi, sigma_x, sigma_w, sigma_eps):
     if not 0.0 <= pi <= 1.0:
         raise InvalidParamsError(f"need 0 <= pi <= 1, got {pi}")
     for name, val in (("sigma_x", sigma_x), ("sigma_w", sigma_w), ("sigma_eps", sigma_eps)):
-        if val < 0:
-            raise InvalidParamsError(f"need {name} >= 0, got {val}")
+        if not 0 <= val < math.inf:
+            raise InvalidParamsError(f"need a finite {name} >= 0, got {val}")
 
 
 def _assemble_corrupted(rng, n, p, pi, sigma_x, sigma_w, sigma_eps, beta):

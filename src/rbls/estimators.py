@@ -16,11 +16,11 @@ ARWS_LS        rows sampled proportional to 1/e_i^2 (one-shot residuals of
 
 SRHT_LS and ULURU, the paper's baselines, solve an SRHT sketch; AIWS_LS and
 ARWS_LS share one CountSketch anchor solve.  ``fit`` and a sweep run the
-same closure (``_problem_fits``).  It hands OLS, SRHT_LS and ULURU to their
-solver in ``_SOLVERS``.  The four sampling estimators differ only in their
-scorer (``_SCORERS``): each fit checks its input, turns rows into
-probabilities with ``score``, and ends in ``draw``, which draws n_subs rows
-with replacement and solves unweighted LS on them.
+same closure (``_problem_fits``): input checks, the method's stage in
+``_STAGES``, then the finish.  The stages of OLS, SRHT_LS and ULURU return
+coefficients; those of the four samplers turn rows into probabilities for
+``draw``, which draws n_subs rows with replacement and solves unweighted
+LS on them.
 All estimators are deterministic given (data, config): each randomized
 ingredient draws from a role-tagged child stream of ``config.seed``, so e.g.
 AIWS_LS and IWS_LS share the row-sampling stream but not the sketch stream.
@@ -58,6 +58,8 @@ ARWS_LS = "ARWS_LS"
 #: Canonical method order; the index doubles as the seeding code.
 METHOD_NAMES = (OLS, SRHT_LS, LEV_LS, ULURU, IWS_LS, AIWS_LS, ARWS_LS)
 METHOD_CODES = {name: code for code, name in enumerate(METHOD_NAMES)}
+# The estimators that solve an SRHT sketch of n_subs rows.
+_SKETCHES = (SRHT_LS, ULURU)
 
 # Rows per column of Z in the CountSketch anchor that AIWS_LS and ARWS_LS
 # share.  A CountSketch costs O(nnz(Z)) whatever its row count, and a
@@ -163,16 +165,16 @@ def _inputs(Z, y, cfg):
         raise InvalidParamsError(f"{cfg.method} requires n_subs")
     if cfg.n_subs < p:
         raise InvalidParamsError(f"need n_subs >= p, got {cfg.n_subs} < {p}")
-    bound = next_pow2(n) if cfg.method in (SRHT_LS, ULURU) else n
+    bound = next_pow2(n) if cfg.method in _SKETCHES else n
     if cfg.n_subs > bound:
         raise InvalidParamsError(f"need n_subs <= {bound}, got {cfg.n_subs}")
     return Z, y
 
 
 def draw(Z, y, cfg, probs, fallback, report):
-    """Draw stage of the row samplers, after ``score``: draw cfg.n_subs rows
-    i.i.d. from ``probs`` on the ROLE_SAMPLING child stream of cfg.seed and
-    refit them by plain LS."""
+    """Finish of the row samplers, after their stage in ``_STAGES``: draw
+    cfg.n_subs rows i.i.d. from ``probs`` on the ROLE_SAMPLING child stream
+    of cfg.seed and refit them by plain LS."""
     idx = spawn_rng(cfg.seed, ROLE_SAMPLING).choice(Z.shape[0], int(cfg.n_subs), p=probs)
     sol = _solve_small(Z[idx], y[idx], f"subsample of {cfg.n_subs} rows")
     return FitResult(
@@ -279,21 +281,6 @@ def _arws_scores(Z, y, cfg):
     return (*inverse_score_probabilities(scores), None)
 
 
-_SCORERS = {
-    LEV_LS: _lev_scores,
-    IWS_LS: _iws_scores,
-    AIWS_LS: _aiws_scores,
-    ARWS_LS: _arws_scores,
-}
-
-
-def score(Z, y, cfg):
-    """Scoring stage of the row sampler cfg.method, on the (Z, y) of
-    ``_inputs``: (probabilities, uniform_fallback, report) for ``draw``.
-    Each scorer checks Z's entries through the first product it forms."""
-    return _SCORERS[cfg.method](Z, y, cfg)
-
-
 def _fit_ols(Z, y, cfg):
     """Exact least squares on the full data."""
     return solve_ls(Z, y).coefficients
@@ -337,8 +324,29 @@ def _fit_uluru(Z, y, cfg):
     return sol1.coefficients + dtrsv(sol1.r_factor, gradient)
 
 
-# The estimators that draw no rows: (Z, y, cfg) -> coefficients, on checked Z, y.
-_SOLVERS = {OLS: _fit_ols, SRHT_LS: _fit_srht_ls, ULURU: _fit_uluru}
+# Each method's stage on the (Z, y) of ``_inputs``: a solver's returns
+# coefficients, a sampler's the (probabilities, uniform_fallback, report)
+# of ``draw``.  Each checks Z's entries through the first product it forms.
+_STAGES = {
+    OLS: _fit_ols,
+    SRHT_LS: _fit_srht_ls,
+    LEV_LS: _lev_scores,
+    ULURU: _fit_uluru,
+    IWS_LS: _iws_scores,
+    AIWS_LS: _aiws_scores,
+    ARWS_LS: _arws_scores,
+}
+
+
+def _stage_key(Z, cfg):
+    """What cfg.method's stage reads besides the problem: the whole config
+    for a sketch, the seed and the anchor's row count for AIWS_LS and
+    ARWS_LS, and nothing for OLS, LEV_LS and IWS_LS."""
+    if cfg.method in _SKETCHES:
+        return cfg
+    if cfg.method in (AIWS_LS, ARWS_LS):
+        return cfg.method, cfg.seed, _anchor_rows(Z, cfg)
+    return cfg.method
 
 
 def fit(problem, cfg):
@@ -350,39 +358,25 @@ def fit(problem, cfg):
 
 def _problem_fits(problem):
     """Fits of many configs of one problem, by one closure; ``fit`` runs
-    it for a single config.  OLS's fit reads neither
-    n_subs nor the seed, so it runs once.  The score stage of a row sampler
-    runs once for each value of what it reads: nothing for LEV_LS and
-    IWS_LS, the seed and the anchor's row count (``_anchor_rows``) for
-    AIWS_LS and ARWS_LS.  So configs that differ only in n_subs share it
-    (for AIWS_LS and ARWS_LS while n_subs <= ANCHOR_ROWS_PER_COLUMN p), and
-    each makes its own draw.  Each fit that reuses a stage is charged its
-    time, so wall_time_s still means a fit from scratch, and still checks
-    its own n_subs."""
+    it for a single config.  Each fit checks its own inputs, runs its
+    method's stage once per ``_stage_key`` (a stage that raises is not
+    kept), and finishes with ``draw`` or the stage's coefficients.  So
+    configs that differ only in n_subs share the stage of OLS, LEV_LS and
+    IWS_LS, and of AIWS_LS and ARWS_LS while n_subs <= ANCHOR_ROWS_PER_COLUMN
+    p.  A fit that reuses a stage is charged its time, so wall_time_s still
+    means a fit from scratch."""
     shared = {}
 
     def fit_config(cfg):
-        method = cfg.method
-        if method == OLS and OLS in shared:
-            return shared[OLS]
         t0 = time.perf_counter()
-        score_s = 0.0
         Z, y = _inputs(problem.Z, problem.y, cfg)
-        if method in _SOLVERS:
-            result = FitResult(method, _SOLVERS[method](Z, y, cfg))
-        else:
-            key = method
-            if method in (AIWS_LS, ARWS_LS):
-                key = method, cfg.seed, _anchor_rows(Z, cfg)
-            scores, score_s = shared.get(key, (None, 0.0))
-            if scores is None:
-                t1 = time.perf_counter()
-                scores = score(Z, y, cfg)
-                shared[key] = scores, time.perf_counter() - t1
-            result = draw(Z, y, cfg, *scores)
-        result = replace(result, wall_time_s=time.perf_counter() - t0 + score_s)
-        if method == OLS:
-            shared[OLS] = result
-        return result
+        key = _stage_key(Z, cfg)
+        out, stage_s = shared.get(key, (None, 0.0))
+        if out is None:
+            t1 = time.perf_counter()
+            out = _STAGES[cfg.method](Z, y, cfg)
+            shared[key] = out, time.perf_counter() - t1
+        result = draw(Z, y, cfg, *out) if isinstance(out, tuple) else FitResult(cfg.method, out)
+        return replace(result, wall_time_s=time.perf_counter() - t0 + stage_s)
 
     return fit_config

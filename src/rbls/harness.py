@@ -29,12 +29,19 @@ import numpy as np
 from . import estimators
 from .datagen import (
     REGIMES,
+    _check_scales,
     gen_corrupted_split,
     gen_regime_split,
     load_airline_csv,
 )
 from .diagnostics import DEFAULT_HISTOGRAM_BINS, _check_bins, _histogram_pair, compute_diagnostics
-from .errors import ConfigError, MissingCorruptedError, MissingTruthError, RblsError
+from .errors import (
+    ConfigError,
+    InvalidParamsError,
+    MissingCorruptedError,
+    MissingTruthError,
+    RblsError,
+)
 from .estimators import EstimatorConfig, METHOD_CODES
 from .seeding import ROLE_DATA, ROLE_FIT, _is_integer, spawn_seed
 
@@ -52,8 +59,10 @@ class ExperimentConfig:
     scenario ``n`` is the number of training rows taken from
     ``airline_path`` and the generator fields are ignored.  A config is
     checked when built: every int field is >= 1 but ``base_seed`` >= 0,
-    ``methods`` names known methods once each, and ``n_subs_grid`` is
-    strictly increasing, from p up (from 1 up for the airline scenario).
+    ``methods`` names known methods once each, ``n_subs_grid`` is
+    strictly increasing, from p up (from 1 up for the airline scenario),
+    and a corrupted scenario's model scales pass its generator's check
+    (0 <= pi <= 1, each sigma finite and >= 0).
     """
 
     scenario: str
@@ -112,6 +121,11 @@ class ExperimentConfig:
                 raise ConfigError(f"every n_subs grid value must be >= p = {self.p}")
         if self.scenario == AIRLINE and not self.airline_path:
             raise ConfigError("airline scenario requires airline_path")
+        if self.scenario == CORRUPTED:
+            try:
+                _check_scales(self.pi, self.sigma_x, self.sigma_w, self.sigma_eps)
+            except InvalidParamsError as err:
+                raise ConfigError(str(err)) from err
 
 
 @dataclass(frozen=True)

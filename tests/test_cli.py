@@ -107,6 +107,19 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value", [("sigma_w", "NaN"), ("sigma_eps", "Infinity")])
+    def test_non_finite_scale_is_config_error(self, tmp_path, config_file, capsys, key, value):
+        # json.dumps writes, and json.load reads, NaN and Infinity; the
+        # config rejects them before the sweep makes its output directory
+        raw = json.loads(config_file.read_text())
+        raw[key] = float(value)
+        config_file.write_text(json.dumps(raw))
+        assert value in config_file.read_text()
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == EXIT_CONFIG
+        assert f"need a finite {key} >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_not_an_object_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(["scenario", "methods", "n_subs_grid"]))

@@ -162,6 +162,13 @@ class TestGenCorrupted:
         with pytest.raises(InvalidParamsError):
             gen_corrupted(10, 2, pi=0.1, sigma_x=-1.0, sigma_w=0.4, sigma_eps=0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", ["sigma_x", "sigma_w", "sigma_eps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma, value):
+        scales = {"sigma_x": 1.0, "sigma_w": 0.4, "sigma_eps": 0.1, sigma: value}
+        with pytest.raises(InvalidParamsError, match=f"need a finite {sigma} >= 0"):
+            gen_corrupted(50, 3, 0.3, seed=1, **scales)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_influence_separates_where_leverage_does_not(self, seed):
         prob = gen_corrupted(5000, 30, 0.3, 1.0, 0.4, 0.1, seed=seed)

@@ -22,10 +22,10 @@ from rbls.estimators import (
     SRHT_LS,
     ULURU,
     EstimatorConfig,
+    _STAGES,
     _anchor,
     draw,
     fit,
-    score,
 )
 from rbls.linalg import REFINE_MAX_ITER, _cgls, solve_ls
 from rbls.sampling import WEIGHT_FLOOR_RATIO, inverse_score_probabilities
@@ -580,9 +580,10 @@ def recorded_systems(monkeypatch, run):
 
 def anchor_system(monkeypatch, Z, y, cfg):
     """The sketched system the anchor of ARWS_LS or AIWS_LS solved, and the
-    probabilities scored from it.  Only the score stage runs, so a draw
+    probabilities scored from it.  Only the method's stage runs, so a draw
     that loses rank cannot hide the anchor."""
-    systems, (probs, _, _) = recorded_systems(monkeypatch, lambda: score(Z, y, cfg))
+    stage = _STAGES[cfg.method]
+    systems, (probs, _, _) = recorded_systems(monkeypatch, lambda: stage(Z, y, cfg))
     (anchor,) = systems
     return anchor, probs
 

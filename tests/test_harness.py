@@ -195,6 +195,8 @@ class TestRunExperiment:
             pytest.param(ARWS_LS, (20, 40, 160), 1, id=ARWS_LS),
             pytest.param(AIWS_LS, (20, 160, 200), 2, id=f"{AIWS_LS}-above-32p"),
             pytest.param(ARWS_LS, (20, 160, 200), 2, id=f"{ARWS_LS}-above-32p"),
+            pytest.param(SRHT_LS, (20, 40, 80), 3, id=SRHT_LS),
+            pytest.param(ULURU, (20, 40, 80), 3, id=ULURU),
         ],
     )
     def test_seed_free_stages_run_once_per_replication(self, monkeypatch, method, grid, stage_runs):
@@ -204,13 +206,15 @@ class TestRunExperiment:
         # serves the grid.  The scores of AIWS_LS and ARWS_LS read the seed
         # and the anchor's max(32p, n_subs) rows (32p = 160 here): one
         # anchor serves the grid points up to 32p, and a point above it
-        # solves its own.  Each row keeps its own draw and refits
-        # bit-identically in isolation.
+        # solves its own.  The sketches of SRHT_LS and ULURU read n_subs, so
+        # every grid point sketches anew.  Each row keeps its own draw and
+        # refits bit-identically in isolation.
         import rbls.harness as harness
         import rbls.linalg
 
         cfg = tiny_config(methods=(method,), n_subs_grid=grid, replications=2)
         factor, anchor = rbls.linalg._gram_factor, rbls.estimators._anchor
+        sketch = rbls.estimators._sketched_solve
         for threads in (1, 2):
             stages = []
 
@@ -223,12 +227,18 @@ class TestRunExperiment:
                 stages.append("anchor")
                 return anchor(*args)
 
+            def counted_sketch(*args):
+                stages.append("sketch")
+                return sketch(*args)
+
             for module in (rbls.linalg, rbls.estimators):
                 monkeypatch.setattr(module, "_gram_factor", counted_factor)
             monkeypatch.setattr(rbls.estimators, "_anchor", counted_anchor)
+            monkeypatch.setattr(rbls.estimators, "_sketched_solve", counted_sketch)
             results = run_experiment(cfg, threads=threads)
             monkeypatch.undo()
-            stage = "anchor" if method in (AIWS_LS, ARWS_LS) else "factor"
+            stage_of = {AIWS_LS: "anchor", ARWS_LS: "anchor", SRHT_LS: "sketch", ULURU: "sketch"}
+            stage = stage_of.get(method, "factor")
             assert stages == [stage] * (stage_runs * cfg.replications)
             for rep in range(cfg.replications):
                 split = harness._generate_split(cfg, rep)
@@ -516,6 +526,10 @@ class TestConfigFromDict:
             {"scenario": "airline", "airline_path": "flights.csv", "n_subs_grid": [0, 20]},
             {"methods": "OLS"},
             {"n_subs_grid": "20"},
+            {"pi": 1.5},
+            {"sigma_x": -1.0},
+            {"sigma_w": float("nan")},
+            {"sigma_eps": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, patch):

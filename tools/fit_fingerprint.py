@@ -51,15 +51,25 @@ method how many of its error records are identical (with saved -> now for
 each that is not), then per method the largest relative difference
 between its fit on one problem with Z scaled by 1e306, times 1e306, and
 its fit on the unscaled problem (saved -> now) beside AIWS_LS's anchor
-steps on both, then per method what its fit does on the same problem with
-Z and y both scaled by 2^-500 (saved -> now): the type and message of the
-error it raises, or its largest relative difference from the unscaled
-fit, and exits 1 if anything is missing.  That problem (OVERFLOW_PROBLEM)
+steps on both, then per method what its fit does on the same problem
+scaled as each of SCALED_CASES says (saved -> now): Z and y both by
+2^-500, y alone by 1e306, and Z and y both by 2^-540.  Each such record
+holds the type and message of the error the fit raises, or its largest
+relative difference from the unscaled fit once its coefficients are
+scaled back.  Last come the RuntimeWarning messages that each fit of the
+Z-by-1e306, unscaled and SCALED_CASES problems emits (saved -> now, and
+whether they are identical), so a change that lets a new floating-point
+warning leak out of a fit shows even where every number stays the same.
+Exits 1 if anything is missing.  That problem (OVERFLOW_PROBLEM)
 is gen_corrupted(4096, 8, 0.3, 1.0, 0.4, 0.1, seed=4) fitted with n_subs
 64 and seed 7: its Z'r overflows, so the record shows that extreme but
 finite data still fits.  Scaled down by 2^-500, its influence scores
 underflow, so the record shows how the samplers report scores they cannot
-invert.
+invert.  On the y-by-1e306 and 2^-540 cases some fits return wrong or
+non-finite coefficients with no error, so the records show any change
+to that.
+The tool uses only the public API, so it can save a fingerprint with the
+tool of a later commit against the ``src`` of an earlier one.
 """
 
 import argparse
@@ -71,6 +81,7 @@ import itertools
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -134,8 +145,12 @@ BAD_INPUTS = (("Z_nan", "Z", np.nan), ("Z_inf", "Z", np.inf), ("y_nan", "y", np.
 # seed and the scale of Z
 OVERFLOW_PROBLEM = (4096, 8, 0.3, 1.0, 0.4, 0.1, 4)
 OVERFLOW_N_SUBS, OVERFLOW_SEED, OVERFLOW_SCALE = 64, 7, 1e306
-# the underflow record: the scale of both Z and y of OVERFLOW_PROBLEM
-UNDERFLOW_SCALE = 2.0**-500
+# the scaled records: (case, scale of Z, scale of y) of OVERFLOW_PROBLEM
+SCALED_CASES = (
+    ("underflow", 2.0**-500, 2.0**-500),
+    ("overflow_y", 1.0, 1e306),
+    ("underflow_540", 2.0**-540, 2.0**-540),
+)
 FLIGHTS_HEADER = "Year,Month,DayofMonth,UniqueCarrier,Origin,Dest,Distance,ArrDelay"
 
 
@@ -190,17 +205,40 @@ def error_records():
     return records
 
 
+@contextlib.contextmanager
+def runtime_warnings():
+    """Yield a list that holds, on exit, the message of every RuntimeWarning
+    raised inside the block, in order, also when the block raises."""
+    messages = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield messages
+        finally:
+            warned = (w for w in caught if issubclass(w.category, RuntimeWarning))
+            messages.extend(str(w.message) for w in warned)
+
+
+def _warnings_record(messages):
+    """The messages "; "-joined, or "none"."""
+    return np.array("; ".join(messages) or "none")
+
+
 def overflow_fits():
     """{"overflow/<scaled|unscaled>/<method>": coefficients,
-    "overflow/<scaled|unscaled>/anchor_iterations": AIWS_LS's CGLS steps}
-    on OVERFLOW_PROBLEM with Z scaled by OVERFLOW_SCALE and unscaled."""
+    "overflow/<scaled|unscaled>/anchor_iterations": AIWS_LS's CGLS steps,
+    "warnings/overflow/<scaled|unscaled>/<method>": the fit's RuntimeWarning
+    messages} on OVERFLOW_PROBLEM with Z scaled by OVERFLOW_SCALE and
+    unscaled."""
     problem = gen_corrupted(*OVERFLOW_PROBLEM)
     fits = {}
     for case, Z in (("scaled", problem.Z * OVERFLOW_SCALE), ("unscaled", problem.Z)):
         for method in METHOD_NAMES:
             cfg = EstimatorConfig(method, OVERFLOW_N_SUBS, OVERFLOW_SEED)
-            result = fit(RegressionProblem(Z, problem.y), cfg)
+            with runtime_warnings() as messages:
+                result = fit(RegressionProblem(Z, problem.y), cfg)
             fits[f"overflow/{case}/{method}"] = result.coefficients
+            fits[f"warnings/overflow/{case}/{method}"] = _warnings_record(messages)
             if method == AIWS_LS:
                 fits[f"overflow/{case}/anchor_iterations"] = np.array(
                     result.diagnostics.anchor_iterations
@@ -208,26 +246,29 @@ def overflow_fits():
     return fits
 
 
-def underflow_records(fits):
-    """{"underflow/<method>": "<type>: <message>" of the error the fit raises
-    on OVERFLOW_PROBLEM with Z and y scaled by UNDERFLOW_SCALE, or its
-    largest relative difference from the unscaled fit in ``fits``} for every
-    method; the scale leaves the coefficients unchanged."""
+def scaled_records(fits):
+    """{"<case>/<method>": "<type>: <message>" of the error the fit raises
+    on OVERFLOW_PROBLEM with Z and y scaled as SCALED_CASES says, or its
+    largest relative difference from the unscaled fit in ``fits`` (its
+    coefficients scaled back first), "warnings/<case>/<method>": the fit's
+    RuntimeWarning messages} for every case and method."""
     problem = gen_corrupted(*OVERFLOW_PROBLEM)
-    tiny = RegressionProblem(problem.Z * UNDERFLOW_SCALE, problem.y * UNDERFLOW_SCALE)
     records = {}
-    for method in METHOD_NAMES:
-        cfg = EstimatorConfig(method, OVERFLOW_N_SUBS, OVERFLOW_SEED)
-        try:
-            with np.errstate(all="ignore"):
-                coef = fit(tiny, cfg).coefficients
-        except Exception as err:
-            text = f"{type(err).__name__}: {err}"
-        else:
-            unscaled = fits[f"overflow/unscaled/{method}"]
-            rel = np.max(np.abs(coef - unscaled)) / np.max(np.abs(unscaled))
-            text = f"fit, max rel diff from the unscaled fit {rel:.3g}"
-        records[f"underflow/{method}"] = np.array(text)
+    for case, z_scale, y_scale in SCALED_CASES:
+        scaled = RegressionProblem(problem.Z * z_scale, problem.y * y_scale)
+        for method in METHOD_NAMES:
+            cfg = EstimatorConfig(method, OVERFLOW_N_SUBS, OVERFLOW_SEED)
+            try:
+                with runtime_warnings() as messages:
+                    coef = fit(scaled, cfg).coefficients * (z_scale / y_scale)
+            except Exception as err:
+                text = f"{type(err).__name__}: {err}"
+            else:
+                unscaled = fits[f"overflow/unscaled/{method}"]
+                rel = np.max(np.abs(coef - unscaled)) / np.max(np.abs(unscaled))
+                text = f"fit, max rel diff from the unscaled fit {rel:.3g}"
+            records[f"{case}/{method}"] = np.array(text)
+            records[f"warnings/{case}/{method}"] = _warnings_record(messages)
     return records
 
 
@@ -425,13 +466,21 @@ def compare(saved, fits):
         for key in ("overflow/scaled/anchor_iterations", "overflow/unscaled/anchor_iterations")
     ]
     print(f"overflow {AIWS_LS} CGLS steps scaled {steps[0]}, unscaled {steps[1]}")
-    for method in METHOD_NAMES:
-        key = f"underflow/{method}"
+    for case, _, _ in SCALED_CASES:
+        for method in METHOD_NAMES:
+            key = f"{case}/{method}"
+            if key not in saved:
+                print(f"{case} {method} missing from the saved file")
+                complete = False
+                continue
+            print(f"{case} {method:8s} {saved[key]} -> {fits[key]}")
+    for key in sorted(k for k in fits if k.startswith("warnings/")):
         if key not in saved:
-            print(f"underflow {method} missing from the saved file")
+            print(f"{key} missing from the saved file")
             complete = False
             continue
-        print(f"underflow {method:8s} {saved[key]} -> {fits[key]}")
+        same = str(saved[key]) == str(fits[key])
+        print(f"{key} {'identical' if same else 'differs'}: {saved[key]} -> {fits[key]}")
     return complete
 
 
@@ -445,7 +494,7 @@ def main(argv=None):
         **fingerprint(), **sweep_digests(), **front_end_digests(), **error_records(),
         **overflow_fits(),
     }
-    fits.update(underflow_records(fits))
+    fits.update(scaled_records(fits))
     if args.save:
         np.savez(args.save, **fits)
         fit_count = PROBLEMS * len(METHOD_NAMES)
@@ -457,7 +506,8 @@ def main(argv=None):
             f"{sum(len(files) for _, _, files in FRONT_END)} front-end file digests and "
             f"{len(BAD_INPUTS) * len(METHOD_NAMES)} error records and "
             f"{2 * len(METHOD_NAMES)} overflow fits and "
-            f"{len(METHOD_NAMES)} underflow records to {args.save}"
+            f"{len(SCALED_CASES) * len(METHOD_NAMES)} scaled records and "
+            f"{sum(k.startswith('warnings/') for k in fits)} warnings records to {args.save}"
         )
         complete = True
     else:
