@@ -45,7 +45,14 @@ from .harness import (
     run_experiment,
 )
 from .linalg import LeastSquaresSolution, solve_ls
-from .srht import SketchOperator, apply_sketch, build_sketch, fwht_inplace, next_pow2
+from .srht import (
+    SketchOperator,
+    apply_sketch,
+    apply_sketch_pair,
+    build_sketch,
+    fwht_inplace,
+    next_pow2,
+)
 
 __version__ = "0.1.0"
 
@@ -70,6 +77,7 @@ __all__ = [
     "ULURU",
     "aggregate",
     "apply_sketch",
+    "apply_sketch_pair",
     "build_sketch",
     "compute_diagnostics",
     "emit_fig1_data",

@@ -85,8 +85,8 @@ def influence(e, l):
     Leverages are clamped into [0, 1 - 1e-6] first so exact-interpolation
     rows yield a large but finite score.  Returns (influences, clamp_count).
     """
-    e = as_vector(e, "e")
-    l = as_vector(l, "l")
+    e = as_vector(e, "residuals")
+    l = as_vector(l, "leverages")
     if e.shape != l.shape:
         raise InvalidInputError("residual and leverage vectors differ in length")
     clamped = np.clip(l, 0.0, LEVERAGE_CLAMP)

@@ -45,7 +45,7 @@ from .errors import InvalidParamsError, RankDeficientError
 from .linalg import _cgls, _gradient, _gram_factor, _householder_ls, _ls_inputs, solve_ls
 from .sampling import inverse_score_probabilities
 from .seeding import ROLE_SAMPLING, ROLE_SKETCH, _is_integer, check_seed, spawn_rng, spawn_seed
-from .srht import apply_sketch_pair, build_sketch, next_pow2
+from .srht import _sketch_columns, build_sketch, next_pow2
 
 OLS = "OLS"
 SRHT_LS = "SRHT_LS"
@@ -58,8 +58,6 @@ ARWS_LS = "ARWS_LS"
 #: Canonical method order; the index doubles as the seeding code.
 METHOD_NAMES = (OLS, SRHT_LS, LEV_LS, ULURU, IWS_LS, AIWS_LS, ARWS_LS)
 METHOD_CODES = {name: code for code, name in enumerate(METHOD_NAMES)}
-# The estimators that solve an SRHT sketch of n_subs rows.
-_SKETCHES = (SRHT_LS, ULURU)
 
 # Rows per column of Z in the CountSketch anchor that AIWS_LS and ARWS_LS
 # share.  A CountSketch costs O(nnz(Z)) whatever its row count, and a
@@ -190,12 +188,6 @@ def _solve_small(Zs, ys, what):
         raise RankDeficientError(f"{what} lost rank ({err}); increase n_subs") from err
 
 
-def _sketched_solve(Z, y, rows, seed):
-    """Sketch [Z | y] with one SRHT operator and solve the sketched system."""
-    op = build_sketch(Z.shape[0], rows, spawn_seed(seed, ROLE_SKETCH))
-    return _solve_small(*apply_sketch_pair(op, Z, y), f"sketch with {rows} rows")
-
-
 def _anchor(Z, y, rows, seed):
     """Solve the CountSketch anchor system (S Z, S y), S of ``rows`` x n.
 
@@ -286,12 +278,29 @@ def _fit_ols(Z, y, cfg):
     return solve_ls(Z, y).coefficients
 
 
-def _fit_srht_ls(Z, y, cfg):
+def _sketch(Z, y, cfg):
+    """The stage of SRHT_LS and ULURU: the cfg.n_subs kept rows of the SRHT
+    sketch of [Z | y] before their scale (``srht._sketch_columns``), drawn
+    from the ROLE_SKETCH child stream of cfg.seed.  Its first k rows are
+    the rows of the same seed's k-row sketch, bit for bit."""
+    op = build_sketch(Z.shape[0], cfg.n_subs, spawn_seed(cfg.seed, ROLE_SKETCH))
+    return _sketch_columns(op, [Z, y])
+
+
+def _sketch_solution(Z, cfg, rows):
+    """solve_ls on the first cfg.n_subs of the kept ``rows``, scaled by
+    sqrt(n' / n_subs) as ``srht.apply_sketch_pair`` scales them."""
+    k = cfg.n_subs
+    sketch = rows[:k] * np.sqrt(next_pow2(Z.shape[0]) / k)
+    return _solve_small(sketch[:, :-1], sketch[:, -1], f"sketch with {k} rows")
+
+
+def _fit_srht_ls(Z, y, cfg, rows):
     """Least squares on an SRHT sketch with cfg.n_subs rows."""
-    return _sketched_solve(Z, y, cfg.n_subs, cfg.seed).coefficients
+    return _sketch_solution(Z, cfg, rows).coefficients
 
 
-def _fit_uluru(Z, y, cfg):
+def _fit_uluru(Z, y, cfg, rows):
     """Two-step sketched estimator: sketched solve plus bias correction.
 
     Step two is one gradient step from the sketched b1, preconditioned by
@@ -309,44 +318,56 @@ def _fit_uluru(Z, y, cfg):
     times (n' - n_subs) / n'.  The paper promises an O(sqrt(p / n)) error
     above a subsample threshold and no constant.  Measured ratios of the
     median error to OLS on the acceptance grid (gaussian, n = 256, p = 16,
-    n_subs = 64, 20 replications, base seeds 6 / 7 / 8):
+    n_subs = 64, 20 replications, base seeds 6 / 7 / 8), re-measured on
+    the nested draw of ``srht.build_sketch``:
 
-        this function                                      2.62 / 1.57 / 1.87
-        published form (c scaled by n' / (n' - n_subs))    3.94 / 2.36 / 2.76
-        this function on a with-replacement sketch         2.99 / 2.89 / 2.82
+        this function                                      1.87 / 1.86 / 1.75
+        published form (c scaled by n' / (n' - n_subs))    2.75 / 2.72 / 2.64
+        this function on a with-replacement sketch         3.26 / 2.55 / 2.80
 
-    At fixed n_subs = 64 the ratio grows with n: this function gives 10.70
-    at n = 4096 (base seed 6).
+    The with-replacement sketch keeps the first n_subs indices of the same
+    stream, repeats included.  The draw before the nested one read 2.62 /
+    1.57 / 1.87, 3.94 / 2.36 / 2.76 and 2.99 / 2.89 / 2.82: the spread
+    between draws is as large as the bound of 2 it is checked against.  At
+    fixed n_subs = 64 the ratio grows with n: this function gives 9.64 at
+    n = 4096 (base seed 6; 10.70 on the earlier draw).
     """
-    sol1 = _sketched_solve(Z, y, cfg.n_subs, cfg.seed)
+    sol1 = _sketch_solution(Z, cfg, rows)
     with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
         gradient, _ = _gradient(sol1.r_factor, Z, y - Z @ sol1.coefficients)
     return sol1.coefficients + dtrsv(sol1.r_factor, gradient)
 
 
-# Each method's stage on the (Z, y) of ``_inputs``: a solver's returns
-# coefficients, a sampler's the (probabilities, uniform_fallback, report)
-# of ``draw``.  Each checks Z's entries through the first product it forms.
+# Each method's stage on the (Z, y) of ``_inputs``: OLS's returns
+# coefficients, the sketches' their kept rows, and a sampler's the
+# (probabilities, uniform_fallback, report) of ``draw``.  Each fit checks
+# Z's entries through the first product it forms, a sketch's in its finish.
 _STAGES = {
     OLS: _fit_ols,
-    SRHT_LS: _fit_srht_ls,
+    SRHT_LS: _sketch,
     LEV_LS: _lev_scores,
-    ULURU: _fit_uluru,
+    ULURU: _sketch,
     IWS_LS: _iws_scores,
     AIWS_LS: _aiws_scores,
     ARWS_LS: _arws_scores,
 }
+# The finish of each sketch on its stage's rows, to coefficients.
+_SKETCHES = {SRHT_LS: _fit_srht_ls, ULURU: _fit_uluru}
 
 
 def _stage_key(Z, cfg):
-    """What cfg.method's stage reads besides the problem: the whole config
-    for a sketch, the seed and the anchor's row count for AIWS_LS and
-    ARWS_LS, and nothing for OLS, LEV_LS and IWS_LS."""
+    """What cfg.method's stage reads besides the problem, and the rows of
+    its output that the fit reads: a stored output made for at least that
+    many rows serves the fit.  A sketch's stage reads the method and the
+    seed, and its fit the first n_subs rows, so a sketch made for a larger
+    n_subs serves a smaller one.  The stage of AIWS_LS and ARWS_LS reads
+    the seed and the anchor's row count, and those of OLS, LEV_LS and
+    IWS_LS nothing; their fits count no rows."""
     if cfg.method in _SKETCHES:
-        return cfg
+        return (cfg.method, cfg.seed), cfg.n_subs
     if cfg.method in (AIWS_LS, ARWS_LS):
-        return cfg.method, cfg.seed, _anchor_rows(Z, cfg)
-    return cfg.method
+        return (cfg.method, cfg.seed, _anchor_rows(Z, cfg)), 0
+    return cfg.method, 0
 
 
 def fit(problem, cfg):
@@ -360,23 +381,31 @@ def _problem_fits(problem):
     """Fits of many configs of one problem, by one closure; ``fit`` runs
     it for a single config.  Each fit checks its own inputs, runs its
     method's stage once per ``_stage_key`` (a stage that raises is not
-    kept), and finishes with ``draw`` or the stage's coefficients.  So
-    configs that differ only in n_subs share the stage of OLS, LEV_LS and
-    IWS_LS, and of AIWS_LS and ARWS_LS while n_subs <= ANCHOR_ROWS_PER_COLUMN
-    p.  A fit that reuses a stage is charged its time, so wall_time_s still
-    means a fit from scratch."""
+    kept), and finishes with ``draw``, the sketch's finish in ``_SKETCHES``
+    or the stage's coefficients.  So configs that differ only in n_subs
+    share the stage of OLS, LEV_LS and IWS_LS, of AIWS_LS and ARWS_LS while
+    n_subs <= ANCHOR_ROWS_PER_COLUMN p, and of SRHT_LS and ULURU while
+    n_subs is at most the kept rows of the stored sketch; a larger n_subs
+    sketches again and replaces it.  A fit that reuses a stage is charged
+    its time, so wall_time_s still means a fit from scratch, one that made
+    the stored sketch for a sketch's fit."""
     shared = {}
 
     def fit_config(cfg):
         t0 = time.perf_counter()
         Z, y = _inputs(problem.Z, problem.y, cfg)
-        key = _stage_key(Z, cfg)
-        out, stage_s = shared.get(key, (None, 0.0))
-        if out is None:
+        key, rows = _stage_key(Z, cfg)
+        out, stage_s, made = shared.get(key, (None, 0.0, 0))
+        if out is None or made < rows:  # the fit's own clock times this stage
             t1 = time.perf_counter()
-            out = _STAGES[cfg.method](Z, y, cfg)
-            shared[key] = out, time.perf_counter() - t1
-        result = draw(Z, y, cfg, *out) if isinstance(out, tuple) else FitResult(cfg.method, out)
+            out, stage_s = _STAGES[cfg.method](Z, y, cfg), 0.0
+            shared[key] = out, time.perf_counter() - t1, rows
+        if isinstance(out, tuple):
+            result = draw(Z, y, cfg, *out)
+        elif cfg.method in _SKETCHES:
+            result = FitResult(cfg.method, _SKETCHES[cfg.method](Z, y, cfg, out))
+        else:
+            result = FitResult(cfg.method, out)
         return replace(result, wall_time_s=time.perf_counter() - t0 + stage_s)
 
     return fit_config

@@ -6,8 +6,12 @@ draws its seed from hash(base_seed, ROLE_FIT, method, replication), recorded
 in the output, so any single row can be reproduced in isolation.  A method's
 grid points share that seed, and so its random streams (common random
 numbers): a sampler's draw at a smaller n_subs is a prefix of its draw at a
-larger one.  What a method computes without reading n_subs runs once per
-replication (``estimators._problem_fits``).
+larger one, and so are the kept rows of a sketch.  What a method computes
+without reading n_subs runs once per replication
+(``estimators._problem_fits``).  Each method runs its grid from the
+largest n_subs down, so its first fit makes the largest sketch of SRHT_LS
+or ULURU and one transform serves every grid point; each row is charged
+that transform's time.  Rows are sorted afterwards.
 
 ``run_experiment(cfg, threads=N)`` runs whole replications on N workers:
 the calling thread and N - 1 pool threads.  Each worker generates the
@@ -191,7 +195,7 @@ def _run_replication(cfg, replication, split):
     fit = estimators._problem_fits(train)
     for method in cfg.methods:
         fit_seed = spawn_seed(cfg.base_seed, ROLE_FIT, METHOD_CODES[method], replication)
-        for n_subs in cfg.n_subs_grid:
+        for n_subs in reversed(cfg.n_subs_grid):  # the largest sketch first
             try:
                 result = fit(EstimatorConfig(method=method, n_subs=int(n_subs), seed=fit_seed))
             except RblsError as err:

@@ -15,8 +15,16 @@ O(n * cols * log b + n_subs * ceil(n/b) * cols).  The blocks stream through
 one cache-sized tile, each tile adding its share to the kept rows, so the
 working memory is one tile plus the n_subs-row output, not a copy of the
 data.
+
+The sketches are nested.  The kept rows are the first n_subs distinct
+values of one stream of uniform indices, and the block length b is chosen
+from n' and the column count, never from n_subs.  So the unscaled rows
+of an n_subs-row sketch are the first n_subs rows of any larger sketch of
+the same seed, bit for bit, and one transform at the largest n_subs serves
+every smaller one once its rows are scaled by sqrt(n' / n_subs).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +42,30 @@ from .errors import InvalidCountsError, NotPowerOfTwoError, ShapeMismatchError
 # 100000 x 500 (4000); 3 levels took 0.84 s at the last size (medians of
 # interleaved calls, 2-core x86 host, OpenBLAS 0.3.31).
 _BLOCK_LEVELS = 4
-# Shortest block of the pruned sketch.  With blocks of b >= 2 * n_subs rows
-# the kept-row finish (n_subs * ceil(n/b) * cols) costs at most half of one
-# transform level (n * cols); the floor keeps the block passes large.
-_MIN_SKETCH_BLOCK = 512
+# Block length b of the pruned sketch: next_pow2(_BLOCK_ROWS_PER_COLUMN *
+# cols), at least _MIN_SKETCH_BLOCK and at most n'.  b must not read
+# n_subs, or a smaller sketch would not be the first rows of a larger one.
+# The kept-row finish costs n_subs * ceil(n/b) * cols against the
+# transform's n * cols * log b, so the best b grows with n_subs, and the
+# grids of n_subs run from a few p to about 16p.  One _sketch_columns call
+# [Z | y] (cols = p + 1), ms, at b = 512 / 1024 / 2048 / 4096 / 8192 /
+# 16384 (medians of interleaved calls, 2-core x86 host, OpenBLAS 0.3.31 on
+# one thread; * marks the rule's b):
+#
+#     5000 x 20, n_subs 40                0.43 / 0.44* / 0.67 / 0.74 / 1.21
+#               n_subs 320                1.21 / 0.54* / 0.65 / 0.76 / 1.17
+#     20000 x 50, n_subs 400              5.81 / 4.59* / 4.52 / 5.88 / 7.99 / 10.7
+#                 n_subs 1600             12.2 / 7.59* / 5.97 / 6.88 / 7.21 / 10.5
+#     20000 x 200, n_subs 1600            37.1 / 31.9 / 26.2 / 23.8* / 27.5
+#     2^17 x 64, n_subs 256               36.7 / 32.8 / 38.9* / 44.5 / 45.7 / 51.2
+#                n_subs 1024              66.0 / 45.9 / 44.3* / 50.4 / 45.5 / 49.9
+#     100000 x 500, n_subs 1000            458 / 367 / 360 / 354 / 406* / 657
+#                   n_subs 8000           2035 / 1145 / 779 / 635 / 583* / 689
+#
+# Below 1024 rows the Python loop over the ceil(n/b) blocks of the finish
+# dominates, hence the floor.
+_BLOCK_ROWS_PER_COLUMN = 16
+_MIN_SKETCH_BLOCK = 1024
 # Byte cap of the tile the sketch streams its row blocks through (a tile
 # holds at least one block).  A tile and its transform scratch then stay in
 # cache through every pass, and the sketch's working memory stays a small
@@ -144,7 +172,9 @@ def build_sketch(n, n_subs, seed):
     Sign flips and row indices come from independent child streams of the
     seed, so changing n_subs never perturbs the sign pattern.  The rows are
     drawn without replacement: a repeated row would add no information and
-    can leave a sketch of p rows rank deficient.
+    can leave a sketch of p rows rank deficient.  They are the first n_subs
+    distinct values of a stream of uniform indices (``_first_distinct``),
+    so a smaller n_subs keeps a prefix of a larger one's rows.
     """
     n = int(n)
     n_subs = int(n_subs)
@@ -155,16 +185,41 @@ def build_sketch(n, n_subs, seed):
         raise InvalidCountsError(f"need 1 <= n_subs <= {padded}, got {n_subs}")
     sign_ss, index_ss = np.random.SeedSequence(int(seed)).spawn(2)
     signs = np.random.default_rng(sign_ss).integers(0, 2, padded) * 2 - 1
-    indices = np.random.default_rng(index_ss).choice(padded, n_subs, replace=False)
+    indices = _first_distinct(np.random.default_rng(index_ss), padded, n_subs)
     return SketchOperator(
         seed=int(seed),
         original_rows=n,
         padded_rows=padded,
         n_subs=n_subs,
         sign_flips=signs.astype(np.int64),
-        sampled_indices=indices.astype(np.int64),
+        sampled_indices=indices,
         scale=float(np.sqrt(padded / n_subs)),
     )
+
+
+def _first_distinct(rng, padded, count):
+    """The first ``count`` distinct values, in order, of the stream
+    floor(u * padded) over rng's uniform doubles u.
+
+    The values are a uniformly ordered sample without replacement (Tropp's
+    analysis of the SRHT draws its rows this way), and a smaller count
+    reads a prefix of a larger one's.  For a power of two ``padded`` each
+    value is exact, and rng.random yields the same doubles in any chunking,
+    so the result does not depend on how many values each round draws.
+    """
+    seen = np.zeros(padded, dtype=bool)
+    kept, found = [], 0
+    while found < count:
+        # about the expected draws from ``found`` distinct values to count
+        # (coupon collector), with a tenth more so one round usually does
+        more = int(1.1 * padded * math.log((padded - found + 0.5) / (padded - count + 0.5))) + 16
+        values = (rng.random(more) * padded).astype(np.int64)
+        distinct, first = np.unique(values, return_index=True)
+        new = values[np.sort(first[~seen[distinct]])][: count - found]
+        seen[new] = True
+        kept.append(new)
+        found += new.size
+    return np.concatenate(kept)
 
 
 def _parity(x):
@@ -174,8 +229,16 @@ def _parity(x):
     return x & 1
 
 
+def _block_length(padded, cols):
+    """Rows b of one block of the pruned transform, for n' = ``padded``
+    rows and ``cols`` columns; it does not read n_subs."""
+    return min(padded, max(_MIN_SKETCH_BLOCK, next_pow2(_BLOCK_ROWS_PER_COLUMN * cols)))
+
+
 def _sketch_columns(op, operands):
-    """scale * S H D [a_1 | a_2 | ...] for operands of op.original_rows rows.
+    """S H D [a_1 | a_2 | ...] for operands of op.original_rows rows,
+    before op.scale: row i is row sampled_indices[i] of the orthonormal
+    transform of the signed, zero-padded data.
 
     Row j = j1 * b + j2 of the signed data belongs to block j1, and kept row
     i = i1 * b + i2 is sqrt(b / n') * sum_{j1} (-1)^popcount(i1 & j1)
@@ -185,13 +248,15 @@ def _sketch_columns(op, operands):
     to tile[j2, j1 - g0, :], one length-b transform along axis 0 covers the
     tile, and the tile's share of every kept row is added to the output.
     Working memory is one tile, its transform scratch and its gathered kept
-    rows, plus the n_subs-row output.
+    rows, plus the n_subs-row output.  Each output row reads only its own
+    sampled index, and b does not depend on n_subs, so the rows of a
+    smaller draw equal the first rows of a larger one bit for bit.
     """
     n, padded = op.original_rows, op.padded_rows
-    b = min(padded, max(_MIN_SKETCH_BLOCK, 2 * next_pow2(op.n_subs)))
-    blocks = -(-n // b)
     widths = [1 if a.ndim == 1 else a.shape[1] for a in operands]
     cols = sum(widths)
+    b = _block_length(padded, cols)
+    blocks = -(-n // b)
     per_tile = min(blocks, max(1, _TILE_BYTES // (8 * b * cols)))
     high, low = np.divmod(op.sampled_indices, b)
     block_signs = 1.0 - 2.0 * _parity(high[:, None] & np.arange(blocks))
@@ -230,7 +295,7 @@ def _sketch_columns(op, operands):
         kept *= block_signs[:, g0:g1, None]
         for k in range(g1 - g0):
             out += kept[:, k]
-    out *= op.scale * np.sqrt(b / padded)
+    out *= np.sqrt(b / padded)
     return out
 
 
@@ -252,6 +317,7 @@ def apply_sketch(op, A):
     A = np.asarray(A, dtype=np.float64)
     _check_rows(op, A)
     out = _sketch_columns(op, [A])
+    out *= op.scale
     return out[:, 0] if A.ndim == 1 else out
 
 
@@ -266,5 +332,6 @@ def apply_sketch_pair(op, Z, y):
     y = np.asarray(y, dtype=np.float64)
     _check_rows(op, Z, y)
     out = _sketch_columns(op, [Z, y])
+    out *= op.scale
     p = Z.shape[1]
     return out[:, :p], out[:, p]

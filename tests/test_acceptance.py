@@ -204,10 +204,13 @@ def test_criterion_6_uluru_tracks_ols_at_4p(gaussian_grid_results):
         [r.est_error for r in gaussian_grid_results
          if r.method == ULURU and r.n_subs == 64 and not r.error]
     )
-    # the published ULURU promises O(sqrt(p/n)) error with no constant, and
-    # neither this form nor the published one reaches 2x here (measured
-    # variants in the estimators._fit_uluru docstring).  At fixed n_subs = 64
-    # the ratio grows with n: 2.62 at n = 256, 10.70 at n = 4096
+    # the published ULURU promises O(sqrt(p/n)) error with no constant.
+    # This form reads 1.87 here (1.86 and 1.75 at base seeds 7 and 8), the
+    # published one 2.64-2.75; the sketch draw before the nested one read
+    # 2.62 at this seed, so the bound of 2 sits inside the spread between
+    # draws (measured variants in the estimators._fit_uluru docstring).  At
+    # fixed n_subs = 64 the ratio grows with n: 1.87 at n = 256, 9.64 at
+    # n = 4096
     assert report(
         6,
         f"ULURU error at 4p within 2x of OLS (ratio {med_uluru / med_ols:.2f})",

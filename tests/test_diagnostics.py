@@ -108,6 +108,13 @@ class TestInfluence:
         d, _ = influence(np.array([2.0]), np.array([0.5]))
         assert d[0] == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("arg, name", [(0, "residuals"), (1, "leverages")])
+    def test_non_finite_input_named(self, arg, name):
+        args = [np.array([1.0, 2.0]), np.array([0.3, 0.4])]
+        args[arg][1] = np.inf
+        with pytest.raises(InvalidInputError, match=f"^{name} contains NaN or Inf entries$"):
+            influence(*args)
+
     def test_clamp_counted(self):
         d, n_clamped = influence(np.array([1.0, 1.0]), np.array([1.0, 0.3]))
         assert n_clamped == 1

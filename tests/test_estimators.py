@@ -80,6 +80,14 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidInputError, match=f"^{array} contains NaN or Inf entries$"):
             fit(RegressionProblem(Z, y), EstimatorConfig(method, n_subs=64, seed=7))
 
+    @pytest.mark.parametrize("method", [IWS_LS, AIWS_LS])
+    def test_overflowed_residuals_named_as_residuals(self, method):
+        # with y near 1e306 the residuals of the influence scores overflow;
+        # the error names them, not an argument of diagnostics.influence
+        prob = gen_corrupted(4096, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
+        with pytest.raises(InvalidInputError, match="^residuals contains NaN or Inf entries$"):
+            fit(RegressionProblem(prob.Z, prob.y * 1e306), EstimatorConfig(method, 64, 7))
+
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_finite_entries_whose_gram_overflows_accepted(self, method):
         # entries near 1e160 square past the largest double, so the Gram's
@@ -640,7 +648,7 @@ class TestArwsPilot:
         def no_srht(*args):
             raise AssertionError("the anchor must not run an SRHT")
 
-        monkeypatch.setattr(rbls.srht, "apply_sketch_pair", no_srht)
-        monkeypatch.setattr(rbls.estimators, "apply_sketch_pair", no_srht)
+        monkeypatch.setattr(rbls.srht, "_sketch_columns", no_srht)
+        monkeypatch.setattr(rbls.estimators, "_sketch_columns", no_srht)
         Z, y, _ = gaussian_problem(512, 8, seed=19)
         fit(RegressionProblem(Z, y), EstimatorConfig(method=method, n_subs=64, seed=2))

@@ -195,8 +195,8 @@ class TestRunExperiment:
             pytest.param(ARWS_LS, (20, 40, 160), 1, id=ARWS_LS),
             pytest.param(AIWS_LS, (20, 160, 200), 2, id=f"{AIWS_LS}-above-32p"),
             pytest.param(ARWS_LS, (20, 160, 200), 2, id=f"{ARWS_LS}-above-32p"),
-            pytest.param(SRHT_LS, (20, 40, 80), 3, id=SRHT_LS),
-            pytest.param(ULURU, (20, 40, 80), 3, id=ULURU),
+            pytest.param(SRHT_LS, (20, 40, 80), 1, id=SRHT_LS),
+            pytest.param(ULURU, (20, 40, 80), 1, id=ULURU),
         ],
     )
     def test_seed_free_stages_run_once_per_replication(self, monkeypatch, method, grid, stage_runs):
@@ -206,15 +206,17 @@ class TestRunExperiment:
         # serves the grid.  The scores of AIWS_LS and ARWS_LS read the seed
         # and the anchor's max(32p, n_subs) rows (32p = 160 here): one
         # anchor serves the grid points up to 32p, and a point above it
-        # solves its own.  The sketches of SRHT_LS and ULURU read n_subs, so
-        # every grid point sketches anew.  Each row keeps its own draw and
-        # refits bit-identically in isolation.
+        # solves its own.  The sketches of SRHT_LS and ULURU read the seed,
+        # and a smaller sketch is the first rows of a larger one: the grid
+        # runs from its largest point down, so one transform serves it.
+        # Each row keeps its own draw and refits bit-identically in
+        # isolation.
         import rbls.harness as harness
         import rbls.linalg
 
         cfg = tiny_config(methods=(method,), n_subs_grid=grid, replications=2)
         factor, anchor = rbls.linalg._gram_factor, rbls.estimators._anchor
-        sketch = rbls.estimators._sketched_solve
+        sketch = rbls.estimators._sketch_columns
         for threads in (1, 2):
             stages = []
 
@@ -234,7 +236,7 @@ class TestRunExperiment:
             for module in (rbls.linalg, rbls.estimators):
                 monkeypatch.setattr(module, "_gram_factor", counted_factor)
             monkeypatch.setattr(rbls.estimators, "_anchor", counted_anchor)
-            monkeypatch.setattr(rbls.estimators, "_sketched_solve", counted_sketch)
+            monkeypatch.setattr(rbls.estimators, "_sketch_columns", counted_sketch)
             results = run_experiment(cfg, threads=threads)
             monkeypatch.undo()
             stage_of = {AIWS_LS: "anchor", ARWS_LS: "anchor", SRHT_LS: "sketch", ULURU: "sketch"}
@@ -252,6 +254,27 @@ class TestRunExperiment:
                     rmse = float(np.sqrt(np.mean((split.test.y - split.test.Z @ coef) ** 2)))
                     assert row.rmse == rmse
                     assert row.wall_time_ms > 0
+
+    @pytest.mark.parametrize("method", [SRHT_LS, ULURU])
+    def test_larger_n_subs_sketches_again(self, monkeypatch, method):
+        # a stored sketch serves every n_subs up to its rows; called in
+        # increasing n_subs order, the closure sketches at each call, and
+        # every fit still equals its standalone fit
+        problem = gen_corrupted(300, 5, 0.3, 1.0, 0.4, 0.1, seed=3)
+        sketch, calls = rbls.estimators._sketch_columns, []
+
+        def counted_sketch(op, operands):
+            calls.append(op.n_subs)
+            return sketch(op, operands)
+
+        monkeypatch.setattr(rbls.estimators, "_sketch_columns", counted_sketch)
+        fit = rbls.estimators._problem_fits(problem)
+        grid = (20, 40, 80, 40, 20)
+        shared = [fit(EstimatorConfig(method, g, 11)).coefficients for g in grid]
+        assert calls == [20, 40, 80]
+        for g, coef in zip(grid, shared):
+            alone = rbls.estimators.fit(problem, EstimatorConfig(method, g, 11))
+            np.testing.assert_array_equal(coef, alone.coefficients)
 
     @pytest.mark.parametrize("method", [LEV_LS, IWS_LS, AIWS_LS, ARWS_LS])
     def test_shared_seed_makes_smaller_draws_prefixes(self, method):

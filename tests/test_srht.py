@@ -160,6 +160,52 @@ class TestBuildSketch:
             build_sketch(16, 17, seed=0)
 
 
+class TestNestedSketches:
+    """A sketch with fewer rows is the first rows of one with more rows of
+    the same seed, so one transform serves every smaller n_subs."""
+
+    # n' = 32768 and 16384 above 10000, 8192 and 512 below; K = n' keeps
+    # every padded row
+    @pytest.mark.parametrize(
+        "n, k, K",
+        [(20000, 400, 4000), (9000, 1000, 16384), (5000, 40, 320), (5000, 320, 8192),
+         (300, 64, 512)],
+    )
+    def test_kept_rows_are_a_prefix(self, n, k, K):
+        for seed in range(3):
+            small = build_sketch(n, k, seed).sampled_indices
+            large = build_sketch(n, K, seed).sampled_indices
+            np.testing.assert_array_equal(small, large[:k])
+            assert np.unique(large).size == K
+
+    def test_block_length_does_not_read_n_subs(self, monkeypatch):
+        shapes = []
+
+        def recorded(a):
+            shapes.append(a.shape)
+            return fwht_inplace(a)
+
+        monkeypatch.setattr(srht, "fwht_inplace", recorded)
+        A = np.random.default_rng(4).standard_normal((5000, 21))
+        by_n_subs = {}
+        for n_subs in (40, 320, 1600, 8192):
+            shapes.clear()
+            apply_sketch(build_sketch(5000, n_subs, seed=4), A)
+            by_n_subs[n_subs] = list(shapes)
+        assert len({tuple(v) for v in by_n_subs.values()}) == 1
+
+    @pytest.mark.parametrize("n, cols, k, K", [(20000, 51, 400, 1600), (5000, 21, 40, 320)])
+    def test_smaller_sketch_is_a_scaled_prefix(self, n, cols, k, K):
+        A = np.random.default_rng(n).standard_normal((n, cols))
+        small, large = build_sketch(n, k, seed=9), build_sketch(n, K, seed=9)
+        rows = srht._sketch_columns(large, [A])
+        np.testing.assert_array_equal(srht._sketch_columns(small, [A]), rows[:k])
+        np.testing.assert_array_equal(apply_sketch(small, A), rows[:k] * small.scale)
+        Zs, ys = apply_sketch_pair(small, A[:, :-1], A[:, -1])
+        np.testing.assert_array_equal(Zs, rows[:k, :-1] * small.scale)
+        np.testing.assert_array_equal(ys, rows[:k, -1] * small.scale)
+
+
 def full_sample_operator(n, seed=0):
     """Every padded row sampled exactly once: the operator is orthonormal."""
     padded = next_pow2(n)
@@ -182,9 +228,10 @@ def transform_oracle(op, A):
     return op.scale * fwht_inplace(padded)[op.sampled_indices]
 
 
-def tiled_shape(n_subs, cols, tiles, extra_rows):
-    """Rows that fill ``tiles`` sketch tiles of ``cols`` columns, plus extra_rows."""
-    b = max(srht._MIN_SKETCH_BLOCK, 2 * next_pow2(n_subs))
+def tiled_shape(cols, tiles, extra_rows):
+    """Rows that fill ``tiles`` sketch tiles of ``cols`` columns, plus
+    extra_rows; the data span many blocks, so n' does not cap b."""
+    b = srht._block_length(1 << 40, cols)
     per_tile = max(1, srht._TILE_BYTES // (8 * b * cols))
     return tiles * per_tile * b + extra_rows, per_tile, b
 
@@ -204,7 +251,7 @@ class TestStreamedSketch:
     )
     def test_several_tiles(self, cols, tiles, extra_blocks, extra_rows):
         n_subs = 64
-        n, per_tile, b = tiled_shape(n_subs, cols, tiles, extra_rows)
+        n, per_tile, b = tiled_shape(cols, tiles, extra_rows)
         n += extra_blocks * b
         assert per_tile > 1 and n > per_tile * b
         op = build_sketch(n, n_subs, seed=n)
@@ -216,16 +263,16 @@ class TestStreamedSketch:
         np.testing.assert_array_equal(ys, out[:, -1])
 
     def test_block_wider_than_the_tile(self):
-        n_subs = 100
-        b = max(srht._MIN_SKETCH_BLOCK, 2 * next_pow2(n_subs))
-        cols = srht._TILE_BYTES // (8 * b) + 3
+        n_subs, cols = 100, 70
+        b = srht._block_length(1 << 40, cols)
+        assert 8 * b * cols > srht._TILE_BYTES
         n = 3 * b + 7
         op = build_sketch(n, n_subs, seed=5)
         A = np.random.default_rng(5).standard_normal((n, cols))
         np.testing.assert_allclose(apply_sketch(op, A), transform_oracle(op, A), atol=1e-12)
 
     def test_vector_over_several_tiles(self):
-        n, per_tile, b = tiled_shape(32, 1, 1, 5)
+        n, per_tile, b = tiled_shape(1, 1, 5)
         assert per_tile > 1
         op = build_sketch(n, 32, seed=6)
         v = np.random.default_rng(6).standard_normal(n)

@@ -60,7 +60,10 @@ scaled back.  Last come the RuntimeWarning messages that each fit of the
 Z-by-1e306, unscaled and SCALED_CASES problems emits (saved -> now, and
 whether they are identical), so a change that lets a new floating-point
 warning leak out of a fit shows even where every number stays the same.
-Exits 1 if anything is missing.  That problem (OVERFLOW_PROBLEM)
+--compare exits 1 if any record is missing from the saved file or is not
+bit-identical to the saved one, so a change that is meant to keep every
+record fails on any difference; a change that is meant to move some
+records reads which ones from the printout.  That problem (OVERFLOW_PROBLEM)
 is gen_corrupted(4096, 8, 0.3, 1.0, 0.4, 0.1, seed=4) fitted with n_subs
 64 and seed 7: its Z'r overflows, so the record shows that extreme but
 finite data still fits.  Scaled down by 2^-500, its influence scores
@@ -484,6 +487,14 @@ def compare(saved, fits):
     return complete
 
 
+def identical(saved, value):
+    """Whether two records have the same dtype, shape and bytes (so a NaN
+    equals itself)."""
+    return saved.dtype == value.dtype and saved.shape == value.shape and (
+        saved.tobytes() == value.tobytes()
+    )
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -511,8 +522,11 @@ def main(argv=None):
         )
         complete = True
     else:
-        with np.load(args.compare) as saved:
-            complete = compare(dict(saved), fits)
+        with np.load(args.compare) as npz:
+            saved = dict(npz)
+        complete = compare(saved, fits) and all(
+            identical(saved[key], value) for key, value in fits.items() if key in saved
+        )
     return 0 if threads_keep_the_sweep(fits) and complete else 1
 
 
