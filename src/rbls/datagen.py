@@ -211,7 +211,7 @@ AIRLINE_REQUIRED_COLUMNS = ("Origin", "Dest", "Distance", "ArrDelay")
 
 def _parse_airline_rows(path):
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SchemaError("file is empty; expected a header row", AIRLINE_REQUIRED_COLUMNS)

@@ -28,11 +28,11 @@ LOO_LEVERAGE_LIMIT = 1.0 - 1e-10
 
 DEFAULT_HISTOGRAM_BINS = 50
 
-# Byte cap of the row tile of Z R^{-1} Pi2 that _leverage forms at a time.
-# The whole n x k product (8 MB at 20000 x 50) made the allocator fault in
-# fresh pages, 420-930 per desk LEV_LS or IWS_LS fit (about 2 ms); 1 MB tiles
-# take none, and cost 2.8 against 2.6 ms at 20000 x 50 and 32 against 43 ms
-# at 2^17 x 64 (2-core x86 host).  256 KB tiles changed the product's last bits.
+# Byte cap of the row tile of Z R^{-1} Pi2 that _leverage forms at a time:
+# 2.8 against 2.6 ms for the whole product at 20000 x 50, 32 against 43 ms
+# at 2^17 x 64 (2-core x86 host); 256 KB tiles changed the last bits.  With
+# designs in their own mapping (datagen._MAPPED_BYTES), a loop of calls at
+# 20000 x 50 faults ~480 pages per call, none with the whole 8 MB product.
 _TILE_BYTES = 1 << 20
 
 
@@ -99,13 +99,12 @@ def compute_diagnostics(Z, y):
     """Full exact diagnostics for (Z, y): one OLS solve plus leverages."""
     sol = solve_ls(Z, y)
     Z = np.asarray(Z, dtype=np.float64)
-    return _influence_report(Z, sol, np.eye(Z.shape[1]), "exact")
+    return _influence_report(sol, _leverage(Z, sol.r_factor, np.eye(Z.shape[1])), "exact")
 
 
-def _influence_report(Z, sol, projection, mode):
-    """DiagnosticsReport of sol's residuals and CGLS steps, and of leverages
-    read from its R through ``projection`` (``_leverage``), for a checked Z."""
-    lev = _leverage(Z, sol.r_factor, projection)
+def _influence_report(sol, lev, mode):
+    """DiagnosticsReport of sol's residuals and CGLS steps and of the
+    leverages ``lev`` (``_leverage``'s, exact or sketched)."""
     d, n_clamped = influence(sol.residuals, lev)
     return DiagnosticsReport(sol.residuals, lev, d, mode, n_clamped, sol.iterations)
 

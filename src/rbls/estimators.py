@@ -16,11 +16,12 @@ ARWS_LS        rows sampled proportional to 1/e_i^2 (one-shot residuals of
 
 SRHT_LS and ULURU, the paper's baselines, solve an SRHT sketch; AIWS_LS and
 ARWS_LS share one CountSketch anchor solve.  ``fit`` and a sweep run the
-same closure (``_problem_fits``): input checks, the method's stage in
-``_STAGES``, then the finish.  The stages of OLS, SRHT_LS and ULURU return
-coefficients; those of the four samplers turn rows into probabilities for
-``draw``, which draws n_subs rows with replacement and solves unweighted
-LS on them.
+same closure (``_problem_fits``): input checks, the method's stages, each
+made once per problem and keyed by what it computes and reads
+(``_Stages``), then the finish.  OLS, LEV_LS and IWS_LS share one Gram
+factor, one exact solve and one exact leverage pass.  The samplers' score
+stages turn rows into probabilities for ``draw``, which draws n_subs rows
+with replacement and solves unweighted LS on them.
 All estimators are deterministic given (data, config): each randomized
 ingredient draws from a role-tagged child stream of ``config.seed``, so e.g.
 AIWS_LS and IWS_LS share the row-sampling stream but not the sketch stream.
@@ -39,10 +40,9 @@ from .diagnostics import (
     _influence_report,
     _leverage,
     _sign_projection,
-    compute_diagnostics,
 )
 from .errors import InvalidParamsError, RankDeficientError
-from .linalg import _cgls, _gradient, _gram_factor, _householder_ls, _ls_inputs, solve_ls
+from .linalg import _cgls, _factored_ls, _gradient, _gram_factor, _ls_inputs, solve_ls
 from .sampling import inverse_score_probabilities
 from .seeding import ROLE_SAMPLING, ROLE_SKETCH, _is_integer, check_seed, spawn_rng, spawn_seed
 from .srht import _sketch_columns, build_sketch, next_pow2
@@ -144,7 +144,7 @@ class FitResult:
 
 
 def _inputs(Z, y, cfg):
-    """float64 (Z, y) for a fit of cfg.method that keeps cfg.n_subs rows.
+    """float64 (Z, y), Z C-contiguous, for a fit that keeps cfg.n_subs rows.
 
     Row samplers draw from the n rows, so their n_subs is bounded by n;
     sketches draw from the padded Hadamard domain of next_pow2(n) rows, and
@@ -170,7 +170,7 @@ def _inputs(Z, y, cfg):
 
 
 def draw(Z, y, cfg, probs, fallback, report):
-    """Finish of the row samplers, after their stage in ``_STAGES``: draw
+    """Finish of the row samplers, after their score stage: draw
     cfg.n_subs rows i.i.d. from ``probs`` on the ROLE_SAMPLING child stream
     of cfg.seed and refit them by plain LS."""
     idx = spawn_rng(cfg.seed, ROLE_SAMPLING).choice(Z.shape[0], int(cfg.n_subs), p=probs)
@@ -209,32 +209,41 @@ def _anchor_rows(Z, cfg):
     return min(Z.shape[0], max(ANCHOR_ROWS_PER_COLUMN * Z.shape[1], cfg.n_subs))
 
 
-def _lev_scores(Z, y, cfg):
-    """LEV_LS: sample rows proportional to exact leverage, then unweighted LS.
+def _exact_factor(stages, Z, y):
+    """The factor stage of solve_ls: ``_gram_factor(Z)``'s (R, column norms)."""
+    return _gram_factor(Z)
 
-    The leverages come from R alone, with no solve: the Cholesky factor of
-    Z'Z from ``_gram_factor`` or, on its fallback, ``_householder_ls``.  The
-    probabilities are those of ``exact_leverage(Z, solve_ls(Z, y))`` unless
-    solve_ls falls back because its refinement reached REFINE_MAX_ITER."""
-    R, _ = _gram_factor(np.ascontiguousarray(Z))
+
+def _exact_solve(stages, Z, y):
+    """solve_ls(Z, y), from the shared factor stage."""
+    return _factored_ls(Z, y, *stages(_exact_factor))
+
+
+def _exact_leverage(stages, Z, y):
+    """Exact leverages from the factor stage's R, or from the Householder
+    solve's where the factor is refused: those of compute_diagnostics(Z, y)
+    unless solve_ls falls back as its refinement reached REFINE_MAX_ITER."""
+    R = stages(_exact_factor)[0]
     if R is None:
-        R = _householder_ls(Z, y).r_factor
-    lev = _leverage(Z, R, np.eye(Z.shape[1]))
+        R = stages(_exact_solve).r_factor
+    return _leverage(Z, R, np.eye(Z.shape[1]))
+
+
+def _lev_scores(stages, Z, y):
+    """LEV_LS: sample rows proportional to exact leverage, then unweighted LS."""
+    lev = stages(_exact_leverage)
     return lev / lev.sum(), False, None
 
 
-def _iws_scores(Z, y, cfg):
-    """IWS_LS: influence-weighted subsampling with exact diagnostics.
-
-    Full OLS gives residuals and leverages; rows are then drawn with
-    probability proportional to 1/d_i (floored, see
-    ``sampling.WEIGHT_FLOOR_RATIO``) and the subsample is refit.
-    """
-    report = compute_diagnostics(Z, y)
+def _iws_scores(stages, Z, y):
+    """IWS_LS: rows drawn proportional to 1/d_i (floored, see
+    ``sampling.WEIGHT_FLOOR_RATIO``), d_i the influence read from the exact
+    solve's residuals and the exact leverages, then unweighted LS."""
+    report = _influence_report(stages(_exact_solve), stages(_exact_leverage), "exact")
     return (*inverse_score_probabilities(report.influences), report)
 
 
-def _aiws_scores(Z, y, cfg):
+def _aiws_scores(stages, Z, y, seed, rows):
     """AIWS_LS: influence-weighted subsampling with sketched diagnostics.
 
     The CountSketch anchor it shares with ARWS_LS (``_anchor``) and its
@@ -249,41 +258,36 @@ def _aiws_scores(Z, y, cfg):
     ``diagnostics`` is that report, in mode "approximate".
     """
     p = Z.shape[1]
-    anchor = _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed)
+    anchor = _anchor(Z, y, rows, seed)
     # _cgls updates the anchor's coefficients in place: solve_ls made that
     # array for this anchor alone, and its R passed solve_ls's checks
     with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
         refined = _cgls(Z, y, anchor.coefficients, anchor.r_factor, 0.0, ANCHOR_STEPS)
-    pi2 = _sign_projection(p, math.ceil(p / 2), cfg.seed)
-    report = _influence_report(Z, refined, pi2, "approximate")
+    pi2 = _sign_projection(p, math.ceil(p / 2), seed)
+    report = _influence_report(refined, _leverage(Z, refined.r_factor, pi2), "approximate")
     return (*inverse_score_probabilities(report.influences), report)
 
 
-def _arws_scores(Z, y, cfg):
+def _arws_scores(stages, Z, y, seed, rows):
     """ARWS_LS: residual-weighted subsampling, rows drawn proportional to 1/e_i^2.
 
     Residuals are the one-shot residuals y - Z b of the CountSketch anchor
     it shares with AIWS_LS (``_anchor``), without AIWS_LS's refinement; the
     floor keeps exactly-fit rows from receiving unbounded weight.
     """
-    sol1 = _anchor(Z, y, _anchor_rows(Z, cfg), cfg.seed)
+    sol1 = _anchor(Z, y, rows, seed)
     e_approx = y - Z @ sol1.coefficients
     with np.errstate(over="ignore"):  # inverse_score_probabilities rejects an inf
         scores = e_approx**2
     return (*inverse_score_probabilities(scores), None)
 
 
-def _fit_ols(Z, y, cfg):
-    """Exact least squares on the full data."""
-    return solve_ls(Z, y).coefficients
-
-
-def _sketch(Z, y, cfg):
-    """The stage of SRHT_LS and ULURU: the cfg.n_subs kept rows of the SRHT
+def _sketch(stages, Z, y, seed, rows):
+    """The stage of SRHT_LS and ULURU: the ``rows`` kept rows of the SRHT
     sketch of [Z | y] before their scale (``srht._sketch_columns``), drawn
-    from the ROLE_SKETCH child stream of cfg.seed.  Its first k rows are
+    from the ROLE_SKETCH child stream of ``seed``.  Its first k rows are
     the rows of the same seed's k-row sketch, bit for bit."""
-    op = build_sketch(Z.shape[0], cfg.n_subs, spawn_seed(cfg.seed, ROLE_SKETCH))
+    op = build_sketch(Z.shape[0], rows, spawn_seed(seed, ROLE_SKETCH))
     return _sketch_columns(op, [Z, y])
 
 
@@ -295,13 +299,9 @@ def _sketch_solution(Z, cfg, rows):
     return _solve_small(sketch[:, :-1], sketch[:, -1], f"sketch with {k} rows")
 
 
-def _fit_srht_ls(Z, y, cfg, rows):
-    """Least squares on an SRHT sketch with cfg.n_subs rows."""
-    return _sketch_solution(Z, cfg, rows).coefficients
-
-
-def _fit_uluru(Z, y, cfg, rows):
-    """Two-step sketched estimator: sketched solve plus bias correction.
+def _fit_uluru(Z, y, sol1):
+    """Two-step sketched estimator: the sketched solve ``sol1`` (SRHT_LS's
+    fit) plus a bias correction.
 
     Step two is one gradient step from the sketched b1, preconditioned by
     the sketch's Gram factor R: b1 + c with c = R^{-1} R^{-T} Z'r, r = y - Z b1,
@@ -332,42 +332,46 @@ def _fit_uluru(Z, y, cfg, rows):
     fixed n_subs = 64 the ratio grows with n: this function gives 9.64 at
     n = 4096 (base seed 6; 10.70 on the earlier draw).
     """
-    sol1 = _sketch_solution(Z, cfg, rows)
     with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
         gradient, _ = _gradient(sol1.r_factor, Z, y - Z @ sol1.coefficients)
     return sol1.coefficients + dtrsv(sol1.r_factor, gradient)
 
 
-# Each method's stage on the (Z, y) of ``_inputs``: OLS's returns
-# coefficients, the sketches' their kept rows, and a sampler's the
-# (probabilities, uniform_fallback, report) of ``draw``.  Each fit checks
-# Z's entries through the first product it forms, a sketch's in its finish.
-_STAGES = {
-    OLS: _fit_ols,
-    SRHT_LS: _sketch,
-    LEV_LS: _lev_scores,
-    ULURU: _sketch,
-    IWS_LS: _iws_scores,
-    AIWS_LS: _aiws_scores,
-    ARWS_LS: _arws_scores,
-}
-# The finish of each sketch on its stage's rows, to coefficients.
-_SKETCHES = {SRHT_LS: _fit_srht_ls, ULURU: _fit_uluru}
+# Each sampler's score stage, to the (probabilities, fallback, report) of draw
+_SCORES = {LEV_LS: _lev_scores, IWS_LS: _iws_scores, AIWS_LS: _aiws_scores, ARWS_LS: _arws_scores}
+_SKETCHES = (SRHT_LS, ULURU)
 
 
-def _stage_key(Z, cfg):
-    """What cfg.method's stage reads besides the problem, and the rows of
-    its output that the fit reads: a stored output made for at least that
-    many rows serves the fit.  A sketch's stage reads the method and the
-    seed, and its fit the first n_subs rows, so a sketch made for a larger
-    n_subs serves a smaller one.  The stage of AIWS_LS and ARWS_LS reads
-    the seed and the anchor's row count, and those of OLS, LEV_LS and
-    IWS_LS nothing; their fits count no rows."""
-    if cfg.method in _SKETCHES:
-        return (cfg.method, cfg.seed), cfg.n_subs
-    if cfg.method in (AIWS_LS, ARWS_LS):
-        return (cfg.method, cfg.seed, _anchor_rows(Z, cfg)), 0
-    return cfg.method, 0
+class _Stages:
+    """The stages of one fit over ``shared``, the stored stages of its
+    problem (Z, y).  ``stages(stage, *reads)`` is stage(stages, Z, y,
+    *reads), made once per problem under (stage, *reads), what it computes
+    and reads; a stage fetches the stages it needs by the same call.  One
+    given ``rows`` reads them last, not in its key, and serves calls for at
+    most those rows.  ``reused_s`` charges the fit the seconds of each stage
+    it reused, nested ones included, each once: wall_time_s is from scratch."""
+
+    def __init__(self, shared, Z, y):
+        self.shared, self.Z, self.y = shared, Z, y
+        self.reached, self.charged, self.made_s, self.reused_s = {}, set(), 0.0, 0.0
+
+    def __call__(self, stage, *reads, rows=None):
+        key = (stage, *reads)
+        out, costs, made = self.shared.get(key) or (None, None, 0)
+        if out is None or made < (rows or 0):  # the fit's own clock times it
+            outer, self.reached = self.reached, {}
+            t0, made_s = time.perf_counter(), self.made_s
+            out = stage(self, self.Z, self.y, *reads, *(() if rows is None else (rows,)))
+            own_s = time.perf_counter() - t0 - (self.made_s - made_s)
+            costs, self.reached = self.reached, outer
+            costs[key], self.made_s = own_s, self.made_s + own_s
+            self.shared[key] = out, costs, rows or 0
+            self.charged.add(key)
+        else:
+            self.reused_s += sum(costs[k] for k in costs.keys() - self.charged)
+            self.charged.update(costs)
+        self.reached.update(costs)
+        return out
 
 
 def fit(problem, cfg):
@@ -378,34 +382,27 @@ def fit(problem, cfg):
 
 
 def _problem_fits(problem):
-    """Fits of many configs of one problem, by one closure; ``fit`` runs
-    it for a single config.  Each fit checks its own inputs, runs its
-    method's stage once per ``_stage_key`` (a stage that raises is not
-    kept), and finishes with ``draw``, the sketch's finish in ``_SKETCHES``
-    or the stage's coefficients.  So configs that differ only in n_subs
-    share the stage of OLS, LEV_LS and IWS_LS, of AIWS_LS and ARWS_LS while
-    n_subs <= ANCHOR_ROWS_PER_COLUMN p, and of SRHT_LS and ULURU while
-    n_subs is at most the kept rows of the stored sketch; a larger n_subs
-    sketches again and replaces it.  A fit that reuses a stage is charged
-    its time, so wall_time_s still means a fit from scratch, one that made
-    the stored sketch for a sketch's fit."""
+    """Fits of many configs of one problem by one closure, which ``fit``
+    runs for one config: input checks, the stages (``_Stages``), then OLS's
+    exact solve, the solve of the seed's sketch (ULURU's corrected), or
+    ``draw`` on the scores in ``_SCORES``.  Configs that differ only in
+    n_subs share the scores of LEV_LS and IWS_LS, of AIWS_LS and ARWS_LS up
+    to ANCHOR_ROWS_PER_COLUMN p, and a sketch up to its kept rows."""
     shared = {}
 
     def fit_config(cfg):
         t0 = time.perf_counter()
         Z, y = _inputs(problem.Z, problem.y, cfg)
-        key, rows = _stage_key(Z, cfg)
-        out, stage_s, made = shared.get(key, (None, 0.0, 0))
-        if out is None or made < rows:  # the fit's own clock times this stage
-            t1 = time.perf_counter()
-            out, stage_s = _STAGES[cfg.method](Z, y, cfg), 0.0
-            shared[key] = out, time.perf_counter() - t1, rows
-        if isinstance(out, tuple):
-            result = draw(Z, y, cfg, *out)
+        stages = _Stages(shared, Z, y)
+        if cfg.method == OLS:
+            result = FitResult(OLS, stages(_exact_solve).coefficients)
         elif cfg.method in _SKETCHES:
-            result = FitResult(cfg.method, _SKETCHES[cfg.method](Z, y, cfg, out))
+            sol = _sketch_solution(Z, cfg, stages(_sketch, cfg.seed, rows=cfg.n_subs))
+            coef = _fit_uluru(Z, y, sol) if cfg.method == ULURU else sol.coefficients
+            result = FitResult(cfg.method, coef)
         else:
-            result = FitResult(cfg.method, out)
-        return replace(result, wall_time_s=time.perf_counter() - t0 + stage_s)
+            reads = () if cfg.method in (LEV_LS, IWS_LS) else (cfg.seed, _anchor_rows(Z, cfg))
+            result = draw(Z, y, cfg, *stages(_SCORES[cfg.method], *reads))
+        return replace(result, wall_time_s=time.perf_counter() - t0 + stages.reused_s)
 
     return fit_config

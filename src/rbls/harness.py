@@ -7,11 +7,11 @@ in the output, so any single row can be reproduced in isolation.  A method's
 grid points share that seed, and so its random streams (common random
 numbers): a sampler's draw at a smaller n_subs is a prefix of its draw at a
 larger one, and so are the kept rows of a sketch.  What a method computes
-without reading n_subs runs once per replication
+without reading n_subs runs once per replication, and so do the Gram
+factor, exact solve and exact leverages OLS, LEV_LS and IWS_LS share
 (``estimators._problem_fits``).  Each method runs its grid from the
-largest n_subs down, so its first fit makes the largest sketch of SRHT_LS
-or ULURU and one transform serves every grid point; each row is charged
-that transform's time.  Rows are sorted afterwards.
+largest n_subs down, so one transform serves every grid point of SRHT_LS
+or ULURU.  A row is charged the from-scratch time of the stages it shares.
 
 ``run_experiment(cfg, threads=N)`` runs whole replications on N workers:
 the calling thread and N - 1 pool threads.  Each worker generates the

@@ -10,10 +10,10 @@ well-conditioned designs it is the first solution itself, accurate to
 about 1e-13 relative at cond(Z) 1e2 and 1e-11 at 1e3.  Designs whose Gram
 matrix is too ill-conditioned for Cholesky fall back to Householder QR of
 [Z | y], with rows signed so that its R is the same Cholesky factor.
-Callers that need only the factor (exact leverages) take it from
-``_gram_factor`` with no solve.  ``_gradient`` forms R^{-T} Z'r for the
-solve's start, each CGLS step and ULURU's correction, and survives an
-overflow of Z'r.
+Callers that also need the factor (exact leverages) take it from
+``_gram_factor`` and solve from it with ``_factored_ls``.  ``_gradient``
+forms R^{-T} Z'r for the solve's start, each CGLS step and ULURU's
+correction, and survives an overflow of Z'r.
 
 Dense level-3 work (Gram products, Cholesky, QR, the leverages' R^{-1} Pi2)
 runs in numpy.  scipy ships a second OpenBLAS with its own thread pool, so
@@ -187,9 +187,12 @@ def solve_ls(Z, y):
         anything acts on it) or inconsistent shapes.
     """
     Z, y = _ls_inputs(Z, y)
-    # One layout for the Gram product, so that R does not depend on Z's.
-    Z = np.ascontiguousarray(Z)
-    R, col_norms = _gram_factor(Z)
+    return _factored_ls(Z, y, *_gram_factor(Z))
+
+
+def _factored_ls(Z, y, R, col_norms):
+    """The solve of solve_ls on its checked, C-contiguous (Z, y), from the
+    (R, column norms) of ``_gram_factor(Z)``."""
     if R is None:
         return _householder_ls(Z, y)
     a_norm = np.max(col_norms / np.linalg.norm(R, axis=0))
@@ -226,7 +229,8 @@ def _gram_factor(Z):
 
 def _ls_inputs(Z, y):
     """float64 (Z, y) of a least-squares problem with n >= p, y's entries
-    checked through their sum; Z's are left to the kernel's first product."""
+    checked through their sum; Z's are left to the kernel's first product.
+    Z is C-contiguous, one layout, so that no result depends on Z's."""
     Z = _as_array(Z, 2, "Z", check_entries=False)
     y = as_vector(y, "y")
     n, p = Z.shape
@@ -234,7 +238,7 @@ def _ls_inputs(Z, y):
         raise InvalidInputError(f"need n >= p, got n={n}, p={p}")
     if y.shape[0] != n:
         raise InvalidInputError(f"y has length {y.shape[0]}, expected {n}")
-    return Z, y
+    return np.ascontiguousarray(Z), y
 
 
 def _householder_ls(Z, y):

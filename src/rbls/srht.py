@@ -69,14 +69,14 @@ _MIN_SKETCH_BLOCK = 1024
 # Byte cap of the tile the sketch streams its row blocks through (a tile
 # holds at least one block).  A tile and its transform scratch then stay in
 # cache through every pass, and the sketch's working memory stays a small
-# fraction of the data, which the allocator reuses from call to call instead
-# of faulting in fresh pages.  One apply_sketch_pair call with the allocator
-# told to keep freed memory (so only the compute differs) took 8.4 ms at
-# 20000 x 50 (n_subs 400) with this cap, 8.7-9.0 ms at 256-512 KB, 10.0 ms
-# at 2-4 MB and 10.2 ms with the whole data in one tile; at 2^17 x 64
-# (n_subs 1024) caps of 256 KB-2 MB took 79-82 ms, 4 MB 91 ms and the whole
-# data 116 ms (medians of interleaved calls, 2-core x86 host, 2 MB L2 per
-# core).
+# fraction of the data; a loop of calls still faults 456 pages per call at
+# 20000 x 50 (n_subs 400), 1818 in one whole tile.  One apply_sketch_pair
+# call with the allocator told to keep freed memory (so only the compute
+# differs) took 8.4 ms at 20000 x 50 (n_subs 400) with this cap, 8.7-9.0
+# ms at 256-512 KB, 10.0 ms at 2-4 MB and 10.2 ms with the whole data in
+# one tile; at 2^17 x 64 (n_subs 1024) caps of 256 KB-2 MB took 79-82 ms,
+# 4 MB 91 ms and the whole data 116 ms (medians of interleaved calls,
+# 2-core x86 host, 2 MB L2 per core).
 _TILE_BYTES = 1 << 20
 
 _HADAMARD_BLOCKS = {}

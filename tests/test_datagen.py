@@ -322,6 +322,20 @@ class TestAirlineLoader:
         assert split.train.p == 3
         assert split.train.n == 2 and split.test.n == 1
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # spreadsheet tools write "CSV UTF-8" with a byte-order mark, which
+        # must not become part of the first column's name
+        rows = ["JFK,LAX,2475,10", "SFO,ORD,1846,-3", "JFK,LAX,2475,25"]
+        text = "Origin,Dest,Distance,ArrDelay\n" + "\n".join(rows) + "\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = (load_airline_csv(f, n_train=2, n_test=1) for f in (plain, marked))
+        for part in ("train", "test"):
+            np.testing.assert_array_equal(getattr(a, part).Z, getattr(b, part).Z)
+            np.testing.assert_array_equal(getattr(a, part).y, getattr(b, part).y)
+
     def test_one_hot_columns_in_order_of_first_appearance(self, tmp_path):
         # C-D is seen first, so it takes column 0 although A-B sorts first
         f = tmp_path / "flights.csv"

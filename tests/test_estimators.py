@@ -1,4 +1,7 @@
-from dataclasses import replace
+import gc
+import weakref
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import rbls.estimators
 import rbls.linalg
 import rbls.srht
 from rbls.datagen import gen_corrupted
-from rbls.diagnostics import exact_leverage, influence
+from rbls.diagnostics import compute_diagnostics, exact_leverage, influence
 from rbls.errors import InvalidInputError, InvalidParamsError
 from rbls.estimators import (
     AIWS_LS,
@@ -22,8 +25,10 @@ from rbls.estimators import (
     SRHT_LS,
     ULURU,
     EstimatorConfig,
-    _STAGES,
+    _SCORES,
+    _Stages,
     _anchor,
+    _anchor_rows,
     draw,
     fit,
 )
@@ -146,8 +151,39 @@ class TestDispatcher:
         if a.sampled_row_indices is not None:
             assert np.array_equal(a.sampled_row_indices, b.sampled_row_indices)
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_fit_does_not_depend_on_the_layout_of_z(self, method, layout):
+        # the same Z, stored column-major or as a view with a column
+        # stride, fits bit for bit as the row-major one does
+        problem = gen_corrupted(5000, 20, 0.3, 1.0, 0.4, 0.1, seed=3)
+        if layout == "fortran":
+            Z = np.asfortranarray(problem.Z)
+        else:
+            wide = np.zeros((5000, 40))
+            wide[:, ::2] = problem.Z
+            Z = wide[:, ::2]
+        cfg = EstimatorConfig(method, n_subs=200, seed=7)
+        ref, got = fit(problem, cfg), fit(RegressionProblem(Z, problem.y), cfg)
+        np.testing.assert_array_equal(got.coefficients, ref.coefficients)
+        np.testing.assert_array_equal(got.sampling_probabilities, ref.sampling_probabilities)
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_no_reference_cycle_outlives_a_fit(self, method):
+        # a stage cache that referred to itself would keep each problem's
+        # Z alive until the cyclic collector ran
+        problem = gen_corrupted(512, 8, 0.3, 1.0, 0.4, 0.1, seed=4)
+        z_ref = weakref.ref(problem.Z)
+        gc.disable()
+        try:
+            fit(problem, EstimatorConfig(method, n_subs=64, seed=7))
+            del problem
+            assert z_ref() is None
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize(
-        "method, stage", [(AIWS_LS, "_anchor"), (IWS_LS, "compute_diagnostics")]
+        "method, stage", [(AIWS_LS, "_anchor"), (IWS_LS, "_exact_solve")]
     )
     def test_fit_shares_no_stage_across_calls(self, monkeypatch, method, stage):
         # a sweep shares a sampler's score stage across the configs of one
@@ -407,6 +443,61 @@ class TestUluru:
         assert medians[ULURU] >= 0.9 * medians[OLS]
 
 
+class TestExactStages:
+    """OLS, LEV_LS and IWS_LS share one Gram factor, exact solve and exact
+    leverage pass per problem; those stages and the public
+    compute_diagnostics stay one computation."""
+
+    PROBLEMS = {
+        "gaussian": lambda: RegressionProblem(*gaussian_problem(2000, 12, seed=21)[:2]),
+        "corrupted": lambda: gen_corrupted(2000, 12, 0.3, 1.0, 0.4, 0.1, seed=22),
+    }
+
+    @pytest.mark.parametrize("after_ols", [False, True], ids=["alone", "after-OLS"])
+    @pytest.mark.parametrize("kind", PROBLEMS)
+    def test_shared_stages_match_compute_diagnostics(self, kind, after_ols):
+        problem = self.PROBLEMS[kind]()
+        fits = rbls.estimators._problem_fits(problem)
+        fit_one = fits if after_ols else lambda cfg: fit(problem, cfg)
+        if after_ols:
+            fits(EstimatorConfig(OLS))
+        iws = fit_one(EstimatorConfig(IWS_LS, n_subs=100, seed=3))
+        lev = fit_one(EstimatorConfig(LEV_LS, n_subs=100, seed=5))
+        report = compute_diagnostics(problem.Z, problem.y)
+        for field in fields(report):
+            np.testing.assert_array_equal(
+                getattr(iws.diagnostics, field.name), getattr(report, field.name)
+            )
+        leverages = iws.diagnostics.leverages
+        np.testing.assert_array_equal(lev.sampling_probabilities, leverages / leverages.sum())
+
+    def test_each_fit_is_charged_its_stages_from_scratch(self, monkeypatch):
+        # on a clock that only the factor (1 s), the solve from it (2 s) and
+        # the exact leverages (4 s) advance, a fit that reuses a stage is
+        # charged its seconds and those of its nested stages, each once
+        clock = [0.0]
+
+        def ticking(fn, seconds):
+            def run(*args):
+                clock[0] += seconds
+                return fn(*args)
+
+            return run
+
+        for name, seconds in (("_gram_factor", 1.0), ("_factored_ls", 2.0), ("_leverage", 4.0)):
+            slow = ticking(getattr(rbls.estimators, name), seconds)
+            monkeypatch.setattr(rbls.estimators, name, slow)
+        monkeypatch.setattr(rbls.estimators, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        problem = self.PROBLEMS["corrupted"]()
+        fits = rbls.estimators._problem_fits(problem)
+        order = (OLS, IWS_LS, LEV_LS, OLS, LEV_LS, IWS_LS)
+        charged = [fits(EstimatorConfig(m, n_subs=100, seed=3)).wall_time_s for m in order]
+        assert charged == [3.0, 7.0, 5.0, 3.0, 5.0, 7.0]
+        alone = [fit(problem, EstimatorConfig(m, n_subs=100, seed=3)).wall_time_s for m in order]
+        assert alone == charged
+        assert clock[0] == 7.0 + sum(alone)
+
+
 class TestIwsLs:
     def test_equal_influences_give_uniform_sampling(self):
         Z, y, _ = gaussian_problem(60, 4, seed=7)
@@ -590,8 +681,8 @@ def anchor_system(monkeypatch, Z, y, cfg):
     """The sketched system the anchor of ARWS_LS or AIWS_LS solved, and the
     probabilities scored from it.  Only the method's stage runs, so a draw
     that loses rank cannot hide the anchor."""
-    stage = _STAGES[cfg.method]
-    systems, (probs, _, _) = recorded_systems(monkeypatch, lambda: stage(Z, y, cfg))
+    stage, reads = _SCORES[cfg.method], (cfg.seed, _anchor_rows(Z, cfg))
+    systems, (probs, _, _) = recorded_systems(monkeypatch, lambda: _Stages({}, Z, y)(stage, *reads))
     (anchor,) = systems
     return anchor, probs
 

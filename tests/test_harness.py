@@ -255,6 +255,46 @@ class TestRunExperiment:
                     assert row.rmse == rmse
                     assert row.wall_time_ms > 0
 
+    def test_exact_methods_share_one_factor_and_leverage_pass(self, monkeypatch):
+        # OLS, LEV_LS and IWS_LS read one Gram factor, one exact solve and
+        # one exact leverage pass per replication, whatever the worker
+        # count; each row still refits bit-identically in isolation
+        import rbls.diagnostics
+        import rbls.harness as harness
+        import rbls.linalg
+
+        cfg = tiny_config(methods=METHOD_NAMES, n_subs_grid=(20, 40), replications=2)
+        factor, leverage = rbls.estimators._gram_factor, rbls.estimators._leverage
+        for threads in (1, 2):
+            stages, lock = [], threading.Lock()
+
+            def counted_factor(Z):
+                if Z.shape[0] == cfg.n:
+                    with lock:
+                        stages.append("factor")
+                return factor(Z)
+
+            def counted_leverage(Z, R, projection):
+                if Z.shape[0] == cfg.n and np.array_equal(projection, np.eye(cfg.p)):
+                    with lock:
+                        stages.append("leverage")
+                return leverage(Z, R, projection)
+
+            for module in (rbls.linalg, rbls.estimators):
+                monkeypatch.setattr(module, "_gram_factor", counted_factor)
+            for module in (rbls.diagnostics, rbls.estimators):
+                monkeypatch.setattr(module, "_leverage", counted_leverage)
+            results = run_experiment(cfg, threads=threads)
+            monkeypatch.undo()
+            assert sorted(stages) == ["factor"] * 2 + ["leverage"] * 2
+            for rep in range(cfg.replications):
+                split = harness._generate_split(cfg, rep)
+                for row in (r for r in results if r.replication == rep):
+                    assert not row.error and row.wall_time_ms > 0
+                    est = EstimatorConfig(row.method, row.n_subs, row.seed)
+                    coef = rbls.fit(split.train, est).coefficients
+                    assert row.est_error == float(np.linalg.norm(coef - split.train.truth.beta))
+
     @pytest.mark.parametrize("method", [SRHT_LS, ULURU])
     def test_larger_n_subs_sketches_again(self, monkeypatch, method):
         # a stored sketch serves every n_subs up to its rows; called in

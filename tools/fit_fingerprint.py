@@ -27,8 +27,13 @@ replications), so a harness change is shown to keep every row byte for
 byte.  The same sweep also runs at SWEEP_THREADS worker threads, and every
 run (--save too) prints whether its CSVs are byte-identical to the
 single-thread ones and exits 1 if they are not, so the worker threads are
-shown to change no row.  So are the SHA-256 of the files the front end writes, each run
-through ``rbls.cli.main`` only (FRONT_END): the fig1 CSVs of two small
+shown to change no row.  Likewise every run fits each method on a
+Fortran-ordered and a column-strided copy of desk problem 0's Z (LAYOUTS),
+prints whether each fit's coefficients and sampling probabilities are
+bit-identical to those of the C-ordered Z, and exits 1 if one is not, so
+the fits are shown not to depend on Z's memory layout.  So are the
+SHA-256 of the files the front end writes, each run through
+``rbls.cli.main`` only (FRONT_END): the fig1 CSVs of two small
 problems, one with --bins 17, and one ``rbls airline --deterministic
 --gnuplot`` run (4 methods, 2 grid points, 2 replications) over a flight
 CSV generated from a fixed seed, so a CLI or harness refactor is shown to
@@ -129,6 +134,11 @@ SCALED_REGIMES = (T3, T1)
 SWEEP_FILES = ("results.csv", "aggregates.csv")
 # one worker per replication of SWEEP: the calling thread and two pool threads
 SWEEP_THREADS = 3
+# copies of a row-major Z with the same entries in other memory layouts
+LAYOUTS = (
+    ("fortran", np.asfortranarray),
+    ("strided", lambda Z: np.repeat(Z, 2, axis=1)[:, ::2]),
+)
 FIG1_FILES = ("fig1_histograms.csv", "fig1_distances.csv")
 AIRLINE_FILES = SWEEP_FILES + ("plot.gp",)
 # (name, rbls arguments without --out, files written); "{flights}" is the
@@ -166,7 +176,7 @@ def fingerprint():
     regime in SCALED_REGIMES."""
     fits = {}
     for k in range(PROBLEMS):
-        problem = gen_corrupted(20000, 50, pi=0.3, sigma_x=1.0, sigma_w=0.4, sigma_eps=0.1, seed=100 + k)
+        problem = desk_problem(k)
         fits[f"data/{k}"] = _data_digest(problem)
         for method in METHOD_NAMES:
             cfg = EstimatorConfig(method, n_subs=400, seed=1000 * k + 7)
@@ -181,6 +191,31 @@ def fingerprint():
     for regime in SCALED_REGIMES:
         fits[f"regime/{regime}"] = _data_digest(gen_leverage_regime(n, p, regime, seed))
     return fits
+
+
+def desk_problem(k):
+    """Desk problem k of the fingerprint."""
+    return gen_corrupted(20000, 50, pi=0.3, sigma_x=1.0, sigma_w=0.4, sigma_eps=0.1, seed=100 + k)
+
+
+def layouts_keep_the_fits(fits):
+    """Print whether each method's fit of desk problem 0 with Z in each of
+    LAYOUTS is bit-identical (coefficients and sampling probabilities) to
+    the C-ordered fit in ``fits``; return whether all are."""
+    problem = desk_problem(0)
+    same = True
+    for name, layout in LAYOUTS:
+        relaid = RegressionProblem(layout(problem.Z), problem.y)
+        for method in METHOD_NAMES:
+            result = fit(relaid, EstimatorConfig(method, n_subs=400, seed=7))
+            identical = np.array_equal(result.coefficients, fits[f"{method}/0"]) and (
+                method not in SAMPLERS
+                or np.array_equal(result.sampling_probabilities, fits[f"probabilities/{method}/0"])
+            )
+            verdict = "bit-identical to" if identical else "differs from"
+            print(f"layout   {method:8s} on a {name} Z {verdict} the C-ordered fit")
+            same &= identical
+    return same
 
 
 def _data_digest(problem):
@@ -527,7 +562,8 @@ def main(argv=None):
         complete = compare(saved, fits) and all(
             identical(saved[key], value) for key, value in fits.items() if key in saved
         )
-    return 0 if threads_keep_the_sweep(fits) and complete else 1
+    layouts_same = layouts_keep_the_fits(fits)
+    return 0 if threads_keep_the_sweep(fits) and layouts_same and complete else 1
 
 
 if __name__ == "__main__":
