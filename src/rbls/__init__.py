@@ -48,7 +48,6 @@ from .linalg import LeastSquaresSolution, solve_ls
 from .srht import (
     SketchOperator,
     apply_sketch,
-    apply_sketch_pair,
     build_sketch,
     fwht_inplace,
     next_pow2,
@@ -77,7 +76,6 @@ __all__ = [
     "ULURU",
     "aggregate",
     "apply_sketch",
-    "apply_sketch_pair",
     "build_sketch",
     "compute_diagnostics",
     "emit_fig1_data",

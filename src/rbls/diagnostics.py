@@ -30,9 +30,11 @@ DEFAULT_HISTOGRAM_BINS = 50
 
 # Byte cap of the row tile of Z R^{-1} Pi2 that _leverage forms at a time:
 # 2.8 against 2.6 ms for the whole product at 20000 x 50, 32 against 43 ms
-# at 2^17 x 64 (2-core x86 host); 256 KB tiles changed the last bits.  With
-# designs in their own mapping (datagen._MAPPED_BYTES), a loop of calls at
-# 20000 x 50 faults ~480 pages per call, none with the whole 8 MB product.
+# at 2^17 x 64 (2-core x86 host); 256 KB tiles changed the last bits.  The
+# tiles share one buffer per call: a loop of calls at 20000 x 50 faults 0
+# pages per call (480 with a new product per tile), and a loop of fits
+# there, a new problem per round, 115-148 / 154-186 / 78 pages per LEV_LS /
+# IWS_LS / AIWS_LS fit (416-482 / 534-598 / 485), one BLAS thread.
 _TILE_BYTES = 1 << 20
 
 
@@ -69,12 +71,13 @@ def exact_leverage(Z, sol):
 def _leverage(Z, R, projection):
     """Squared row norms of Z R^{-1} Pi2, Pi2 = ``projection``, for a Z and
     R the caller has validated: exact leverage with Pi2 = I, else approximate.
-    Z R^{-1} Pi2 is formed one tile of rows at a time."""
+    Z R^{-1} Pi2 is formed one tile of rows at a time, in one buffer."""
     X = np.linalg.solve(R, projection)
     lev = np.empty(Z.shape[0])
     step = max(1, _TILE_BYTES // (8 * max(1, X.shape[1])))
-    for i in range(0, Z.shape[0], step):
-        W = Z[i : i + step] @ X
+    buf = np.empty((min(step, lev.size), X.shape[1]))
+    for i in range(0, lev.size, step):
+        W = np.matmul(Z[i : i + step], X, out=buf[: lev.size - i])
         np.einsum("ij,ij->i", W, W, out=lev[i : i + step])
     return lev
 

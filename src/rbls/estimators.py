@@ -293,7 +293,7 @@ def _sketch(stages, Z, y, seed, rows):
 
 def _sketch_solution(Z, cfg, rows):
     """solve_ls on the first cfg.n_subs of the kept ``rows``, scaled by
-    sqrt(n' / n_subs) as ``srht.apply_sketch_pair`` scales them."""
+    sqrt(n' / n_subs) as ``srht.apply_sketch`` scales its output."""
     k = cfg.n_subs
     sketch = rows[:k] * np.sqrt(next_pow2(Z.shape[0]) / k)
     return _solve_small(sketch[:, :-1], sketch[:, -1], f"sketch with {k} rows")

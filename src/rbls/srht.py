@@ -36,7 +36,7 @@ from .errors import InvalidCountsError, NotPowerOfTwoError, ShapeMismatchError
 # matmul against a cached 2^k x 2^k Hadamard block, which is much faster in
 # numpy than 2-point butterflies.  A pass of k levels costs 2^(k+1) flops per
 # entry, so once the sketch's tiles sit in cache the flops, not the memory
-# passes, decide: one apply_sketch_pair call with at most 4 levels per pass
+# passes, decide: one sketch of [Z | y] with at most 4 levels per pass
 # against 6 took 8.4 / 9.4 ms at 20000 x 50 (n_subs 400), 79 / 85 ms at
 # 2^17 x 64 (1024), 43 / 48 ms at 20000 x 200 (1600) and 0.68 / 0.81 s at
 # 100000 x 500 (4000); 3 levels took 0.84 s at the last size (medians of
@@ -70,8 +70,8 @@ _MIN_SKETCH_BLOCK = 1024
 # holds at least one block).  A tile and its transform scratch then stay in
 # cache through every pass, and the sketch's working memory stays a small
 # fraction of the data; a loop of calls still faults 456 pages per call at
-# 20000 x 50 (n_subs 400), 1818 in one whole tile.  One apply_sketch_pair
-# call with the allocator told to keep freed memory (so only the compute
+# 20000 x 50 (n_subs 400), 1818 in one whole tile.  One sketch of [Z | y]
+# with the allocator told to keep freed memory (so only the compute
 # differs) took 8.4 ms at 20000 x 50 (n_subs 400) with this cap, 8.7-9.0
 # ms at 256-512 KB, 10.0 ms at 2-4 MB and 10.2 ms with the whole data in
 # one tile; at 2^17 x 64 (n_subs 1024) caps of 256 KB-2 MB took 79-82 ms,
@@ -151,7 +151,8 @@ class SketchOperator:
         n' = next power of two >= n.
     n_subs : int
         Number of distinct rows sampled from the padded space.
-    sign_flips : ndarray of +-1, length n'
+    sign_flips : float64 ndarray of +-1.0, length n'
+        The signs of D, in the type the kernel multiplies by.
     sampled_indices : ndarray of int, length n_subs, distinct values in [0, n')
     scale : float
         sqrt(n' / n_subs).
@@ -184,14 +185,14 @@ def build_sketch(n, n_subs, seed):
     if not 1 <= n_subs <= padded:
         raise InvalidCountsError(f"need 1 <= n_subs <= {padded}, got {n_subs}")
     sign_ss, index_ss = np.random.SeedSequence(int(seed)).spawn(2)
-    signs = np.random.default_rng(sign_ss).integers(0, 2, padded) * 2 - 1
+    signs = np.random.default_rng(sign_ss).integers(0, 2, padded) * 2.0 - 1.0
     indices = _first_distinct(np.random.default_rng(index_ss), padded, n_subs)
     return SketchOperator(
         seed=int(seed),
         original_rows=n,
         padded_rows=padded,
         n_subs=n_subs,
-        sign_flips=signs.astype(np.int64),
+        sign_flips=signs,
         sampled_indices=indices,
         scale=float(np.sqrt(padded / n_subs)),
     )
@@ -269,7 +270,7 @@ def _sketch_columns(op, operands):
         tile = tile_buf[: b * (g1 - g0) * cols].reshape(b, g1 - g0, cols)
         r0, r1 = g0 * b, min(g1 * b, n)
         full, tail = divmod(r1 - r0, b)
-        signs = op.sign_flips[r0:r1].astype(np.float64)
+        signs = op.sign_flips[r0:r1]
         head_signs = signs[: full * b].reshape(full, b).T
         c = 0
         for a, w in zip(operands, widths):
@@ -299,14 +300,6 @@ def _sketch_columns(op, operands):
     return out
 
 
-def _check_rows(op, *operands):
-    if any(a.shape[0] != op.original_rows for a in operands):
-        raise ShapeMismatchError(
-            f"operands have {'/'.join(str(a.shape[0]) for a in operands)} rows, "
-            f"operator expects {op.original_rows}"
-        )
-
-
 def apply_sketch(op, A):
     """Apply the operator to a matrix or vector with op.original_rows rows.
 
@@ -315,23 +308,8 @@ def apply_sketch(op, A):
     docstring).  Output has n_subs rows, and a vector maps to a vector.
     """
     A = np.asarray(A, dtype=np.float64)
-    _check_rows(op, A)
+    if A.shape[0] != op.original_rows:
+        raise ShapeMismatchError(f"operand has {A.shape[0]} rows, expected {op.original_rows}")
     out = _sketch_columns(op, [A])
     out *= op.scale
     return out[:, 0] if A.ndim == 1 else out
-
-
-def apply_sketch_pair(op, Z, y):
-    """Sketch a design matrix and its response with one transform pass.
-
-    Equal to splitting apply_sketch(op, [Z | y]); Z and y are signed
-    straight into the transform tile, with no stacked copy.  Returns
-    (sketched_Z, sketched_y).
-    """
-    Z = np.asarray(Z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_rows(op, Z, y)
-    out = _sketch_columns(op, [Z, y])
-    out *= op.scale
-    p = Z.shape[1]
-    return out[:, :p], out[:, p]

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 from scipy.stats import chisquare
 
 import rbls.estimators
@@ -34,7 +35,7 @@ from rbls.estimators import (
 )
 from rbls.linalg import REFINE_MAX_ITER, _cgls, solve_ls
 from rbls.sampling import WEIGHT_FLOOR_RATIO, inverse_score_probabilities
-from rbls.seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng
+from rbls.seeding import ROLE_SAMPLING, ROLE_SKETCH, spawn_rng, spawn_seed
 from rbls.datagen import RegressionProblem
 
 # Corrupted benchmark shared across the ordering tests: 30% of rows carry
@@ -337,7 +338,32 @@ class TestDispatcher:
             fit(RegressionProblem(Z, y[:-1]), EstimatorConfig(method=method, n_subs=64))
 
 
+def hadamard_rows(n, rows):
+    """Rows ``rows`` of hadamard(n), n a power of two, without the n x n
+    matrix: hadamard(a * b) = kron(hadamard(a), hadamard(b))."""
+    b = 1 << (n.bit_length() - 1) // 2
+    high, low = hadamard(n // b), hadamard(b)
+    return np.stack([np.kron(high[i // b], low[i % b]) for i in rows])
+
+
 class TestSrhtLs:
+    @pytest.mark.parametrize("n, rows, n_subs, p", [(2049, 64, 17, 5), (5000, 320, 40, 12)])
+    def test_sketch_factor_is_the_dense_operators(self, n, rows, n_subs, p):
+        # SRHT_LS's coefficients do not read the sketch's scale, but ULURU's
+        # correction does, through R: R'R must be (S Z)'(S Z) for the dense
+        # S = sqrt(n' / n_subs) (H D)[first n_subs of the stage's kept rows]
+        np.testing.assert_array_equal(hadamard_rows(256, range(256)), hadamard(256))
+        Z, y, _ = gaussian_problem(n, p, seed=n)
+        cfg = EstimatorConfig(method=ULURU, n_subs=n_subs, seed=3)
+        kept = _Stages({}, Z, y)(rbls.estimators._sketch, cfg.seed, rows=rows)
+        R = rbls.estimators._sketch_solution(Z, cfg, kept).r_factor
+        op = rbls.srht.build_sketch(n, rows, spawn_seed(cfg.seed, ROLE_SKETCH))
+        padded = op.padded_rows
+        H = hadamard_rows(padded, op.sampled_indices[:n_subs]) / np.sqrt(padded)
+        SZ = np.sqrt(padded / n_subs) * (H * op.sign_flips)[:, :n] @ Z
+        gram = SZ.T @ SZ
+        assert np.linalg.norm(R.T @ R - gram) <= 1e-10 * np.linalg.norm(gram)
+
     def test_full_sample_operator_recovers_ols(self):
         # keeping all 32 rows of the padded Hadamard domain makes the sketch
         # orthonormal, so the fit equals OLS

@@ -12,11 +12,16 @@ from rbls.errors import InvalidCountsError, NotPowerOfTwoError, ShapeMismatchErr
 from rbls.srht import (
     SketchOperator,
     apply_sketch,
-    apply_sketch_pair,
     build_sketch,
     fwht_inplace,
     next_pow2,
 )
+
+
+def estimator_sketch(op, Z, y):
+    """[S Z | S y] as SRHT_LS and ULURU solve it: the kept rows of their
+    sketch stage (``_sketch_columns``), scaled as ``_sketch_solution`` scales them."""
+    return srht._sketch_columns(op, [Z, y]) * np.sqrt(op.padded_rows / op.n_subs)
 
 
 def dense_fwht_oracle(v):
@@ -134,7 +139,8 @@ class TestBuildSketch:
 
     def test_sign_flips_are_plus_minus_one(self):
         op = build_sketch(100, 50, seed=7)
-        assert set(np.unique(op.sign_flips)) <= {-1, 1}
+        assert op.sign_flips.dtype == np.float64
+        assert set(np.unique(op.sign_flips)) <= {-1.0, 1.0}
 
     def test_deterministic_given_seed(self):
         a = build_sketch(300, 64, seed=42)
@@ -201,15 +207,14 @@ class TestNestedSketches:
         rows = srht._sketch_columns(large, [A])
         np.testing.assert_array_equal(srht._sketch_columns(small, [A]), rows[:k])
         np.testing.assert_array_equal(apply_sketch(small, A), rows[:k] * small.scale)
-        Zs, ys = apply_sketch_pair(small, A[:, :-1], A[:, -1])
-        np.testing.assert_array_equal(Zs, rows[:k, :-1] * small.scale)
-        np.testing.assert_array_equal(ys, rows[:k, -1] * small.scale)
+        pair = estimator_sketch(small, A[:, :-1], A[:, -1])
+        np.testing.assert_array_equal(pair, rows[:k] * small.scale)
 
 
 def full_sample_operator(n, seed=0):
     """Every padded row sampled exactly once: the operator is orthonormal."""
     padded = next_pow2(n)
-    signs = np.random.default_rng(seed).integers(0, 2, padded) * 2 - 1
+    signs = np.random.default_rng(seed).integers(0, 2, padded) * 2.0 - 1.0
     return SketchOperator(
         seed=seed,
         original_rows=n,
@@ -238,7 +243,8 @@ def tiled_shape(cols, tiles, extra_rows):
 
 class TestStreamedSketch:
     """The tiled kernel against a transform of the whole padded matrix;
-    apply_sketch_pair must equal apply_sketch of the stacked [Z | y]."""
+    the estimators' sketch of Z and y must equal apply_sketch of the
+    stacked [Z | y]."""
 
     @pytest.mark.parametrize(
         "cols,tiles,extra_blocks,extra_rows",
@@ -258,9 +264,7 @@ class TestStreamedSketch:
         A = np.random.default_rng(n).standard_normal((n, cols))
         out = apply_sketch(op, A)
         np.testing.assert_allclose(out, transform_oracle(op, A), atol=1e-12)
-        Zs, ys = apply_sketch_pair(op, A[:, :-1], A[:, -1])
-        np.testing.assert_array_equal(Zs, out[:, :-1])
-        np.testing.assert_array_equal(ys, out[:, -1])
+        np.testing.assert_array_equal(estimator_sketch(op, A[:, :-1], A[:, -1]), out)
 
     def test_block_wider_than_the_tile(self):
         n_subs, cols = 100, 70
@@ -339,10 +343,8 @@ class TestApplySketch:
         y = rng.standard_normal(n)
         np.testing.assert_allclose(apply_sketch(op, Z), dense @ Z, atol=1e-12)
         np.testing.assert_allclose(apply_sketch(op, y), dense @ y, atol=1e-12)
-        Zs, ys = apply_sketch_pair(op, Z, y)
         stacked = apply_sketch(op, np.column_stack([Z, y]))
-        np.testing.assert_array_equal(Zs, stacked[:, :3])
-        np.testing.assert_array_equal(ys, stacked[:, 3])
+        np.testing.assert_array_equal(estimator_sketch(op, Z, y), stacked)
 
     def test_pair_peak_memory_near_data_size(self):
         # the transform buffer plus one scratch, both the size of the data
@@ -353,10 +355,10 @@ class TestApplySketch:
         Z = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
         op = build_sketch(n, 400, seed=8)
-        apply_sketch_pair(op, Z, y)
+        estimator_sketch(op, Z, y)
         tracemalloc.start()
         try:
-            apply_sketch_pair(op, Z, y)
+            estimator_sketch(op, Z, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -371,10 +373,10 @@ class TestApplySketch:
         Z = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
         op = build_sketch(n, 400, seed=8)
-        apply_sketch_pair(op, Z, y)
+        estimator_sketch(op, Z, y)
         tracemalloc.start()
         try:
-            apply_sketch_pair(op, Z, y)
+            estimator_sketch(op, Z, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -389,13 +391,12 @@ class TestApplySketch:
             Z = rng.standard_normal((n, 12))
             y = rng.standard_normal(n)
             jobs.append((build_sketch(n, n_subs, seed=k), Z, y))
-        sequential = [apply_sketch_pair(*job) for job in jobs]
+        sequential = [estimator_sketch(*job) for job in jobs]
         for _ in range(3):
             with ThreadPoolExecutor(max_workers=2) as pool:
-                concurrent = list(pool.map(lambda job: apply_sketch_pair(*job), jobs))
-            for (Zs, ys), (Zc, yc) in zip(sequential, concurrent):
-                np.testing.assert_array_equal(Zs, Zc)
-                np.testing.assert_array_equal(ys, yc)
+                concurrent = list(pool.map(lambda job: estimator_sketch(*job), jobs))
+            for seq, con in zip(sequential, concurrent):
+                np.testing.assert_array_equal(seq, con)
 
     def test_shape_mismatch_rejected(self):
         op = build_sketch(20, 8, seed=1)

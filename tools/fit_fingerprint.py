@@ -45,9 +45,11 @@ change to the input checks is shown to keep what each fit reports.
 --compare prints, per method, how many of the six fits are bit-identical,
 the largest absolute coefficient difference and the largest relative one
 (max |diff| over max |saved coefficient|, per fit), then per sampler how
-many of the six probability vectors and of the six draws are
-bit-identical, then how many of the six problems have bit-identical data,
-then whether each regime problem's data is bit-identical, then the six
+many of the six probability vectors are bit-identical with their largest
+relative difference (likewise per vector), and how many of the six draws
+are identical with how many of their drawn indices differ, then how many
+of the six problems have bit-identical data, then whether each regime
+problem's data is bit-identical, then the six
 anchor step counts saved -> now, then whether each sweep CSV and each
 front-end file is byte-identical (for a CSV that differs, the
 largest relative difference over its numeric cells and whether every other
@@ -409,6 +411,11 @@ def front_end_digests():
     return digests
 
 
+def max_rel_diff(saved, fits, keys):
+    """Largest max |diff| / max |saved entry| over the records ``keys``."""
+    return max(np.max(np.abs(saved[key] - fits[key])) / np.max(np.abs(saved[key])) for key in keys)
+
+
 def compare(saved, fits):
     """Print one line per method; return False if a saved fit is missing."""
     complete = True
@@ -420,10 +427,9 @@ def compare(saved, fits):
             continue
         same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
         diffs = [np.max(np.abs(saved[key] - fits[key])) for key in keys]
-        rel = max(d / np.max(np.abs(saved[key])) for d, key in zip(diffs, keys))
         print(
             f"{method:8s} {same}/{PROBLEMS} bit-identical, "
-            f"max |diff| {max(diffs):.3g}, max rel diff {rel:.3g}"
+            f"max |diff| {max(diffs):.3g}, max rel diff {max_rel_diff(saved, fits, keys):.3g}"
         )
     for method in SAMPLERS:
         keys = [f"probabilities/{method}/{k}" for k in range(PROBLEMS)]
@@ -432,7 +438,10 @@ def compare(saved, fits):
             complete = False
             continue
         same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
-        print(f"probs    {method:8s} {same}/{PROBLEMS} bit-identical")
+        print(
+            f"probs    {method:8s} {same}/{PROBLEMS} bit-identical, "
+            f"max rel diff {max_rel_diff(saved, fits, keys):.3g}"
+        )
     for method in SAMPLERS:
         keys = [f"draws/{method}/{k}" for k in range(PROBLEMS)]
         if any(key not in saved for key in keys):
@@ -440,7 +449,9 @@ def compare(saved, fits):
             complete = False
             continue
         same = sum(np.array_equal(saved[key], fits[key]) for key in keys)
-        print(f"draws    {method:8s} {same}/{PROBLEMS} identical")
+        moved = sum(np.count_nonzero(saved[key] != fits[key]) for key in keys)
+        drawn = sum(saved[key].size for key in keys)
+        print(f"draws    {method:8s} {same}/{PROBLEMS} identical, {moved}/{drawn} indices differ")
     keys = [f"data/{k}" for k in range(PROBLEMS)]
     if any(key not in saved for key in keys):
         print("data     missing from the saved file")
