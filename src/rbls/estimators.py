@@ -12,12 +12,13 @@ AIWS_LS        IWS_LS with the residuals of a CountSketch anchor refined by
                ANCHOR_STEPS preconditioned CGLS steps, and randomized
                leverages.
 ARWS_LS        rows sampled proportional to 1/e_i^2 (one-shot residuals of
-               the same CountSketch anchor).
+               a CountSketch anchor built as AIWS_LS's).
 
-SRHT_LS and ULURU, the paper's baselines, solve an SRHT sketch; AIWS_LS and
-ARWS_LS share one CountSketch anchor solve.  ``fit`` and a sweep run the
-same closure (``_problem_fits``): input checks, the method's stages, each
-made once per problem and keyed by what it computes and reads
+SRHT_LS and ULURU, the paper's baselines, solve an SRHT sketch.  AIWS_LS
+and ARWS_LS each solve a CountSketch anchor built the same way; it is not a
+stage, so they share no solve (ROADMAP item 8).  ``fit`` and a sweep run
+the same closure (``_problem_fits``): input checks, the method's stages,
+each made once per problem and keyed by what it computes and reads
 (``_Stages``), then the finish.  OLS, LEV_LS and IWS_LS share one Gram
 factor, one exact solve and one exact leverage pass.  The samplers' score
 stages turn rows into probabilities for ``draw``, which draws n_subs rows
@@ -205,25 +206,25 @@ def _anchor(Z, y, rows, seed):
 
 
 def _anchor_rows(Z, cfg):
-    """Rows of the anchor that AIWS_LS and ARWS_LS share."""
+    """Rows of the CountSketch anchor of AIWS_LS and of ARWS_LS."""
     return min(Z.shape[0], max(ANCHOR_ROWS_PER_COLUMN * Z.shape[1], cfg.n_subs))
 
 
 def _exact_factor(stages, Z, y):
-    """The factor stage of solve_ls: ``_gram_factor(Z)``'s (R, column norms)."""
+    """The factor stage of solve_ls: ``_gram_factor(Z)``, R or None."""
     return _gram_factor(Z)
 
 
 def _exact_solve(stages, Z, y):
     """solve_ls(Z, y), from the shared factor stage."""
-    return _factored_ls(Z, y, *stages(_exact_factor))
+    return _factored_ls(Z, y, stages(_exact_factor))
 
 
 def _exact_leverage(stages, Z, y):
     """Exact leverages from the factor stage's R, or from the Householder
     solve's where the factor is refused: those of compute_diagnostics(Z, y)
     unless solve_ls falls back as its refinement reached REFINE_MAX_ITER."""
-    R = stages(_exact_factor)[0]
+    R = stages(_exact_factor)
     if R is None:
         R = stages(_exact_solve).r_factor
     return _leverage(Z, R, np.eye(Z.shape[1]))
@@ -246,8 +247,8 @@ def _iws_scores(stages, Z, y):
 def _aiws_scores(stages, Z, y, seed, rows):
     """AIWS_LS: influence-weighted subsampling with sketched diagnostics.
 
-    The CountSketch anchor it shares with ARWS_LS (``_anchor``) and its
-    triangular factor R are reused twice.  Residuals: the anchor's solution
+    Its own CountSketch anchor (``_anchor``) and that anchor's triangular
+    factor R are reused twice.  Residuals: the anchor's solution
     starts a CGLS solve of the full problem, right-preconditioned by R
     (``linalg._cgls``), which takes ``ANCHOR_STEPS`` steps at O(n p) each
     rather than running to ``linalg.REFINE_TOL``: the draw needs the scores
@@ -271,9 +272,9 @@ def _aiws_scores(stages, Z, y, seed, rows):
 def _arws_scores(stages, Z, y, seed, rows):
     """ARWS_LS: residual-weighted subsampling, rows drawn proportional to 1/e_i^2.
 
-    Residuals are the one-shot residuals y - Z b of the CountSketch anchor
-    it shares with AIWS_LS (``_anchor``), without AIWS_LS's refinement; the
-    floor keeps exactly-fit rows from receiving unbounded weight.
+    Residuals are the one-shot residuals y - Z b of its own CountSketch
+    anchor (``_anchor``), without AIWS_LS's refinement; the floor keeps
+    exactly-fit rows from receiving unbounded weight.
     """
     sol1 = _anchor(Z, y, rows, seed)
     e_approx = y - Z @ sol1.coefficients
@@ -357,8 +358,8 @@ class _Stages:
 
     def __call__(self, stage, *reads, rows=None):
         key = (stage, *reads)
-        out, costs, made = self.shared.get(key) or (None, None, 0)
-        if out is None or made < (rows or 0):  # the fit's own clock times it
+        out, costs, made = self.shared.get(key, (None, None, -1))  # -1: not made; out may be None
+        if made < (rows or 0):  # the fit's own clock times it
             outer, self.reached = self.reached, {}
             t0, made_s = time.perf_counter(), self.made_s
             out = stage(self, self.Z, self.y, *reads, *(() if rows is None else (rows,)))

@@ -152,9 +152,9 @@ def solve_ls(Z, y):
     the same stop test applied to the start: a start that already meets
     ``REFINE_TOL`` is returned with ``iterations == 0`` and the residual the
     test computed, so a well-conditioned design costs the Gram product and
-    three passes over Z (Z'y, Z b and Z'r).  ||A|| for the start's test is the lower bound
-    max_j ||Z e_j|| / ||R e_j|| (A = Z R^{-1} maps R e_j to Z e_j), so the
-    test is never looser than with the exact norm.  Z is made C-contiguous
+    three passes over Z (Z'y, Z b and Z'r).  ||A|| for the start's test is
+    1: R'R = Z'Z makes the columns of A = Z R^{-1} orthonormal, up to the
+    rounding of R'R (||A|| - 1 read 1e-9 at cond 1e4).  Z is made C-contiguous
     first, so the result does not depend on its layout.  The solve falls
     back to Householder QR of [Z | y] if the Cholesky fails, if the
     estimated condition number of R exceeds CHOLESKY_MAX_COND, or if the
@@ -187,17 +187,16 @@ def solve_ls(Z, y):
         anything acts on it) or inconsistent shapes.
     """
     Z, y = _ls_inputs(Z, y)
-    return _factored_ls(Z, y, *_gram_factor(Z))
+    return _factored_ls(Z, y, _gram_factor(Z))
 
 
-def _factored_ls(Z, y, R, col_norms):
+def _factored_ls(Z, y, R):
     """The solve of solve_ls on its checked, C-contiguous (Z, y), from the
-    (R, column norms) of ``_gram_factor(Z)``."""
+    R of ``_gram_factor(Z)``."""
     if R is None:
         return _householder_ls(Z, y)
-    a_norm = np.max(col_norms / np.linalg.norm(R, axis=0))
     with np.errstate(over="ignore", invalid="ignore"):  # _gradient handles an overflow
-        sol = _cgls(Z, y, dtrsv(R, _gradient(R, Z, y)[0]), R, a_norm)
+        sol = _cgls(Z, y, dtrsv(R, _gradient(R, Z, y)[0]), R, 1.0)
     # 0 or 1 step on the graded designs that _gram_factor accepts; hitting
     # the cap means R is not the factor of Z'Z it should be
     if sol.iterations >= REFINE_MAX_ITER:
@@ -206,25 +205,23 @@ def _factored_ls(Z, y, R, col_norms):
 
 
 def _gram_factor(Z):
-    """The factor stage of solve_ls on a C-contiguous Z: (R, column norms of
-    Z) with R the Cholesky factor of Z'Z, or (None, None) when the
-    Householder fallback must run: the Cholesky failed, or LAPACK's estimate
-    of cond(R) exceeds CHOLESKY_MAX_COND.  Z's entries are checked through
-    the Gram diagonal."""
+    """The factor stage of solve_ls on a C-contiguous Z: R, the Cholesky
+    factor of Z'Z, or None when the Householder fallback must run: the
+    Cholesky failed, or LAPACK's estimate of cond(R) exceeds
+    CHOLESKY_MAX_COND.  Z's entries are checked through the Gram diagonal."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is checked next
         gram = Z.T @ Z
-    diag = np.diagonal(gram)
-    _check_through(diag, Z, "Z")
+    _check_through(np.diagonal(gram), Z, "Z")
     try:
         R = np.linalg.cholesky(gram).T
     except np.linalg.LinAlgError:
-        return None, None
+        return None
     # rcond = 1 / (estimated cond); written so that an empty R or a NaN
     # estimate also falls back
     rcond = dtrcon(R, norm="1", uplo="U")[0] if R.size else 0.0
     if not rcond >= 1.0 / CHOLESKY_MAX_COND:
-        return None, None
-    return R, np.sqrt(diag)
+        return None
+    return R
 
 
 def _ls_inputs(Z, y):
@@ -266,9 +263,9 @@ def _cgls(Z, y, coef, R, a_norm, max_iter=REFINE_MAX_ITER):
     factor of Z or of a row sketch of Z, A is well conditioned and each
     step costs two O(n p) products (Blendenpik; Avron, Maymounkov and
     Toledo 2010).  ||A|| in the test is the largest of
-    ``a_norm`` and ||A d|| / ||d|| over the search directions d, a lower
-    bound on the 2-norm.  A positive ``a_norm`` also puts the start to the
-    test; a start that passes comes back with 0 steps and the test's
+    ``a_norm`` (1 when R'R = Z'Z) and ||A d|| / ||d|| over the search
+    directions d.  A positive ``a_norm`` also puts the start to the test; a
+    start that passes comes back with 0 steps and the test's
     residual, any other result with y - Z b recomputed."""
     r_fortran = np.asfortranarray(R)
     r = y - Z @ coef

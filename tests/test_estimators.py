@@ -417,8 +417,9 @@ class TestLevLs:
         assert np.all(result.sampling_probabilities >= 0)
 
     @pytest.mark.parametrize("path", ["cholesky", "householder"])
-    def test_probabilities_are_the_normalized_exact_leverages(self, path):
-        # the scorer reads R alone; it must be the R that solve_ls returns
+    def test_probabilities_are_the_normalized_exact_leverages(self, monkeypatch, path):
+        # the scorer reads R alone; it must be the R that solve_ls returns,
+        # from one factor stage, also where that stage refuses the factor
         if path == "cholesky":
             Z, y, _ = gaussian_problem(2000, 20, seed=31)
         else:  # singular values log-spaced down to 1e-6: Cholesky is refused
@@ -427,10 +428,13 @@ class TestLevLs:
             V = np.linalg.qr(rng.standard_normal((20, 20)))[0]
             Z = (U * np.logspace(0, -6, 20)) @ V.T
             y = U @ rng.standard_normal(20) + 0.01 * rng.standard_normal(2000)
-        assert (rbls.linalg._gram_factor(Z)[0] is None) == (path == "householder")
+        assert (rbls.linalg._gram_factor(Z) is None) == (path == "householder")
         lev = exact_leverage(Z, solve_ls(Z, y))
+        factor, factored = rbls.estimators._gram_factor, []
+        monkeypatch.setattr(rbls.estimators, "_gram_factor", lambda Z: factored.append(Z) or factor(Z))
         result = fit(RegressionProblem(Z, y), EstimatorConfig(method=LEV_LS, n_subs=100, seed=2))
         assert np.array_equal(result.sampling_probabilities, lev / lev.sum())
+        assert len(factored) == 1
 
     def test_full_draw_tracks_ols(self):
         ratios = []
