@@ -61,7 +61,7 @@ METHOD_NAMES = (OLS, SRHT_LS, LEV_LS, ULURU, IWS_LS, AIWS_LS, ARWS_LS)
 METHOD_CODES = {name: code for code, name in enumerate(METHOD_NAMES)}
 
 # Rows per column of Z in the CountSketch anchor that AIWS_LS and ARWS_LS
-# share.  A CountSketch costs O(nnz(Z)) whatever its row count, and a
+# each build.  A CountSketch costs O(nnz(Z)) whatever its row count, and a
 # bigger one is a better-conditioned preconditioner: each of AIWS_LS's CGLS
 # steps gains more and ARWS_LS's one-shot residuals come closer to exact.
 # Median ARWS_LS error / OLS error on gen_corrupted(n, p, pi=0.3,

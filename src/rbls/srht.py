@@ -179,8 +179,6 @@ def build_sketch(n, n_subs, seed):
     """
     n = int(n)
     n_subs = int(n_subs)
-    if n < 1:
-        raise InvalidCountsError(f"need n >= 1, got {n}")
     padded = next_pow2(n)
     if not 1 <= n_subs <= padded:
         raise InvalidCountsError(f"need 1 <= n_subs <= {padded}, got {n_subs}")

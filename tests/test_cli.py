@@ -187,12 +187,27 @@ class TestFig1Command:
         assert not out.exists()
 
 
+def airline_config(directory, train, **fields):
+    """Path of ``airline.json``, written to ``directory``: a sweep of OLS on
+    13000 training and 5000 test rows of the flight CSV ``train``, one
+    replication, with ``fields`` in place of these; n_subs_grid defaults to
+    [n]."""
+    raw = {"scenario": "airline", "airline_path": str(train), "n": 13000, "n_test": 5000,
+           "methods": ["OLS"], "replications": 1, **fields}
+    raw.setdefault("n_subs_grid", [raw["n"]])
+    path = directory / "airline.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
 class TestAirlineCommand:
+    """Airline sweeps: ``rbls run`` on a config with scenario airline."""
+
     def test_ols_round_trip(self, tmp_path):
         csv_path = airline_file(tmp_path)
         out = tmp_path / "out"
         code = main(
-            ["airline", "--train", str(csv_path), "--n-train", "400", "--n-test", "100",
+            ["run", "--config", airline_config(tmp_path, csv_path, n=400, n_test=100),
              "--out", str(out), "--deterministic"]
         )
         assert code == EXIT_OK
@@ -206,11 +221,9 @@ class TestAirlineCommand:
     def test_subsampling_methods(self, tmp_path):
         csv_path = airline_file(tmp_path)
         out = tmp_path / "out"
-        code = main(
-            ["airline", "--train", str(csv_path), "--n-train", "400", "--n-test", "100",
-             "--methods", "OLS", "SRHT_LS", "ARWS_LS", "--n-subs", "64",
-             "--out", str(out), "--deterministic"]
-        )
+        config = airline_config(tmp_path, csv_path, n=400, n_test=100,
+                                methods=["OLS", "SRHT_LS", "ARWS_LS"], n_subs_grid=[64])
+        code = main(["run", "--config", config, "--out", str(out), "--deterministic"])
         assert code == EXIT_OK
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 4
@@ -226,10 +239,9 @@ class TestAirlineCommand:
         csv_path = airline_file(tmp_path, delay=lambda d: repr(float(d) * 1e306))
         methods = ["OLS", "SRHT_LS", "LEV_LS", "ULURU", "IWS_LS", "AIWS_LS", "ARWS_LS"]
         out = tmp_path / "out"
-        code = main(
-            ["airline", "--train", str(csv_path), "--n-train", "400", "--n-test", "100",
-             "--methods", *methods, "--n-subs", "64", "--out", str(out), "--deterministic"]
-        )
+        config = airline_config(tmp_path, csv_path, n=400, n_test=100,
+                                methods=methods, n_subs_grid=[64])
+        code = main(["run", "--config", config, "--out", str(out), "--deterministic"])
         assert code == EXIT_OK
         rows = (out / "results.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == methods
@@ -242,20 +254,24 @@ class TestAirlineCommand:
             assert rmse[method] == ""
 
     def test_missing_file_is_data_error(self, tmp_path):
-        assert main(["airline", "--train", str(tmp_path / "gone.csv")]) == EXIT_DATA
+        config = airline_config(tmp_path, tmp_path / "gone.csv")
+        assert main(["run", "--config", config]) == EXIT_DATA
 
     def test_unparseable_file_is_data_error(self, tmp_path):
         bad = tmp_path / "flights.csv"
         bad.write_text(AIRLINE_HEADER + "\n2000,1,1,US,A,B,xyz,3\n")
-        code = main(["airline", "--train", str(bad), "--n-train", "1", "--n-test", "1"])
+        code = main(["run", "--config", airline_config(tmp_path, bad, n=1, n_test=1)])
         assert code == EXIT_DATA
 
     @pytest.mark.parametrize("out", ["new1/new2", "new1/new2/", "new1/../new2"])
-    def test_failed_sweep_removes_every_directory_level_it_made(self, tmp_path, out):
+    def test_failed_sweep_removes_every_directory_level_it_made(
+        self, tmp_path, tmp_path_factory, out
+    ):
         bad = tmp_path / "flights.csv"
         bad.write_text(AIRLINE_HEADER + "\n2000,1,1,US,A,B,xyz,3\n")
-        code = main(["airline", "--train", str(bad), "--n-train", "1", "--n-test", "1",
-                     "--out", f"{tmp_path}/{out}"])
+        # the config lives outside tmp_path, which must hold the CSV alone
+        config = airline_config(tmp_path_factory.mktemp("config"), bad, n=1, n_test=1)
+        code = main(["run", "--config", config, "--out", f"{tmp_path}/{out}"])
         assert code == EXIT_DATA
         assert [path.name for path in tmp_path.iterdir()] == ["flights.csv"]
 
@@ -268,31 +284,17 @@ class TestAirlineCommand:
         fields[6] = "nan"
         lines[10] = ",".join(fields)
         csv_path.write_text("\n".join(lines) + "\n")
-        code = main(["airline", "--train", str(csv_path), "--n-train", "40", "--n-test", "20",
+        code = main(["run", "--config", airline_config(tmp_path, csv_path, n=40, n_test=20),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
 
-    def test_same_sweep_as_run(self, tmp_path):
-        # airline builds the config dict that rbls run would read from JSON;
-        # its grid is sorted before validation
-        csv_path = airline_file(tmp_path)
-        methods = ["OLS", "LEV_LS", "ARWS_LS"]
-        cfg = tmp_path / "airline.json"
-        cfg.write_text(json.dumps({
-            "scenario": "airline", "methods": methods, "n_subs_grid": [48, 96],
-            "replications": 2, "n": 400, "n_test": 100, "airline_path": str(csv_path),
-            "base_seed": 9,
-        }))
-        out_run, out_air = tmp_path / "run", tmp_path / "air"
-        assert main(["run", "--config", str(cfg), "--out", str(out_run),
-                     "--deterministic", "--gnuplot"]) == EXIT_OK
-        assert main(["airline", "--train", str(csv_path), "--n-train", "400", "--n-test", "100",
-                     "--methods", *methods, "--n-subs", "96", "48", "--replications", "2",
-                     "--seed", "9", "--out", str(out_air), "--deterministic",
-                     "--gnuplot"]) == EXIT_OK
-        for name in ("results.csv", "aggregates.csv", "plot.gp"):
-            assert (out_run / name).read_bytes() == (out_air / name).read_bytes()
-        assert len((out_air / "results.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
+
+def test_airline_is_not_a_command(capsys):
+    # an airline sweep is a run config: argparse refuses the command name
+    with pytest.raises(SystemExit) as exit_info:
+        main(["airline", "--train", "flights.csv"])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "invalid choice: 'airline' (choose from 'run', 'fig1')" in capsys.readouterr().err
 
 
 def _run_argv(tmp_path, *flags, **patch):
@@ -304,8 +306,8 @@ def _run_argv(tmp_path, *flags, **patch):
 
 
 def _airline_argv(tmp_path, n_train):
-    return ["airline", "--train", str(airline_file(tmp_path)), "--n-train", n_train,
-            "--n-test", "100", "--out", str(tmp_path / "out")]
+    config = airline_config(tmp_path, airline_file(tmp_path), n=n_train, n_test=100)
+    return ["run", "--config", config, "--out", str(tmp_path / "out")]
 
 
 def _taken(tmp_path):
@@ -321,15 +323,15 @@ BAD_INPUTS = {
     "repeated-n_subs": (lambda t: _run_argv(t, n_subs_grid=[40, 40]), EXIT_CONFIG),
     "negative-base_seed": (lambda t: _run_argv(t, base_seed=-3), EXIT_CONFIG),
     "negative-seed-flag": (lambda t: _run_argv(t, "--seed", "-1"), EXIT_CONFIG),
-    "airline-n-train-zero": (lambda t: _airline_argv(t, "0"), EXIT_CONFIG),
-    "airline-n-train-negative": (lambda t: _airline_argv(t, "-5"), EXIT_CONFIG),
+    "airline-n-train-zero": (lambda t: _airline_argv(t, 0), EXIT_CONFIG),
+    "airline-n-train-negative": (lambda t: _airline_argv(t, -5), EXIT_CONFIG),
     "out-names-a-file": (lambda t: _run_argv(t, "--out", _taken(t)), EXIT_DATA),
     "fig1-negative-seed": (
         lambda t: ["fig1", "--n", "200", "--p", "5", "--seed", "-1", "--out", str(t / "out")],
         EXIT_CONFIG,
     ),
     "airline-missing-file": (
-        lambda t: ["airline", "--train", str(t / "gone.csv"), "--out", str(t / "out")],
+        lambda t: ["run", "--config", airline_config(t, t / "gone.csv"), "--out", str(t / "out")],
         EXIT_DATA,
     ),
 }

@@ -1,13 +1,17 @@
-"""The compare loop of tools/fit_fingerprint.py on small synthetic records:
-no fit runs here."""
+"""The compare loop of tools/fit_fingerprint.py on small synthetic records,
+and the tool's --save and --compare run end to end."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "fit_fingerprint.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "fit_fingerprint.py"
 spec = importlib.util.spec_from_file_location("fit_fingerprint", TOOL)
 fingerprint = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(fingerprint)
@@ -20,7 +24,7 @@ def records():
         "draws/LEV_LS/0": rng.integers(0, 1000, 400),
         "anchor_iterations/0": np.array(2),
         "errors/OLS/Z_nan": np.array("InvalidInputError: Z contains NaN or Inf entries"),
-        "text/sweep/results.csv": np.array("method,rmse\nOLS,0.5\nLEV_LS,0.25\n"),
+        "sweep/results.csv": np.array("method,rmse\nOLS,0.5\nLEV_LS,0.25\n"),
     }
 
 
@@ -39,7 +43,7 @@ def test_identical_records_print_only_family_summaries(capsys):
         "draws/LEV_LS: 1/1 identical",
         "anchor_iterations: 1/1 identical",
         "errors/OLS: 1/1 identical",
-        "text/sweep: 1/1 identical",
+        "sweep: 1/1 identical",
     ]
 
 
@@ -69,15 +73,23 @@ def test_a_missing_record_is_named(capsys):
     assert moved == {"errors/OLS/Z_nan": "missing from the saved file"}
 
 
+def test_a_record_only_the_saved_file_holds_is_named(capsys):
+    saved, now = records(), records()
+    del now["OLS/1"]
+    assert not fingerprint.compare(saved, now)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["OLS: 2/3 identical", "  OLS/1: not made by this run"]
+
+
 @pytest.mark.parametrize(
     "key, value, says",
     [
         ("anchor_iterations/0", np.array(3), "2 -> 3"),
         ("errors/OLS/Z_nan", np.array("no error"),
          "InvalidInputError: Z contains NaN or Inf entries -> no error"),
-        ("text/sweep/results.csv", np.array("method,rmse\nOLS,0.5\n"),
+        ("sweep/results.csv", np.array("method,rmse\nOLS,0.5\n"),
          "3 rows of 6 cells -> 2 rows of 4 cells"),
-        ("text/sweep/results.csv", np.array("method,rmse\nOLS,0.5\nLEV_LS,0.2\n"),
+        ("sweep/results.csv", np.array("method,rmse\nOLS,0.5\nLEV_LS,0.2\n"),
          "max rel diff 0.2 over numeric cells, other cells identical, rows differ for LEV_LS"),
     ],
 )
@@ -95,3 +107,14 @@ def test_identical_counts_nan_equal_and_dtype_or_shape_different():
     assert not fingerprint.identical(a, a.astype(np.float32))
     assert not fingerprint.identical(a, a[None, :])
     assert not fingerprint.identical(np.arange(4), np.arange(4, dtype=np.int32))
+
+
+def test_save_then_compare_exits_0(tmp_path):
+    # the tool drives the public API and the CLI: a change to either that
+    # breaks a run of it fails here
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(ROOT / "src")}
+    saved = tmp_path / "fingerprint.npz"
+    for mode in ("--save", "--compare"):
+        run = subprocess.run([sys.executable, str(TOOL), mode, str(saved)], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout + run.stderr

@@ -23,14 +23,13 @@ The records, by key, and why each is kept:
   t3 and t1, since neither the desk problems nor the sweep scale rows.
 - "anchor_iterations/<k>": AIWS_LS's anchor CGLS steps, so a change to
   the anchor shows its step count beside the fits.
-- "sweep/<file>": the SHA-256 of the deterministic CSVs of SWEEP, a small
-  all-method sweep, so a harness change is shown to keep every row.
-- "front_end/<run>/<file>": the SHA-256 of the files that each FRONT_END
-  run of ``rbls.cli.main`` writes (two fig1 runs, and a deterministic
-  airline run over a flight CSV from a fixed seed), so a CLI change is
-  shown to keep every output byte.  "text/<key>" holds each sweep and
-  front-end file's text, so a change that moves their numbers shows by
-  how much.
+- "sweep/<file>": the text of the deterministic CSVs of SWEEP, a small
+  all-method sweep, so a harness change is shown to keep every row, and
+  one that moves their numbers shows by how much.
+- "front_end/<run>/<file>": the text of the files that each FRONT_END run
+  of ``rbls.cli.main`` writes (two fig1 runs, and a deterministic run of
+  AIRLINE_SWEEP over a flight CSV from a fixed seed), so a CLI change is
+  shown to keep every output byte.
 - "errors/<method>/<case>": the error each fit raises on a BAD_INPUTS
   problem, so a change to the input checks keeps what each fit reports.
 - "overflow/<scaled|unscaled>/<method>" and ".../anchor_iterations":
@@ -45,9 +44,9 @@ The records, by key, and why each is kept:
   those fits, so a warning that leaks out of a fit shows even where every
   number stays the same.
 
---compare groups the records by family, the key without its last part,
-and prints "k/n identical" for each family and one line for each record
-that is missing from the saved file or not bit-identical to it, saying
+--compare groups the records of both runs by family, the key without its
+last part, and prints "k/n identical" for each family and one line for
+each record that only one run made or that is not bit-identical, saying
 what moved; then, per method, how far the overflow fit is from the
 unscaled one, saved -> now.  It exits 1 if any record is missing or moved.
 Every run (--save too) also fits each method on a Fortran-ordered and a
@@ -64,6 +63,7 @@ import csv
 import hashlib
 import io
 import itertools
+import json
 import os
 import sys
 import tempfile
@@ -119,15 +119,16 @@ LAYOUTS = (
 )
 FIG1_FILES = ("fig1_histograms.csv", "fig1_distances.csv")
 AIRLINE_FILES = SWEEP_FILES + ("plot.gp",)
-# (name, rbls arguments without --out, files written); "{flights}" is the
-# generated flight CSV
+# the config of the airline FRONT_END run, less the generated flight CSV's path
+AIRLINE_SWEEP = {"scenario": "airline", "n": 400, "n_test": 100, "replications": 2,
+                 "methods": [OLS, LEV_LS, AIWS_LS, ARWS_LS], "n_subs_grid": [64, 128]}
+# (name, rbls arguments without --out, files written); "{airline}" is the
+# path of AIRLINE_SWEEP's config file
 FRONT_END = (
     ("fig1", ["fig1", "--n", "2000", "--p", "10", "--seed", "1"], FIG1_FILES),
     ("fig1-bins17", ["fig1", "--n", "3000", "--p", "8", "--pi", "0.2", "--sigma-w", "0.6",
                      "--seed", "5", "--bins", "17"], FIG1_FILES),
-    ("airline", ["airline", "--train", "{flights}", "--n-train", "400", "--n-test", "100",
-                 "--methods", OLS, LEV_LS, AIWS_LS, ARWS_LS, "--n-subs", "128", "64",
-                 "--replications", "2", "--seed", "4", "--deterministic", "--gnuplot"],
+    ("airline", ["run", "--config", "{airline}", "--seed", "4", "--deterministic", "--gnuplot"],
      AIRLINE_FILES),
 )
 # (case, array, value): one entry of the problem's Z or y set to value
@@ -298,27 +299,24 @@ def overflow_rel_diff(fits, method):
     return np.max(np.abs(scaled - unscaled)) / np.max(np.abs(unscaled))
 
 
-def sweep_digests(threads=1):
-    """{"sweep/<file>": SHA-256 of the file, "text/sweep/<file>": its text}
-    for the deterministic CSVs of SWEEP run on ``threads`` workers."""
+def sweep_texts(threads=1):
+    """{"sweep/<file>": its text} for the deterministic CSVs of SWEEP run on
+    ``threads`` workers."""
     results = run_experiment(config_from_dict(SWEEP), threads=threads)
-    digests = {}
     with tempfile.TemporaryDirectory() as out:
         paths = [os.path.join(out, name) for name in SWEEP_FILES]
         write_results_csv(results, paths[0], deterministic=True)
         write_aggregates_csv(aggregate(results), paths[1], deterministic=True)
-        for name, path in zip(SWEEP_FILES, paths):
-            digests.update(_file_record(f"sweep/{name}", path))
-    return digests
+        return {f"sweep/{name}": _text(path) for name, path in zip(SWEEP_FILES, paths)}
 
 
 def threads_keep_the_sweep(fits):
     """Print how many of SWEEP's CSVs at SWEEP_THREADS workers are
     byte-identical to the single-thread ones in ``fits``, and a line for
     each that is not; return whether all are."""
-    threaded = sweep_digests(SWEEP_THREADS)
+    threaded = sweep_texts(SWEEP_THREADS)
     keys = [f"sweep/{name}" for name in SWEEP_FILES]
-    differ = [key for key in keys if not np.array_equal(threaded[key], fits[key])]
+    differ = [key for key in keys if not identical(threaded[key], fits[key])]
     print(f"threads: {len(keys) - len(differ)}/{len(keys)} sweep CSVs at threads={SWEEP_THREADS} "
           "byte-identical to threads=1")
     for key in differ:
@@ -326,12 +324,10 @@ def threads_keep_the_sweep(fits):
     return not differ
 
 
-def _file_record(key, path):
-    """{key: SHA-256 of the file, "text/<key>": its text}."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    digest = np.frombuffer(hashlib.sha256(data).digest(), dtype=np.uint8)
-    return {key: digest, f"text/{key}": np.array(data.decode("utf-8"))}
+def _text(path):
+    """The file's UTF-8 text as a record."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return np.array(fh.read())
 
 
 def csv_cell_diff(saved_text, text):
@@ -372,40 +368,43 @@ def _write_flights(path, rows=600, seed=0):
             fh.write(f"2000,1,{1 + i % 28},US,{origin},{dest},{distance},{delay:.1f}\n")
 
 
-def front_end_digests():
-    """{"front_end/<name>/<file>": SHA-256 of the file, "text/front_end/<name>/<file>":
-    its text} for every FRONT_END run."""
-    digests = {}
+def front_end_texts():
+    """{"front_end/<name>/<file>": its text} for every FRONT_END run."""
+    texts = {}
     with tempfile.TemporaryDirectory() as tmp:
-        flights = os.path.join(tmp, "flights.csv")
+        flights, config = os.path.join(tmp, "flights.csv"), os.path.join(tmp, "airline.json")
         _write_flights(flights)
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({**AIRLINE_SWEEP, "airline_path": flights}, fh)
         for name, argv, files in FRONT_END:
             out = os.path.join(tmp, name)
-            args = [flights if a == "{flights}" else a for a in argv] + ["--out", out]
+            args = [config if a == "{airline}" else a for a in argv] + ["--out", out]
             with contextlib.redirect_stdout(io.StringIO()):
                 code = rbls_main(args)
             if code != 0:
                 raise SystemExit(f"rbls {' '.join(args)} exited {code}")
             for file in files:
-                digests.update(_file_record(f"front_end/{name}/{file}", os.path.join(out, file)))
-    return digests
+                texts[f"front_end/{name}/{file}"] = _text(os.path.join(out, file))
+    return texts
 
 
 def compare(saved, fits):
-    """Print "<family>: k/n identical" for each family of ``fits``, the
-    keys without their last part, in order, and under it one line for each
-    of its records that is missing from ``saved`` or not identical to it;
-    then overflow_rel_diff saved -> now for each method whose overflow fits
-    both hold.  Return whether every record is present and identical."""
+    """Print "<family>: k/n identical" for each family of the records of
+    ``fits`` and then of ``saved``, the keys without their last part, in
+    order, and under it one line for each of its records that only one of
+    them holds or that is not identical in both; then overflow_rel_diff
+    saved -> now for each method whose overflow fits both hold.  Return
+    whether both hold the same records, each identical."""
     families = {}
-    for key in fits:
+    for key in {**fits, **saved}:
         families.setdefault(key.rpartition("/")[0], []).append(key)
     complete = True
     for family, keys in families.items():
-        moved = [key for key in keys if key not in saved or not identical(saved[key], fits[key])]
+        moved = [key for key in keys if key not in saved or key not in fits
+                 or not identical(saved[key], fits[key])]
         print(f"{family}: {len(keys) - len(moved)}/{len(keys)} identical")
         for key in moved:
-            print(f"  {key}: {what_moved(key, saved.get(key), fits[key])}")
+            print(f"  {key}: {what_moved(key, saved.get(key), fits.get(key))}")
         complete &= not moved
     for method in METHOD_NAMES:
         pair = (f"overflow/scaled/{method}", f"overflow/unscaled/{method}")
@@ -418,11 +417,14 @@ def compare(saved, fits):
 
 
 def what_moved(key, saved, value):
-    """How the saved record of ``key`` (None if there is none) differs from
-    ``value``: by how much for floats, in how many entries for a draw,
-    cell by cell for a CSV's text, saved -> now for a scalar or text."""
+    """How the saved record of ``key`` differs from this run's ``value``
+    (None where one of them has none): by how much for floats, in how many
+    entries for a draw, cell by cell for a CSV's text, saved -> now for a
+    scalar or text."""
     if saved is None:
         return "missing from the saved file"
+    if value is None:
+        return "not made by this run"
     if saved.dtype.kind == value.dtype.kind == "U":
         if key.endswith(".csv"):
             return csv_cell_diff(str(saved), str(value))
@@ -454,7 +456,7 @@ def main(argv=None):
     mode.add_argument("--compare", metavar="FILE.npz", help="fit and compare with a saved file")
     args = parser.parse_args(argv)
     fits = {
-        **fingerprint(), **sweep_digests(), **front_end_digests(), **error_records(),
+        **fingerprint(), **sweep_texts(), **front_end_texts(), **error_records(),
         **overflow_fits(),
     }
     fits.update(scaled_records(fits))
